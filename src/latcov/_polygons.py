@@ -14,9 +14,12 @@ each shard is independent and results merge deterministically.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import cmp_to_key
 from math import gcd
+
+from .lattice import LatticeError
 
 _class_cache: dict = {}
 
@@ -132,12 +135,81 @@ def _lattice_points_of_chain(chain) -> frozenset:
     return frozenset(pts)
 
 
-def _shard_sets(args) -> list:
+def _chain_key(chain) -> tuple:
+    """(2|K|, edge signature) of the polygon traced by a closed convex
+    chain, in O(edges) and without building any points.
+
+    2|K| is Pick's theorem: twice the shoelace area plus the boundary
+    point count plus 2.  The signature lists, for each line {u, -u}
+    parallel to an edge, the unordered lattice lengths of the two faces
+    across it (0 for a face that is a vertex).  The covariogram of the
+    set determines both parts.
+    """
+    x = y = twice_area = boundary = 0
+    faces: dict = {}
+    for dx, dy in chain:
+        twice_area += x * dy - y * dx
+        x += dx
+        y += dy
+        g = gcd(dx, dy)
+        boundary += g
+        if dy > 0 or (dy == 0 and dx > 0):
+            faces.setdefault((dx // g, dy // g), [0, 0])[0] = g
+        else:
+            faces.setdefault((-dx // g, -dy // g), [0, 0])[1] = g
+    sig = tuple(sorted((line, min(f), max(f)) for line, f in faces.items()))
+    return twice_area + boundary + 2, sig
+
+
+def _reflection_class(chain) -> tuple:
+    """The same value for a chain and for its point reflection, and a
+    different one for any other polygon: the smaller of its sorted edge
+    vectors and its sorted negated edge vectors."""
+    return min(tuple(sorted(chain)),
+               tuple(sorted((-dx, -dy) for dx, dy in chain)))
+
+
+def _shard_chains(args) -> list:
     max_dx, max_dy, root = args
     groups = _ray_groups(max_dx, max_dy)
-    reach = _suffix_reach(groups)
-    chains = _chains_from_root(groups, reach, max_dx, max_dy, root)
-    return [_lattice_points_of_chain(c) for c in chains]
+    return _chains_from_root(groups, _suffix_reach(groups), max_dx, max_dy, root)
+
+
+def _shard_sets(args) -> list:
+    return [_lattice_points_of_chain(c) for c in _shard_chains(args)]
+
+
+def _shard_keyed_chains(args) -> list:
+    return [(_chain_key(c), tuple(c)) for c in _shard_chains(args)]
+
+
+def _check_jobs(jobs: int) -> None:
+    """Refuse a worker count below 1."""
+    if jobs < 1:
+        raise LatticeError("jobs must be at least 1")
+
+
+def _map_shards(shard_fn, max_dx: int, max_dy: int, jobs: int) -> list:
+    """shard_fn over every root-ray shard of the box, in shard order.
+
+    Runs in a process pool of min(jobs, shards, CPUs) workers when that is
+    more than one, else in this process."""
+    _check_jobs(jobs)
+    shard_args = [(max_dx, max_dy, r)
+                  for r in range(len(_ray_groups(max_dx, max_dy)))]
+    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(shard_fn, shard_args))
+    return [shard_fn(a) for a in shard_args]
+
+
+def keyed_chains(max_dx: int, max_dy: int, jobs: int = 1) -> list:
+    """Every closed convex chain fitting the box extent (max_dx, max_dy),
+    one per translation class, as (_chain_key(chain), chain) in shard
+    order.  Not cached."""
+    return [kc for shard in _map_shards(_shard_keyed_chains, max_dx, max_dy, jobs)
+            for kc in shard]
 
 
 def convex_classes(max_dx: int, max_dy: int, jobs: int = 1) -> tuple:
@@ -145,6 +217,7 @@ def convex_classes(max_dx: int, max_dy: int, jobs: int = 1) -> tuple:
     extent at most (max_dx, max_dy), one per translation class, with the
     box corner at the origin.  Sorted deterministically; cached.
     """
+    _check_jobs(jobs)
     key = (max_dx, max_dy)
     cached = _class_cache.get(key)
     if cached is not None:
@@ -153,13 +226,7 @@ def convex_classes(max_dx: int, max_dy: int, jobs: int = 1) -> tuple:
         result: tuple = ()
         _class_cache[key] = result
         return result
-    groups = _ray_groups(max_dx, max_dy)
-    shard_args = [(max_dx, max_dy, r) for r in range(len(groups))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shards = list(pool.map(_shard_sets, shard_args))
-    else:
-        shards = [_shard_sets(a) for a in shard_args]
+    shards = _map_shards(_shard_sets, max_dx, max_dy, jobs)
     sets = {s for shard in shards for s in shard}
     result = tuple(sorted(sets, key=sorted))
     _class_cache[key] = result

@@ -41,10 +41,10 @@ from .lattice import (
     point_set,
 )
 from .reconstruct import (
-    determination_verdict,
     edge_pair_from_covariogram,
     invariants_from_covariogram,
     reconstruct_all,
+    verdict_of,
 )
 from .search import homometric_classes
 
@@ -278,7 +278,7 @@ def _cmd_reconstruct(args, emit):
     g = _load_cov(args.covariogram)
     box = _parse_box(args.box) if args.box else (None, None)
     hits = reconstruct_all(g, box[0], box[1], jobs=args.jobs)
-    emit.field("verdict", determination_verdict(g, box[0], box[1], jobs=args.jobs))
+    emit.field("verdict", verdict_of(hits))
     emit.field("class_count", len(hits))
     for i, K in enumerate(hits):
         emit.field(f"class.{i}", _fmt_set(K))

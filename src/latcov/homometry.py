@@ -194,7 +194,8 @@ def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[i
     basis = params.basis()
     hits = [(vsub(p, t), t) for t in sorted(width_one_T(params))
             if basis.contains(vsub(p, t))]
-    assert len(hits) == 1, "plane decomposition must be unique"
+    if len(hits) != 1:
+        raise AssertionError("plane decomposition must be unique")
     return hits[0]
 
 

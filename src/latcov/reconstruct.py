@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, isqrt
 
-from ._polygons import convex_classes
+from ._polygons import _check_jobs, convex_classes
 from .covariogram import Covariogram, compute_covariogram, support_of
 from .invariants import InvariantRecord, _certified, discrepancy
 from .lattice import (
@@ -142,6 +142,7 @@ def reconstruct_all(g: Covariogram, box_width: int | None = None,
     only that slice of the enumeration is examined.
     """
     _require_planar(g)
+    _check_jobs(jobs)
     dw, dh = _support_box(g)
     if box_width is None:
         box_width = dw
@@ -182,7 +183,11 @@ def reconstruct_all(g: Covariogram, box_width: int | None = None,
 def determination_verdict(g: Covariogram, box_width: int | None = None,
                           box_height: int | None = None, jobs: int = 1) -> str:
     """'unique', 'ambiguous(n)', or 'unrealizable' within the box."""
-    hits = reconstruct_all(g, box_width, box_height, jobs=jobs)
+    return verdict_of(reconstruct_all(g, box_width, box_height, jobs=jobs))
+
+
+def verdict_of(hits: list) -> str:
+    """The determination verdict for the classes reconstruct_all found."""
     if not hits:
         return "unrealizable"
     if len(hits) == 1:

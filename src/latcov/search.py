@@ -1,10 +1,12 @@
 """Exhaustive search for homometric pairs among planar lattice-convex sets.
 
 Enumeration walks translation classes of spanning lattice-convex sets
-fitting a box, groups them by covariogram, and reports every class with
-two or more members up to translation and point reflection.  Each found
-pair can be matched, up to unimodular affine maps of the lattice, against
-the hexagon-family mirror pairs of width-one strips.
+fitting a box as edge chains, buckets them by data the covariogram
+determines, groups the colliding buckets by covariogram, and reports
+every class with two or more members up to translation and point
+reflection.  Each found pair can be matched, up to unimodular affine
+maps of the lattice, against the hexagon-family mirror pairs of
+width-one strips.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._polygons import convex_classes
+from ._polygons import (
+    _lattice_points_of_chain,
+    _reflection_class,
+    convex_classes,
+    keyed_chains,
+)
 from .covariogram import compute_covariogram, covariogram_equal
 from .homometry import (
     HexagonParams,
@@ -84,22 +91,43 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
 def homometric_classes(width: int, height: int, jobs: int = 1,
                        match: bool = False,
                        allow_large: bool = False) -> SearchReport:
-    """Group the enumeration of a box by covariogram and report collisions.
+    """Group the sets of a box by covariogram and report collisions.
 
-    Grouping by covariogram automatically merges translates and point
-    reflections, so a class is interesting exactly when it holds two or
-    more distinct canonical forms.  Every reported pair is re-verified.
+    Homometric sets share |K| and the edge signature: for each edge line
+    {u, -u}, the unordered lattice lengths of the two faces across it.
+    Both are read off each enumerated edge chain without building any
+    points, and chains are bucketed by them.  Only buckets holding two or
+    more reflection classes (one chain kept per class) are materialized,
+    and those sets are grouped by full covariogram.  Grouping by
+    covariogram merges translates and point reflections, so a class is
+    interesting exactly when it holds two or more distinct canonical
+    forms.  Every reported pair is re-verified.  total_classes counts
+    every chain, one per translation class.  The search does not fill
+    the enumeration cache that enumerate_lattice_convex reads.
     """
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    by_fingerprint: dict = {}
+    if width < 1 or height < 1:
+        raise LatticeError("box dimensions must be positive")
+    buckets: dict = {}
     total = 0
-    for K in enumerate_lattice_convex(width, height, jobs=jobs):
+    for key, chain in keyed_chains(width - 1, height - 1, jobs=jobs):
         total += 1
-        g = compute_covariogram(K)
-        fp = tuple(sorted(g.entries.items()))
-        by_fingerprint.setdefault(fp, set()).add(canonical_form(K))
+        buckets.setdefault(key, []).append(chain)
+    by_fingerprint: dict = {}
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        reps: dict = {}
+        for chain in bucket:
+            reps.setdefault(_reflection_class(chain), chain)
+        if len(reps) < 2:
+            continue
+        for chain in reps.values():
+            K = _lattice_points_of_chain(chain)
+            fp = tuple(sorted(compute_covariogram(K).entries.items()))
+            by_fingerprint.setdefault(fp, set()).add(canonical_form(K))
     found = []
     for fp, forms in by_fingerprint.items():
         if len(forms) < 2:

@@ -1,8 +1,8 @@
 """Shared test oracles, deliberately independent of the library internals.
 
 Everything here recomputes geometry the slow way (scans, triangle
-decompositions, subset filters) so library results can be checked
-against a second opinion.
+decompositions, subset filters, exhaustive grouping) so library results
+can be checked against a second opinion.
 """
 
 import itertools
@@ -155,3 +155,50 @@ def brute_edge_invariants(K):
         if a > b > 1 and (m_double is None or a - b + 1 < m_double):
             m_double = a - b + 1
     return normals, m_prime, (math.inf if m_double is None else m_double)
+
+
+def covariogram_grouping(width, height):
+    """Homometric classes of a box the exhaustive way: every enumerated
+    set gets a covariogram and a canonical form, and sets are grouped by
+    covariogram.  Returns (total sets, [(members, [(first, second)])])
+    with members sorted and classes in the library's report order."""
+    from itertools import combinations
+
+    from latcov.covariogram import compute_covariogram
+    from latcov.lattice import canonical_form
+    from latcov.search import enumerate_lattice_convex
+
+    groups = {}
+    total = 0
+    for K in enumerate_lattice_convex(width, height):
+        total += 1
+        fp = tuple(sorted(compute_covariogram(K).entries.items()))
+        groups.setdefault(fp, set()).add(canonical_form(K))
+    classes = []
+    for forms in groups.values():
+        if len(forms) < 2:
+            continue
+        members = tuple(sorted(forms, key=sorted))
+        classes.append((members, list(combinations(members, 2))))
+    classes.sort(key=lambda c: sorted(c[0][0]))
+    return total, classes
+
+
+def edge_line(d):
+    """The direction of {d, -d} in the upper half-plane (or +x)."""
+    return d if d[1] > 0 or (d[1] == 0 and d[0] > 0) else (-d[0], -d[1])
+
+
+def covariogram_key(g):
+    """(2|K|, edge signature) read off a covariogram alone: the origin
+    entry gives |K|, and for each edge line of the support's hull the
+    boundary row pair gives the two face lengths (points minus one)."""
+    from latcov.lattice import convex_hull
+    from latcov.reconstruct import edge_pair_from_covariogram
+
+    sig = set()
+    for _, d, _ in convex_hull(g.entries).edges:
+        sketch = edge_pair_from_covariogram(g, (d[1], -d[0]))
+        sig.add((edge_line(d), len(sketch.short_row) - 1,
+                 len(sketch.long_row) - 1))
+    return 2 * g.entries[(0, 0)], tuple(sorted(sig))

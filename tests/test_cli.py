@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import latcov.cli
 from latcov.cli import (
     FormatError,
     main,
@@ -11,6 +12,7 @@ from latcov.cli import (
     serialize_points,
 )
 from latcov.covariogram import compute_covariogram
+from latcov.homometry import HexagonParams, WidthOneParams, corollary_pair_generator
 
 TRAP = "dim 2\n0 0\n1 0\n2 0\n3 0\n0 1\n1 1\n"
 
@@ -160,6 +162,43 @@ def test_reconstruct_command(tmp_path, capsys):
     assert rc == 0
     assert "verdict=unique" in out
     assert "class_count=1" in out
+
+
+def test_reconstruct_runs_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = latcov.cli.reconstruct_all
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(latcov.cli, "reconstruct_all", counted)
+    pair = corollary_pair_generator(WidthOneParams(1, 0),
+                                    HexagonParams(0, 1, 0, 1, 0, 1))
+    cov = write(tmp_path, "k.cov",
+                serialize_covariogram(compute_covariogram(pair.first)))
+    rc, out, _ = run(capsys, "--format", "records", "reconstruct", cov,
+                     "--box", "5x5")
+    assert rc == 0
+    assert len(calls) == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["verdict=ambiguous(2)", "class_count=2"]
+    assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", [("search", "--box", "3x3"),
+                                     ("reconstruct", "COV", "--box", "4x2")],
+                         ids=["search", "reconstruct"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command):
+    pts = write(tmp_path, "t.pts", TRAP)
+    _, out, _ = run(capsys, "compute-cov", pts)
+    cov = write(tmp_path, "t.cov", out)
+    argv = [cov if a == "COV" else a for a in command]
+    for jobs in ("0", "-2"):
+        rc, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert rc == 2
+        assert out == ""
+        assert "jobs" in err
 
 
 def test_verify_thm22_command(tmp_path, capsys):

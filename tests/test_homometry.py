@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import latcov.homometry
 from latcov.covariogram import compute_covariogram, covariogram_equal
 from latcov.homometry import (
     HexagonParams,
@@ -92,6 +93,18 @@ def test_plane_splits_as_sublattice_plus_strip():
             hits = [(s,) for s in T
                     if basis.contains((pt[0] - s[0], pt[1] - s[1]))]
             assert len(hits) == 1
+
+
+def test_plane_decomposition_checks_uniqueness(monkeypatch):
+    # A strip that misses a coset or covers one twice breaks uniqueness;
+    # the check is an explicit raise, so it holds under python -O too.
+    p = WidthOneParams(1, 0)
+    T = width_one_T(p)
+    doubled = T | {(2, 1)}  # (2, 1) - (1, 0) lies in the sublattice
+    for broken in (frozenset(), doubled):
+        monkeypatch.setattr(latcov.homometry, "width_one_T", lambda _: broken)
+        with pytest.raises(AssertionError, match="unique"):
+            decompose_plane((2, 1), p)
 
 
 def test_sum_is_direct():

@@ -1,6 +1,7 @@
 import pytest
 
 import helpers
+from latcov import _polygons
 from latcov.covariogram import compute_covariogram, covariogram_equal
 from latcov.homometry import (
     HexagonParams,
@@ -63,7 +64,6 @@ def test_enumerate_complete_small_boxes():
 
 
 def test_enumerate_deterministic_and_parallel_identical():
-    from latcov import _polygons
     a = list(enumerate_lattice_convex(4, 4))
     _polygons._class_cache.clear()
     b = list(enumerate_lattice_convex(4, 4, jobs=4))
@@ -189,3 +189,77 @@ def test_search_5x4_report_shape():
     assert len(pairs) >= 1
     for pr in pairs:
         assert pr.match is not None
+
+
+def test_homometric_classes_matches_covariogram_grouping():
+    # every box up to 5x4, both orientations, against the exhaustive oracle
+    boxes = {(w, h) for w in range(1, 6) for h in range(1, 5)}
+    boxes |= {(h, w) for w, h in boxes}
+    for w, h in sorted(boxes):
+        rep = homometric_classes(w, h)
+        total, classes = helpers.covariogram_grouping(w, h)
+        assert rep.total_classes == total, (w, h)
+        got = [(c.members, [(p.first, p.second) for p in c.pairs])
+               for c in rep.classes]
+        assert got == classes, (w, h)
+
+
+def test_chain_key_read_off_covariogram_5x4():
+    chains = _polygons.keyed_chains(4, 3)
+    sets = set()
+    for key, chain in chains:
+        K = _polygons._lattice_points_of_chain(chain)
+        sets.add(K)
+        assert key == helpers.covariogram_key(compute_covariogram(K)), sorted(K)
+    assert len(chains) == len(sets) == 5024
+    assert sets == set(enumerate_lattice_convex(5, 4))
+
+
+def test_search_does_not_fill_enumeration_cache():
+    _polygons._class_cache.clear()
+    homometric_classes(3, 3)
+    assert _polygons._class_cache == {}
+
+
+class RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
+    monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes = []
+    serial = _polygons.keyed_chains(3, 3)
+    assert len(_polygons._ray_groups(3, 3)) == 32
+    assert len(_polygons._ray_groups(1, 1)) == 8
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 6)
+    assert _polygons.keyed_chains(3, 3, jobs=10 ** 6) == serial
+    assert _polygons.keyed_chains(3, 3, jobs=4) == serial
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 100)
+    assert _polygons.keyed_chains(1, 1, jobs=10 ** 6) == _polygons.keyed_chains(1, 1)
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: None)
+    assert _polygons.keyed_chains(3, 3, jobs=8) == serial
+    # CPUs, jobs, shards; no pool for jobs=1 or an unknown CPU count
+    assert RecordingPool.sizes == [6, 4, 8]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_refused(jobs):
+    list(enumerate_lattice_convex(3, 3))  # cached: refused all the same
+    with pytest.raises(LatticeError, match="jobs"):
+        list(enumerate_lattice_convex(3, 3, jobs=jobs))
+    with pytest.raises(LatticeError, match="jobs"):
+        homometric_classes(3, 3, jobs=jobs)
