@@ -110,28 +110,48 @@ def _chains_from_root(groups, reach, lim_x, lim_y, root):
 
 def _lattice_points_of_chain(chain) -> frozenset:
     """Lattice points of the polygon traced by a closed convex chain,
-    translated so the bounding box corner sits at the origin."""
-    verts = [(0, 0)]
+    translated so the bounding box corner sits at the origin.
+
+    Rows run parallel to the longest edge e.  With f completing e to a
+    unimodular basis, every lattice point is s*e + t*f for integers s, t,
+    and each row t holds the s between exact ceil and floor bounds taken
+    from the edges.  There are at most 2*area + 1 rows, so the cost is
+    O(|K| * edges) whatever the size of the coordinates.
+    """
+    ex, ey = max(chain, key=lambda v: gcd(*v))
+    g = gcd(ex, ey)
+    ex, ey = ex // g, ey // g
+    u = pow(ex, -1, abs(ey)) if ey else ex      # ex*u + ey*v == 1
+    v = (1 - ex * u) // ey if ey else 0
+    fx, fy = -v, u                              # det(e, f) == 1
     x = y = 0
-    for dx, dy in chain[:-1]:
+    mnx = mny = 0
+    verts = []                          # (s, t) of each vertex
+    for dx, dy in chain:
+        verts.append((x * fy - y * fx, ex * y - ey * x))
         x += dx
         y += dy
-        verts.append((x, y))
-    mnx = min(v[0] for v in verts)
-    mny = min(v[1] for v in verts)
-    verts = [(vx - mnx, vy - mny) for vx, vy in verts]
-    halves = []
+        mnx = x if x < mnx else mnx
+        mny = y if y < mny else mny
+    # Counterclockwise in (s, t) too, as the basis change has det 1: the
+    # edge from P with step (ds, dt) bounds s above when dt > 0, below
+    # when dt < 0.
+    upper = []
+    lower = []
     nv = len(verts)
-    for i, (ax, ay) in enumerate(verts):
-        bx, by = verts[(i + 1) % nv]
-        halves.append((-(by - ay), bx - ax, (by - ay) * ax - (bx - ax) * ay))
-    mxx = max(v[0] for v in verts)
-    mxy = max(v[1] for v in verts)
+    for i, (ps, pt) in enumerate(verts):
+        qs, qt = verts[(i + 1) % nv]
+        if qt > pt:
+            upper.append((ps, pt, qs - ps, qt - pt))
+        elif qt < pt:
+            lower.append((ps, pt, qs - ps, qt - pt))
     pts = []
-    for px in range(mxx + 1):
-        for py in range(mxy + 1):
-            if all(a * px + b * py + c >= 0 for a, b, c in halves):
-                pts.append((px, py))
+    for t in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
+        hi = min(ps + ds * (t - pt) // dt for ps, pt, ds, dt in upper)
+        lo = max(ps - (ds * (pt - t)) // dt for ps, pt, ds, dt in lower)
+        bx = t * fx - mnx
+        by = t * fy - mny
+        pts.extend((bx + s * ex, by + s * ey) for s in range(lo, hi + 1))
     return frozenset(pts)
 
 

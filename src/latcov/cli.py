@@ -277,8 +277,11 @@ def _cmd_edges(args, emit):
 def _cmd_reconstruct(args, emit):
     g = _load_cov(args.covariogram)
     box = _parse_box(args.box) if args.box else (None, None)
-    hits = reconstruct_all(g, box[0], box[1], jobs=args.jobs)
-    emit.field("verdict", verdict_of(hits))
+    hits = reconstruct_all(g, jobs=args.jobs)
+    verdict = verdict_of(hits, *box)
+    if verdict == "out-of-box":
+        hits = []
+    emit.field("verdict", verdict)
     emit.field("class_count", len(hits))
     for i, K in enumerate(hits):
         emit.field(f"class.{i}", _fmt_set(K))
@@ -429,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="all realizing sets of a covariogram, up to class")
     p.add_argument("covariogram")
     p.add_argument("--box", metavar="WxH",
-                   help="search box (default: support bounding box)")
-    p.add_argument("--jobs", type=int, default=1)
+                   help="box the sets must fit (default: no limit)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="checked, unused: reconstruction runs in one process")
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("check-convex", help="lattice convexity predicate")

@@ -2,23 +2,35 @@
 
 Nothing in this module looks at a realizing set: inputs are covariogram
 tables, and outputs are the difference set, boundary row pairs, the
-invariant record, and (by bounded exhaustive search) every realizing
-spanning lattice-convex set up to translation and point reflection.
+invariant record, and every realizing spanning lattice-convex set up to
+translation and point reflection.
+
+Reconstruction does not search a box.  g fixes the edge signature of
+every realizing set: for each edge line of its support's hull, the
+lattice lengths of the two faces parallel to it.  What g leaves open is,
+for each line whose two faces differ, which side carries the longer
+one; the sides that close the edge chain are found meet-in-the-middle
+and each closing chain is checked against g exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import inf, isqrt
 
-from ._polygons import _check_jobs, convex_classes
+from ._polygons import (
+    _angle_cmp,
+    _chain_key,
+    _check_jobs,
+    _lattice_points_of_chain,
+)
 from .covariogram import Covariogram, compute_covariogram, support_of
 from .invariants import InvariantRecord, _certified, discrepancy
 from .lattice import (
     LatticeError,
     canonical_form,
     convex_hull,
-    difference_set,
     extent,
     primitive,
     segment_lattice_points,
@@ -54,6 +66,48 @@ def diffset_from_covariogram(g: Covariogram) -> frozenset:
     return support_of(g)
 
 
+def _face_run(g: Covariogram, pts: list) -> tuple[int, int]:
+    """First and last index of the maximum of g along pts, the lattice
+    points of an extreme segment of the support, in order.
+
+    For a realizing set the profile there is that of its two faces
+    parallel to the segment, of lattice lengths p >= q: positive on the
+    whole run and maximal exactly at indices q..p.  Raises LatticeError
+    for a profile of any other shape.
+    """
+    vals = [g.value(p) for p in pts]
+    if 0 in vals:
+        # support not contiguous on its extreme line
+        raise LatticeError("not realizable")
+    vmax = max(vals)
+    k2 = vals.index(vmax)
+    k3 = len(vals) - 1 - vals[::-1].index(vmax)
+    if any(vals[i] != vmax for i in range(k2, k3 + 1)):
+        raise LatticeError("not realizable")
+    return k2, k3
+
+
+def _edge_lines(g: Covariogram) -> list:
+    """The edge signature of g: (d, p, q) for each edge line of the
+    support's hull, with d the line's primitive direction in the upper
+    half-plane (or +x) and p >= q the lattice lengths of the two faces of
+    a realizing set parallel to it (0 for a face that is a vertex).
+
+    The support and its hull are computed once.  Raises LatticeError
+    when the support is degenerate or a profile is not that of two faces.
+    """
+    hull = convex_hull(support_of(g))
+    if hull.is_degenerate:
+        raise LatticeError("degenerate set")
+    lines = []
+    for (ax, ay), d, count in hull.edges:
+        if d[1] > 0 or (d[1] == 0 and d[0] > 0):
+            pts = [(ax + i * d[0], ay + i * d[1]) for i in range(count)]
+            q, p = _face_run(g, pts)
+            lines.append((d, p, q))
+    return lines
+
+
 def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     """Recover the boundary rows of a realizing set facing u and -u.
 
@@ -67,23 +121,12 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
         raise LatticeError("zero direction")
     if primitive(u) != u:
         raise LatticeError("direction must be primitive")
-    D = support_of(g)
-    E = support_set(D, u)
+    E = support_set(support_of(g), u)
     if len(E) == 1:
         (e,) = E
         return EdgePairSketch(frozenset({e}), frozenset({(0, 0)}), u)
-    lo = min(E)
-    hi = max(E)
-    pts = segment_lattice_points(lo, hi)
-    vals = [g.value(p) for p in pts]
-    if 0 in vals:
-        # support not contiguous on its extreme line
-        raise LatticeError("not realizable")
-    vmax = max(vals)
-    k2 = vals.index(vmax)
-    k3 = len(vals) - 1 - vals[::-1].index(vmax)
-    if any(vals[i] != vmax for i in range(k2, k3 + 1)):
-        raise LatticeError("not realizable")
+    pts = segment_lattice_points(min(E), max(E))
+    k2, k3 = _face_run(g, pts)
     long_row = frozenset(pts[: k3 + 1])
     short_row = frozenset(vsub(p, pts[k2]) for p in pts[: k2 + 1])
     return EdgePairSketch(long_row, short_row, u)
@@ -97,19 +140,13 @@ def invariants_from_covariogram(g: Covariogram) -> InvariantRecord:
     its cardinalities exactly as the set's own edges would.
     """
     _require_planar(g)
-    D = support_of(g)
-    if not spans_plane(D):
-        raise LatticeError("degenerate set")
-    hull = convex_hull(D)
-    normals = frozenset((d[1], -d[0]) for _, d, _ in hull.edges)
+    lines = _edge_lines(g)
+    normals = frozenset(n for (dx, dy), _, _ in lines
+                        for n in ((dy, -dx), (-dy, dx)))
     m_prime: int | float = inf
     m_double: int | float = inf
-    for u in sorted(normals):
-        sketch = edge_pair_from_covariogram(g, u)
-        a = len(sketch.long_row)
-        b = len(sketch.short_row)
-        if a == 1 and b == 1:
-            continue
+    for _, p, q in lines:
+        a, b = p + 1, q + 1
         m_prime = min(m_prime, b if b >= 2 else a)
         if a > b > 1:
             m_double = min(m_double, a - b + 1)
@@ -126,9 +163,62 @@ def invariants_from_covariogram(g: Covariogram) -> InvariantRecord:
     )
 
 
-def _support_box(g: Covariogram) -> tuple[int, int]:
-    ex, ey = extent(support_of(g))
-    return ex + 1, ey + 1
+def _signed_sums(steps: list, start, first_bit: int) -> list:
+    """(start plus or minus each step, mask) for every choice of signs;
+    bit first_bit + i of mask is set when step i is subtracted."""
+    out = [(start, 0)]
+    for i, (sx, sy) in enumerate(steps, first_bit):
+        out = [o for (x, y), m in out
+               for o in (((x + sx, y + sy), m),
+                         ((x - sx, y - sy), m | 1 << i))]
+    return out
+
+
+def _closing_chains(lines: list):
+    """Yield the angle-sorted edge chain of every polygon with the edge
+    signature lines, one of each point-reflection pair.
+
+    A line (d, p, q) with p != q gives edges p*d and -q*d, or reversed,
+    q*d and -p*d; the chain closes iff the steps +-(p - q)*d sum to zero.
+    Reflection reverses every line, so the first such line is never
+    reversed.  The others are split in two halves whose sums are matched
+    through a dict: 2^(r/2) sums for r such lines, not 2^(r-1).
+    """
+    base: list = []
+    free = []
+    for (dx, dy), p, q in lines:
+        if p == q:
+            base += [(p * dx, p * dy), (-p * dx, -p * dy)]
+        else:
+            free.append(((dx, dy), p, q))
+    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), p, q in free]
+    mid = (len(steps) + 1) // 2
+    left: dict = {}
+    first = steps[0] if steps else (0, 0)
+    for net, mask in _signed_sums(steps[1:mid], first, 1):
+        left.setdefault(net, []).append(mask)
+    for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
+        for mask in left.get((-x, -y), ()):
+            chain = list(base)
+            for i, ((dx, dy), p, q) in enumerate(free):
+                a, b = (q, p) if (mask | right) >> i & 1 else (p, q)
+                chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
+            chain = [e for e in chain if e != (0, 0)]
+            chain.sort(key=cmp_to_key(_angle_cmp))
+            yield chain
+
+
+def _check_box(box_width: int | None, box_height: int | None) -> None:
+    if ((box_width is not None and box_width < 1)
+            or (box_height is not None and box_height < 1)):
+        raise LatticeError("box dimensions must be positive")
+
+
+def _fits_box(ext, box_width: int | None, box_height: int | None) -> bool:
+    """True when a set of tight extent ext fits a box_width x box_height
+    point grid; None leaves a side unbounded."""
+    return ((box_width is None or ext[0] <= box_width - 1)
+            and (box_height is None or ext[1] <= box_height - 1))
 
 
 def reconstruct_all(g: Covariogram, box_width: int | None = None,
@@ -136,60 +226,67 @@ def reconstruct_all(g: Covariogram, box_width: int | None = None,
     """Canonical forms of every realizing spanning lattice-convex set that
     fits the box, up to translation and point reflection, sorted.
 
-    Candidates are pruned by total mass (must be |K| squared) and by the
-    difference set; the difference set constraint forces the tight extent
-    of a realizing set to be exactly half the extent of the support, so
-    only that slice of the enumeration is examined.
+    A realizing set has total mass |K| squared and the support as its
+    difference set, so its tight extent is half the support's.  Its edge
+    chain is one of those _closing_chains builds from the edge signature
+    of g.  A chain is kept when Pick's theorem gives it |K| lattice
+    points and the filled set has covariogram g.  A g whose signature
+    cannot be read has no realizing set.  A side of the box left None is
+    unbounded.  jobs is validated for compatibility; reconstruction runs
+    in this process.
     """
     _require_planar(g)
     _check_jobs(jobs)
-    dw, dh = _support_box(g)
-    if box_width is None:
-        box_width = dw
-    if box_height is None:
-        box_height = dh
-    if box_width < 1 or box_height < 1:
-        raise LatticeError("box dimensions must be positive")
+    _check_box(box_width, box_height)
+    D = support_of(g)
+    ex, ey = extent(D)
     mass = g.mass
     n = isqrt(mass)
     # spanning needs 3 points; origin entry must be the cardinality
     if n * n != mass or n < 3 or g.entries[(0, 0)] != n:
         return []
-    D = support_of(g)
     if not spans_plane(D):
         return []
-    ex, ey = extent(D)
     if ex % 2 or ey % 2:
         return []
     tx, ty = ex // 2, ey // 2
-    if tx == 0 or ty == 0 or tx > box_width - 1 or ty > box_height - 1:
+    if tx == 0 or ty == 0 or not _fits_box((tx, ty), box_width, box_height):
         return []
-    # covariogram entries are origin-centered vector data, so candidates
-    # enumerated in box-corner position compare directly
-    target = g.entries
+    try:
+        lines = _edge_lines(g)
+    except LatticeError:
+        return []
     found = set()
-    for K in convex_classes(tx, ty, jobs=jobs):
-        if len(K) != n:
+    for chain in _closing_chains(lines):
+        if _chain_key(chain)[0] != 2 * n:
             continue
-        if extent(K) != (tx, ty):
-            continue
-        if difference_set(K) != D:
-            continue
-        if compute_covariogram(K).entries == target:
+        K = _lattice_points_of_chain(chain)
+        if compute_covariogram(K).entries == g.entries:
             found.add(canonical_form(K))
     return sorted(found, key=sorted)
 
 
 def determination_verdict(g: Covariogram, box_width: int | None = None,
                           box_height: int | None = None, jobs: int = 1) -> str:
-    """'unique', 'ambiguous(n)', or 'unrealizable' within the box."""
-    return verdict_of(reconstruct_all(g, box_width, box_height, jobs=jobs))
+    """'unique', 'ambiguous(n)', 'out-of-box' or 'unrealizable' within
+    the box; see verdict_of."""
+    _check_box(box_width, box_height)
+    return verdict_of(reconstruct_all(g, jobs=jobs), box_width, box_height)
 
 
-def verdict_of(hits: list) -> str:
-    """The determination verdict for the classes reconstruct_all found."""
+def verdict_of(hits: list, box_width: int | None = None,
+               box_height: int | None = None) -> str:
+    """The determination verdict for the classes reconstruct_all found
+    without a box.
+
+    'unrealizable' when there are none, and 'out-of-box' when none fits a
+    box_width x box_height grid.  All realizing sets share one extent,
+    half the support's, so either every class fits or none does.
+    """
     if not hits:
         return "unrealizable"
+    if not _fits_box(extent(hits[0]), box_width, box_height):
+        return "out-of-box"
     if len(hits) == 1:
         return "unique"
     return f"ambiguous({len(hits)})"

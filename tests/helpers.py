@@ -202,3 +202,49 @@ def covariogram_key(g):
         sig.add((edge_line(d), len(sketch.short_row) - 1,
                  len(sketch.long_row) - 1))
     return 2 * g.entries[(0, 0)], tuple(sorted(sig))
+
+
+_candidates: dict = {}
+
+
+def _candidates_of(tx, ty, n):
+    """(K, difference set) for every enumerated set K of n points and
+    tight extent (tx, ty); kept between calls."""
+    from latcov._polygons import convex_classes
+    from latcov.lattice import difference_set, extent
+
+    key = (tx, ty, n)
+    if key not in _candidates:
+        _candidates[key] = [(K, difference_set(K))
+                            for K in convex_classes(tx, ty)
+                            if len(K) == n and extent(K) == (tx, ty)]
+    return _candidates[key]
+
+
+def reconstruct_by_enumeration(g, box_width=None, box_height=None):
+    """reconstruct_all the exhaustive way: walk every set of the
+    enumeration with the size and tight extent a realizing set must have
+    (|K| squared is the mass, and the extent is half the support's),
+    keeping those with the support as difference set and covariogram g."""
+    from math import isqrt
+
+    from latcov.covariogram import compute_covariogram
+    from latcov.lattice import canonical_form, extent, spans_plane
+
+    D = frozenset(g.entries)
+    ex, ey = extent(D)
+    box_width = ex + 1 if box_width is None else box_width
+    box_height = ey + 1 if box_height is None else box_height
+    n = isqrt(g.mass)
+    if n * n != g.mass or n < 3 or g.entries[(0, 0)] != n:
+        return []
+    if not spans_plane(D) or ex % 2 or ey % 2:
+        return []
+    tx, ty = ex // 2, ey // 2
+    if tx == 0 or ty == 0 or tx > box_width - 1 or ty > box_height - 1:
+        return []
+    found = set()
+    for K, KD in _candidates_of(tx, ty, n):
+        if KD == D and compute_covariogram(K).entries == g.entries:
+            found.add(canonical_form(K))
+    return sorted(found, key=sorted)

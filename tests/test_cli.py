@@ -186,6 +186,25 @@ def test_reconstruct_runs_once(tmp_path, capsys, monkeypatch):
     assert len(lines) == 4
 
 
+def test_reconstruct_out_of_box(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = latcov.cli.reconstruct_all
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(latcov.cli, "reconstruct_all", counted)
+    pts = write(tmp_path, "t.pts", TRAP)
+    _, out, _ = run(capsys, "compute-cov", pts)
+    cov = write(tmp_path, "t.cov", out)
+    rc, out, _ = run(capsys, "--format", "records", "reconstruct", cov,
+                     "--box", "3x2")
+    assert rc == 0
+    assert out.splitlines() == ["verdict=out-of-box", "class_count=0"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", [("search", "--box", "3x3"),
                                      ("reconstruct", "COV", "--box", "4x2")],
                          ids=["search", "reconstruct"])

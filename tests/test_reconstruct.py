@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,13 @@ import helpers
 from latcov.covariogram import Covariogram, compute_covariogram
 from latcov.homometry import HexagonParams, WidthOneParams, corollary_pair_generator
 from latcov.invariants import invariants_direct
-from latcov.lattice import LatticeError, canonical_form, difference_set
+from latcov.lattice import (
+    LatticeError,
+    canonical_form,
+    convex_hull,
+    difference_set,
+    hull_lattice_points,
+)
 from latcov.reconstruct import (
     determination_verdict,
     diffset_from_covariogram,
@@ -14,6 +21,7 @@ from latcov.reconstruct import (
     invariants_from_covariogram,
     reconstruct_all,
 )
+from latcov.search import enumerate_lattice_convex, homometric_classes
 
 TRAPEZOID = frozenset({(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)})
 
@@ -125,6 +133,78 @@ def test_reconstruct_box_errors():
     g = compute_covariogram(TRAPEZOID)
     with pytest.raises(LatticeError):
         reconstruct_all(g, 0, 3)
+    with pytest.raises(LatticeError):
+        determination_verdict(g, 4, 0)
+    with pytest.raises(LatticeError, match="jobs"):
+        reconstruct_all(g, jobs=0)
+    # jobs is accepted, but reconstruction runs in this process
+    assert reconstruct_all(g, jobs=4) == [canonical_form(TRAPEZOID)]
+
+
+def test_reconstruct_out_of_box():
+    # the trapezoid has extent (3, 1): a 3x2 box is too narrow for it
+    g = compute_covariogram(TRAPEZOID)
+    assert reconstruct_all(g, 3, 2) == []
+    assert determination_verdict(g, 3, 2) == "out-of-box"
+    assert determination_verdict(g, 4, 1) == "out-of-box"
+    assert determination_verdict(g, 4, 2) == "unique"
+    rep = nine_point_pair()
+    assert determination_verdict(compute_covariogram(rep.first), 2, 2) == \
+        "out-of-box"
+    # no set realizes this one, so a small box does not make it out-of-box
+    g3 = Covariogram(2, {(0, 0): 3, (1, 1): 2, (-1, -1): 2,
+                         (2, 1): 1, (-2, -1): 1})
+    assert determination_verdict(g3, 1, 1) == "unrealizable"
+
+
+@pytest.mark.parametrize("box", [(5, 4), (4, 5)], ids=["5x4", "4x5"])
+def test_reconstruct_matches_enumeration_on_whole_box(box):
+    # every set of every smaller box, in this orientation, is in this one
+    count = 0
+    for K in enumerate_lattice_convex(*box):
+        g = compute_covariogram(K)
+        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
+        count += 1
+    assert count == 5024
+
+
+def test_reconstruct_6x5_pairs_give_two_classes():
+    report = homometric_classes(6, 5)
+    pairs = [pr for c in report.classes for pr in c.pairs]
+    assert len(pairs) == 12
+    for pr in pairs:
+        for K in (pr.first, pr.second):
+            g = compute_covariogram(K)
+            hits = reconstruct_all(g)
+            assert hits == helpers.reconstruct_by_enumeration(g)
+            assert hits == sorted({canonical_form(pr.first),
+                                   canonical_form(pr.second)}, key=sorted)
+
+
+def test_reconstruct_set_missing_a_point_is_unrealizable():
+    calls = 0
+    for K in enumerate_lattice_convex(4, 4):
+        vertices = set(convex_hull(K).vertices)
+        for p in sorted(K - vertices):
+            g = compute_covariogram(K - {p})
+            assert reconstruct_all(g) == []
+            assert helpers.reconstruct_by_enumeration(g) == []
+            calls += 1
+    assert calls > 1000
+
+
+@pytest.mark.parametrize("K", [
+    hull_lattice_points(convex_hull([(0, 0), (12, 0), (0, 4)])),
+    hull_lattice_points(convex_hull([(0, 0), (40, 0), (0, 9)])),
+    frozenset({(0, 0), (1, 0), (2 ** 31 - 1, 1)}),
+    frozenset({(0, 0), (1, 1), (2 ** 31 - 1, 2 ** 31)}),
+], ids=["triangle-12x4", "triangle-40x9", "far-vertex", "far-sheared"])
+def test_reconstruct_large_inputs(K):
+    g = compute_covariogram(K)
+    t0 = time.monotonic()
+    hits = reconstruct_all(g)
+    assert time.monotonic() - t0 < 10
+    assert hits == [canonical_form(K)]
 
 
 def test_invariants_from_covariogram_rejects_degenerate():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import helpers
@@ -13,6 +15,7 @@ from latcov.lattice import (
     AffineMap2,
     LatticeError,
     canonical_form,
+    convex_hull,
     is_lattice_convex,
     spans_plane,
     translate,
@@ -213,6 +216,25 @@ def test_chain_key_read_off_covariogram_5x4():
         assert key == helpers.covariogram_key(compute_covariogram(K)), sorted(K)
     assert len(chains) == len(sets) == 5024
     assert sets == set(enumerate_lattice_convex(5, 4))
+
+
+def test_chain_fill_exact_on_sheared_and_far_sets():
+    rng = random.Random(404)
+    for _ in range(200):
+        K = helpers.random_lattice_convex(rng, 6, 5)
+        s = rng.randint(-40, 40)
+        if rng.random() < 0.5:
+            F = {(x + s * y, y) for x, y in K}
+        else:
+            F = {(x, y + s * x) for x, y in K}
+        vs = convex_hull(F).vertices
+        chain = [(b[0] - a[0], b[1] - a[1])
+                 for a, b in zip(vs, vs[1:] + vs[:1])]
+        assert _polygons._lattice_points_of_chain(chain) == \
+            helpers.min_normalize(F)
+    far = (2 ** 31 - 1, 1)
+    chain = [(1, 0), (far[0] - 1, 1), (-far[0], -1)]
+    assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), far}
 
 
 def test_search_does_not_fill_enumeration_cache():
