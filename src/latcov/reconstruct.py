@@ -94,7 +94,8 @@ def _edge_lines(g: Covariogram) -> list:
     a realizing set parallel to it (0 for a face that is a vertex).
 
     The support and its hull are computed once.  Raises LatticeError
-    when the support is degenerate or a profile is not that of two faces.
+    when the support is degenerate or a profile is not that of two faces
+    whose difference is the support's edge, so p + q is its length.
     """
     hull = convex_hull(support_of(g))
     if hull.is_degenerate:
@@ -104,6 +105,8 @@ def _edge_lines(g: Covariogram) -> list:
         if d[1] > 0 or (d[1] == 0 and d[0] > 0):
             pts = [(ax + i * d[0], ay + i * d[1]) for i in range(count)]
             q, p = _face_run(g, pts)
+            if p + q != count - 1:
+                raise LatticeError("not realizable")
             lines.append((d, p, q))
     return lines
 
@@ -270,7 +273,6 @@ def determination_verdict(g: Covariogram, box_width: int | None = None,
                           box_height: int | None = None, jobs: int = 1) -> str:
     """'unique', 'ambiguous(n)', 'out-of-box' or 'unrealizable' within
     the box; see verdict_of."""
-    _check_box(box_width, box_height)
     return verdict_of(reconstruct_all(g, jobs=jobs), box_width, box_height)
 
 
@@ -283,6 +285,7 @@ def verdict_of(hits: list, box_width: int | None = None,
     box_width x box_height grid.  All realizing sets share one extent,
     half the support's, so either every class fits or none does.
     """
+    _check_box(box_width, box_height)
     if not hits:
         return "unrealizable"
     if not _fits_box(extent(hits[0]), box_width, box_height):

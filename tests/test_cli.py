@@ -11,7 +11,7 @@ from latcov.cli import (
     serialize_covariogram,
     serialize_points,
 )
-from latcov.covariogram import compute_covariogram
+from latcov.covariogram import Covariogram, compute_covariogram
 from latcov.homometry import HexagonParams, WidthOneParams, corollary_pair_generator
 
 TRAP = "dim 2\n0 0\n1 0\n2 0\n3 0\n0 1\n1 1\n"
@@ -203,6 +203,18 @@ def test_reconstruct_out_of_box(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert out.splitlines() == ["verdict=out-of-box", "class_count=0"]
     assert len(calls) == 1
+
+
+def test_reconstruct_unrealizable_reports_verdict(tmp_path, capsys):
+    # the faces read off the (1, 0) edge of the support cannot span it
+    g = Covariogram(2, {(0, 0): 4, (2, 3): 3, (-2, -3): 3, (1, 3): 1,
+                        (-1, -3): 1, (0, 1): 1, (0, -1): 1, (1, 1): 1,
+                        (-1, -1): 1})
+    cov = write(tmp_path, "u.cov", serialize_covariogram(g))
+    rc, out, err = run(capsys, "--format", "records", "reconstruct", cov)
+    assert rc == 0
+    assert err == ""
+    assert out.splitlines() == ["verdict=unrealizable", "class_count=0"]
 
 
 @pytest.mark.parametrize("command", [("search", "--box", "3x3"),

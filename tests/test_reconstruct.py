@@ -129,6 +129,51 @@ def test_reconstruct_unrealizable():
     assert reconstruct_all(g3, 6, 6) == []
 
 
+def test_reconstruct_face_lengths_must_fill_support_edge():
+    # symmetric, mass 16, but the profile on the support's edge of
+    # direction (1, 0) peaks at its start only, so p = q = 0 there and
+    # the faces could not span that edge of length 1
+    g = Covariogram(2, {(0, 0): 4, (2, 3): 3, (-2, -3): 3, (1, 3): 1,
+                        (-1, -3): 1, (0, 1): 1, (0, -1): 1, (1, 1): 1,
+                        (-1, -1): 1})
+    assert reconstruct_all(g) == []
+    assert helpers.reconstruct_by_enumeration(g) == []
+    assert determination_verdict(g) == "unrealizable"
+    with pytest.raises(LatticeError):
+        invariants_from_covariogram(g)
+
+
+def test_reconstruct_perturbed_covariograms_match_enumeration():
+    # move masses between symmetric entries of real covariograms:
+    # well-formed tables, nearly all unrealizable, that must never raise
+    rng = random.Random(2)
+    sets = list(enumerate_lattice_convex(5, 4))
+    checked = 0
+    for _ in range(3000):
+        e = dict(compute_covariogram(rng.choice(sets)).entries)
+        for _ in range(rng.randint(1, 3)):
+            v = rng.choice([k for k in e if k != (0, 0)])
+            w = (rng.randint(-4, 4), rng.randint(-3, 3))
+            if w in ((0, 0), v, (-v[0], -v[1])):
+                continue
+            c = e[v] if rng.random() < 0.5 else 1
+            for s in (1, -1):
+                vv, ww = (s * v[0], s * v[1]), (s * w[0], s * w[1])
+                e[vv] -= c
+                if e[vv] == 0:
+                    del e[vv]
+                e[ww] = e.get(ww, 0) + c
+        try:
+            g = Covariogram(2, e)
+        except LatticeError:
+            continue
+        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
+        assert determination_verdict(g) in ("unique", "ambiguous(2)",
+                                            "unrealizable")
+        checked += 1
+    assert checked > 2000
+
+
 def test_reconstruct_box_errors():
     g = compute_covariogram(TRAPEZOID)
     with pytest.raises(LatticeError):
