@@ -75,7 +75,7 @@ def _int_fields(path, lineno, text):
 
 def parse_points(text: str, path: str = "<points>") -> frozenset:
     dim = None
-    pts = []
+    pts = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -94,7 +94,7 @@ def parse_points(text: str, path: str = "<points>") -> frozenset:
         p = tuple(vals)
         if p in pts:
             raise FormatError(f"{path}:{lineno}: duplicate point")
-        pts.append(p)
+        pts.add(p)
     if not pts:
         raise FormatError(f"{path}:1: no points")
     return frozenset(pts)
@@ -277,7 +277,7 @@ def _cmd_edges(args, emit):
 def _cmd_reconstruct(args, emit):
     g = _load_cov(args.covariogram)
     box = _parse_box(args.box) if args.box else (None, None)
-    hits = reconstruct_all(g, jobs=args.jobs)
+    hits = reconstruct_all(g)
     verdict = verdict_of(hits, *box)
     if verdict == "out-of-box":
         hits = []
@@ -433,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("covariogram")
     p.add_argument("--box", metavar="WxH",
                    help="box the sets must fit (default: no limit)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="checked, unused: reconstruction runs in one process")
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("check-convex", help="lattice convexity predicate")

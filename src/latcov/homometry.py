@@ -168,6 +168,20 @@ def direct_sum(S, T) -> frozenset:
     return frozenset(vadd(s, t) for s in Sp for t in Tp)
 
 
+def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport:
+    """The report for the pair (first, second) built from base and
+    mirrored, once their covariograms are checked equal and the pair is
+    checked nontrivial exactly when its canonical forms differ."""
+    if not covariogram_equal(compute_covariogram(first),
+                             compute_covariogram(second)):
+        raise AssertionError(f"{kind} pair failed the covariogram identity")
+    nontrivial = (not is_centrally_symmetric(base)
+                  and not is_centrally_symmetric(mirrored))
+    if nontrivial != (canonical_form(first) != canonical_form(second)):
+        raise AssertionError("nontriviality flag disagrees with canonical forms")
+    return MirrorPairReport(first, second, base, mirrored, True, nontrivial)
+
+
 def mirror_pair(S, T) -> MirrorPairReport:
     """Build and verify the pair (S + T, S + (-T)) of a direct sum."""
     Sp = point_set(S)
@@ -177,15 +191,7 @@ def mirror_pair(S, T) -> MirrorPairReport:
     if not sum_is_direct(Sp, negT):
         raise LatticeError("sum not direct")
     second = frozenset(vadd(s, t) for s in Sp for t in negT)
-    homometric = covariogram_equal(compute_covariogram(first),
-                                   compute_covariogram(second))
-    if not homometric:
-        raise AssertionError("mirror pair failed the covariogram identity")
-    nontrivial = not is_centrally_symmetric(Sp) and not is_centrally_symmetric(Tp)
-    distinct = canonical_form(first) != canonical_form(second)
-    if nontrivial != distinct:
-        raise AssertionError("nontriviality flag disagrees with canonical forms")
-    return MirrorPairReport(first, second, Sp, Tp, homometric, nontrivial)
+    return _verified_pair(first, second, Sp, Tp, "mirror")
 
 
 def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -279,15 +285,7 @@ def product_pair(K, L) -> MirrorPairReport:
     Lp = point_set(L)
     first = frozenset(a + b for a in Kp for b in Lp)
     second = frozenset(a + vneg(b) for a in Kp for b in Lp)
-    homometric = covariogram_equal(compute_covariogram(first),
-                                   compute_covariogram(second))
-    if not homometric:
-        raise AssertionError("product pair failed the covariogram identity")
-    nontrivial = not is_centrally_symmetric(Kp) and not is_centrally_symmetric(Lp)
-    distinct = canonical_form(first) != canonical_form(second)
-    if nontrivial != distinct:
-        raise AssertionError("nontriviality flag disagrees with canonical forms")
-    return MirrorPairReport(first, second, Kp, Lp, homometric, nontrivial)
+    return _verified_pair(first, second, Kp, Lp, "product")
 
 
 def corollary_pair_generator(params: WidthOneParams, hexagon: HexagonParams) -> MirrorPairReport:

@@ -23,15 +23,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
+from ._polygons import _chain_key
 from .lattice import (
+    Hull2,
     LatticeError,
     convex_hull,
     det2,
     is_lattice_convex,
     point_set,
     spans_plane,
-    support_set,
-    vneg,
 )
 
 
@@ -40,8 +40,8 @@ class InvariantRecord:
     """Covariogram-determined invariants of a spanning lattice-convex set.
 
     normals holds the outer edge normals of K and of -K together, so it
-    is closed under negation.  m_prime, m_doubleprime and m are positive
-    integers or math.inf.  certified is the exact comparison
+    is closed under negation.  m_prime and m are positive integers, and
+    m_doubleprime is one or math.inf.  certified is the exact comparison
     m >= delta^2 + delta + 1.
     """
 
@@ -54,17 +54,21 @@ class InvariantRecord:
     certified: bool
 
 
-def edge_normals(K) -> frozenset:
-    """Primitive outward normals of the hull edges of K."""
+def _lattice_convex_hull(K) -> Hull2:
+    """Hull of K, refusing a set that is degenerate or not lattice-convex."""
     pts = point_set(K)
     if not spans_plane(pts):
         raise LatticeError("degenerate set")
     if not is_lattice_convex(pts):
         raise LatticeError("set is not lattice-convex")
-    hull = convex_hull(pts)
+    return convex_hull(pts)
+
+
+def edge_normals(K) -> frozenset:
+    """Primitive outward normals of the hull edges of K."""
     # CCW edge direction (dx, dy) has outward normal (dy, -dx); directions
     # from Hull2 are already primitive.
-    return frozenset((d[1], -d[0]) for _, d, _ in hull.edges)
+    return frozenset((d[1], -d[0]) for _, d, _ in _lattice_convex_hull(K).edges)
 
 
 def discrepancy(normals) -> tuple[frozenset, Fraction]:
@@ -78,24 +82,16 @@ def discrepancy(normals) -> tuple[frozenset, Fraction]:
     return frozenset(dets), Fraction(max(dets), min(dets))
 
 
-def _certified(m, delta: Fraction) -> bool:
-    if m == inf:
-        return True
-    return Fraction(m) >= delta * delta + delta + 1
-
-
-def invariants_direct(K) -> InvariantRecord:
-    """Invariants computed from the set itself."""
-    pts = point_set(K)
-    outward = edge_normals(pts)
-    normals = outward | frozenset(vneg(u) for u in outward)
-    card = {u: len(support_set(pts, u)) for u in normals}
-    m_prime = min(card[u] for u in outward)
-    m_double = inf
-    for u in normals:
-        a, b = card[u], card[vneg(u)]
-        if a > b > 1:
-            m_double = min(m_double, a - b + 1)
+def _record(sig) -> InvariantRecord:
+    """The invariant record of a set with edge signature sig, as
+    _polygons._chain_key gives it: (line, q, p) for each edge line, with
+    q <= p the lattice lengths of the two faces parallel to it (0 for a
+    face that is a vertex).  A face of length f carries f + 1 points.
+    """
+    normals = frozenset(n for (dx, dy), _, _ in sig
+                        for n in ((dy, -dx), (-dy, dx)))
+    m_prime = min(q + 1 if q else p + 1 for _, q, p in sig)
+    m_double = min((p - q + 1 for _, q, p in sig if p > q > 0), default=inf)
     det_set, delta = discrepancy(normals)
     m = min(m_prime, m_double)
     return InvariantRecord(
@@ -105,8 +101,16 @@ def invariants_direct(K) -> InvariantRecord:
         m=m,
         delta=delta,
         det_set=det_set,
-        certified=_certified(m, delta),
+        certified=m >= delta * delta + delta + 1,
     )
+
+
+def invariants_direct(K) -> InvariantRecord:
+    """Invariants computed from the set itself, through the edge
+    signature of its hull."""
+    chain = [(dx * (c - 1), dy * (c - 1))
+             for _, (dx, dy), c in _lattice_convex_hull(K).edges]
+    return _record(_chain_key(chain)[1])
 
 
 def delta_bound_check(normals, n: int) -> bool:

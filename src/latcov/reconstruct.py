@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import inf, isqrt
+from math import isqrt
 
-from ._polygons import (
-    _angle_cmp,
-    _chain_key,
-    _check_jobs,
-    _lattice_points_of_chain,
-)
+from ._polygons import _angle_cmp, _chain_key, _lattice_points_of_chain
 from .covariogram import Covariogram, compute_covariogram, support_of
-from .invariants import InvariantRecord, _certified, discrepancy
+from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
     canonical_form,
@@ -34,7 +29,6 @@ from .lattice import (
     extent,
     primitive,
     segment_lattice_points,
-    spans_plane,
     support_set,
     vsub,
 )
@@ -87,11 +81,13 @@ def _face_run(g: Covariogram, pts: list) -> tuple[int, int]:
     return k2, k3
 
 
-def _edge_lines(g: Covariogram) -> list:
-    """The edge signature of g: (d, p, q) for each edge line of the
-    support's hull, with d the line's primitive direction in the upper
-    half-plane (or +x) and p >= q the lattice lengths of the two faces of
-    a realizing set parallel to it (0 for a face that is a vertex).
+def _edge_lines(g: Covariogram) -> tuple:
+    """The edge signature of g, in the form _polygons._chain_key gives
+    it for a realizing set: (line, q, p) for each edge line of the
+    support's hull, sorted, with line the primitive direction in the
+    upper half-plane (or +x) and q <= p the lattice lengths of the two
+    faces of a realizing set parallel to it (0 for a face that is a
+    vertex).
 
     The support and its hull are computed once.  Raises LatticeError
     when the support is degenerate or a profile is not that of two faces
@@ -107,8 +103,8 @@ def _edge_lines(g: Covariogram) -> list:
             q, p = _face_run(g, pts)
             if p + q != count - 1:
                 raise LatticeError("not realizable")
-            lines.append((d, p, q))
-    return lines
+            lines.append((d, q, p))
+    return tuple(sorted(lines))
 
 
 def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
@@ -139,31 +135,11 @@ def invariants_from_covariogram(g: Covariogram) -> InvariantRecord:
     """The invariant record, read off g alone.
 
     The support's hull normals are the union of the edge normals of any
-    realizing set and its reflection; each boundary row pair contributes
-    its cardinalities exactly as the set's own edges would.
+    realizing set and its reflection, and the edge signature of g is
+    that of every realizing set, so the record is the set's own.
     """
     _require_planar(g)
-    lines = _edge_lines(g)
-    normals = frozenset(n for (dx, dy), _, _ in lines
-                        for n in ((dy, -dx), (-dy, dx)))
-    m_prime: int | float = inf
-    m_double: int | float = inf
-    for _, p, q in lines:
-        a, b = p + 1, q + 1
-        m_prime = min(m_prime, b if b >= 2 else a)
-        if a > b > 1:
-            m_double = min(m_double, a - b + 1)
-    det_set, delta = discrepancy(normals)
-    m = min(m_prime, m_double)
-    return InvariantRecord(
-        normals=normals,
-        m_prime=m_prime,
-        m_doubleprime=m_double,
-        m=m,
-        delta=delta,
-        det_set=det_set,
-        certified=_certified(m, delta),
-    )
+    return _record(_edge_lines(g))
 
 
 def _signed_sums(steps: list, start, first_bit: int) -> list:
@@ -177,11 +153,11 @@ def _signed_sums(steps: list, start, first_bit: int) -> list:
     return out
 
 
-def _closing_chains(lines: list):
+def _closing_chains(lines):
     """Yield the angle-sorted edge chain of every polygon with the edge
     signature lines, one of each point-reflection pair.
 
-    A line (d, p, q) with p != q gives edges p*d and -q*d, or reversed,
+    A line (d, q, p) with q != p gives edges p*d and -q*d, or reversed,
     q*d and -p*d; the chain closes iff the steps +-(p - q)*d sum to zero.
     Reflection reverses every line, so the first such line is never
     reversed.  The others are split in two halves whose sums are matched
@@ -189,12 +165,12 @@ def _closing_chains(lines: list):
     """
     base: list = []
     free = []
-    for (dx, dy), p, q in lines:
+    for (dx, dy), q, p in lines:
         if p == q:
             base += [(p * dx, p * dy), (-p * dx, -p * dy)]
         else:
-            free.append(((dx, dy), p, q))
-    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), p, q in free]
+            free.append(((dx, dy), q, p))
+    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), q, p in free]
     mid = (len(steps) + 1) // 2
     left: dict = {}
     first = steps[0] if steps else (0, 0)
@@ -203,7 +179,7 @@ def _closing_chains(lines: list):
     for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
         for mask in left.get((-x, -y), ()):
             chain = list(base)
-            for i, ((dx, dy), p, q) in enumerate(free):
+            for i, ((dx, dy), q, p) in enumerate(free):
                 a, b = (q, p) if (mask | right) >> i & 1 else (p, q)
                 chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
             chain = [e for e in chain if e != (0, 0)]
@@ -211,49 +187,22 @@ def _closing_chains(lines: list):
             yield chain
 
 
-def _check_box(box_width: int | None, box_height: int | None) -> None:
-    if ((box_width is not None and box_width < 1)
-            or (box_height is not None and box_height < 1)):
-        raise LatticeError("box dimensions must be positive")
+def reconstruct_all(g: Covariogram) -> list:
+    """Canonical forms of every realizing spanning lattice-convex set, up
+    to translation and point reflection, sorted.
 
-
-def _fits_box(ext, box_width: int | None, box_height: int | None) -> bool:
-    """True when a set of tight extent ext fits a box_width x box_height
-    point grid; None leaves a side unbounded."""
-    return ((box_width is None or ext[0] <= box_width - 1)
-            and (box_height is None or ext[1] <= box_height - 1))
-
-
-def reconstruct_all(g: Covariogram, box_width: int | None = None,
-                    box_height: int | None = None, jobs: int = 1) -> list:
-    """Canonical forms of every realizing spanning lattice-convex set that
-    fits the box, up to translation and point reflection, sorted.
-
-    A realizing set has total mass |K| squared and the support as its
-    difference set, so its tight extent is half the support's.  Its edge
-    chain is one of those _closing_chains builds from the edge signature
-    of g.  A chain is kept when Pick's theorem gives it |K| lattice
-    points and the filled set has covariogram g.  A g whose signature
-    cannot be read has no realizing set.  A side of the box left None is
-    unbounded.  jobs is validated for compatibility; reconstruction runs
-    in this process.
+    A realizing set has total mass |K| squared and |K| at the origin.
+    Its edge chain is one of those _closing_chains builds from the edge
+    signature of g.  A chain is kept when Pick's theorem gives it |K|
+    lattice points and the filled set has covariogram g.  A g whose
+    signature cannot be read, a degenerate support among them, has no
+    realizing set.
     """
     _require_planar(g)
-    _check_jobs(jobs)
-    _check_box(box_width, box_height)
-    D = support_of(g)
-    ex, ey = extent(D)
     mass = g.mass
     n = isqrt(mass)
     # spanning needs 3 points; origin entry must be the cardinality
     if n * n != mass or n < 3 or g.entries[(0, 0)] != n:
-        return []
-    if not spans_plane(D):
-        return []
-    if ex % 2 or ey % 2:
-        return []
-    tx, ty = ex // 2, ey // 2
-    if tx == 0 or ty == 0 or not _fits_box((tx, ty), box_width, box_height):
         return []
     try:
         lines = _edge_lines(g)
@@ -270,25 +219,28 @@ def reconstruct_all(g: Covariogram, box_width: int | None = None,
 
 
 def determination_verdict(g: Covariogram, box_width: int | None = None,
-                          box_height: int | None = None, jobs: int = 1) -> str:
+                          box_height: int | None = None) -> str:
     """'unique', 'ambiguous(n)', 'out-of-box' or 'unrealizable' within
     the box; see verdict_of."""
-    return verdict_of(reconstruct_all(g, jobs=jobs), box_width, box_height)
+    return verdict_of(reconstruct_all(g), box_width, box_height)
 
 
 def verdict_of(hits: list, box_width: int | None = None,
                box_height: int | None = None) -> str:
-    """The determination verdict for the classes reconstruct_all found
-    without a box.
+    """The determination verdict for the classes reconstruct_all found.
 
     'unrealizable' when there are none, and 'out-of-box' when none fits a
-    box_width x box_height grid.  All realizing sets share one extent,
-    half the support's, so either every class fits or none does.
+    box_width x box_height point grid; a side left None is unbounded.
+    All realizing sets share one extent, half the support's, so either
+    every class fits or none does.
     """
-    _check_box(box_width, box_height)
+    box = (box_width, box_height)
+    if any(side is not None and side < 1 for side in box):
+        raise LatticeError("box dimensions must be positive")
     if not hits:
         return "unrealizable"
-    if not _fits_box(extent(hits[0]), box_width, box_height):
+    if any(side is not None and e >= side
+           for e, side in zip(extent(hits[0]), box)):
         return "out-of-box"
     if len(hits) == 1:
         return "unique"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,16 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_points_parse_large_input():
+    n = 100_000
+    text = "".join(f"{i} {i * i % 9973}\n" for i in range(n))
+    t0 = time.monotonic()
+    assert len(parse_points(text)) == n
+    assert time.monotonic() - t0 < 10
+    with pytest.raises(FormatError, match=f"<points>:{n + 1}: duplicate"):
+        parse_points(text + "7 49\n")
 
 
 def test_points_roundtrip_random():
@@ -217,16 +228,11 @@ def test_reconstruct_unrealizable_reports_verdict(tmp_path, capsys):
     assert out.splitlines() == ["verdict=unrealizable", "class_count=0"]
 
 
-@pytest.mark.parametrize("command", [("search", "--box", "3x3"),
-                                     ("reconstruct", "COV", "--box", "4x2")],
-                         ids=["search", "reconstruct"])
-def test_jobs_below_one_exits_2(tmp_path, capsys, command):
-    pts = write(tmp_path, "t.pts", TRAP)
-    _, out, _ = run(capsys, "compute-cov", pts)
-    cov = write(tmp_path, "t.cov", out)
-    argv = [cov if a == "COV" else a for a in command]
+@pytest.mark.parametrize("command", [("search", "--box", "3x3")],
+                         ids=["search"])
+def test_jobs_below_one_exits_2(capsys, command):
     for jobs in ("0", "-2"):
-        rc, out, err = run(capsys, *argv, "--jobs", jobs)
+        rc, out, err = run(capsys, *command, "--jobs", jobs)
         assert rc == 2
         assert out == ""
         assert "jobs" in err

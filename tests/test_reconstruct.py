@@ -92,7 +92,7 @@ def test_invariants_from_covariogram_agrees():
 def test_reconstruct_nine_point_ambiguous():
     rep = nine_point_pair()
     g = compute_covariogram(rep.first)
-    hits = reconstruct_all(g, 5, 5)
+    hits = reconstruct_all(g)
     assert len(hits) == 2
     assert canonical_form(rep.first) in hits
     assert canonical_form(rep.second) in hits
@@ -118,15 +118,15 @@ def test_reconstruct_random_always_recovers_self():
 def test_reconstruct_unrealizable():
     # symmetric and well-formed, but no spanning set has 2 points
     g = Covariogram(2, {(0, 0): 2, (9, 9): 1, (-9, -9): 1})
-    assert reconstruct_all(g, 12, 12) == []
+    assert reconstruct_all(g) == []
     assert determination_verdict(g, 12, 12) == "unrealizable"
     # mass 5 is not a perfect square
     g2 = Covariogram(2, {(0, 0): 3, (1, 0): 1, (-1, 0): 1})
-    assert reconstruct_all(g2, 4, 4) == []
+    assert reconstruct_all(g2) == []
     # square mass and a spanning support, but no 3-point set realizes it
     g3 = Covariogram(2, {(0, 0): 3, (1, 1): 2, (-1, -1): 2,
                          (2, 1): 1, (-2, -1): 1})
-    assert reconstruct_all(g3, 6, 6) == []
+    assert reconstruct_all(g3) == []
 
 
 def test_reconstruct_face_lengths_must_fill_support_edge():
@@ -177,19 +177,14 @@ def test_reconstruct_perturbed_covariograms_match_enumeration():
 def test_reconstruct_box_errors():
     g = compute_covariogram(TRAPEZOID)
     with pytest.raises(LatticeError):
-        reconstruct_all(g, 0, 3)
+        determination_verdict(g, 0, 3)
     with pytest.raises(LatticeError):
         determination_verdict(g, 4, 0)
-    with pytest.raises(LatticeError, match="jobs"):
-        reconstruct_all(g, jobs=0)
-    # jobs is accepted, but reconstruction runs in this process
-    assert reconstruct_all(g, jobs=4) == [canonical_form(TRAPEZOID)]
 
 
 def test_reconstruct_out_of_box():
     # the trapezoid has extent (3, 1): a 3x2 box is too narrow for it
     g = compute_covariogram(TRAPEZOID)
-    assert reconstruct_all(g, 3, 2) == []
     assert determination_verdict(g, 3, 2) == "out-of-box"
     assert determination_verdict(g, 4, 1) == "out-of-box"
     assert determination_verdict(g, 4, 2) == "unique"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from latcov import _polygons
+from latcov import _polygons, reconstruct
 from latcov.covariogram import compute_covariogram, covariogram_equal
 from latcov.homometry import (
     HexagonParams,
@@ -213,7 +213,9 @@ def test_chain_key_read_off_covariogram_5x4():
     for key, chain in chains:
         K = _polygons._lattice_points_of_chain(chain)
         sets.add(K)
-        assert key == helpers.covariogram_key(compute_covariogram(K)), sorted(K)
+        g = compute_covariogram(K)
+        assert key == helpers.covariogram_key(g), sorted(K)
+        assert reconstruct._edge_lines(g) == key[1], sorted(K)
     assert len(chains) == len(sets) == 5024
     assert sets == set(enumerate_lattice_convex(5, 4))
 
