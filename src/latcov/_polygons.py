@@ -9,7 +9,7 @@ bounding box of the partial vertex chain and on whether the remaining
 vectors can still close the chain.
 
 Sharding: the space partitions by the first (lowest-angle) ray used, so
-each shard is independent and results merge deterministically.
+each shard is independent and results merge in a fixed shard order.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from functools import cmp_to_key
 from math import gcd
 
 from .lattice import LatticeError
-
-_class_cache: dict = {}
 
 
 def _angle_cmp(a, b):
@@ -189,65 +187,29 @@ def _reflection_class(chain) -> tuple:
                tuple(sorted((-dx, -dy) for dx, dy in chain)))
 
 
-def _shard_chains(args) -> list:
-    max_dx, max_dy, root = args
+def _shard(args) -> list:
+    fn, max_dx, max_dy, root = args
     groups = _ray_groups(max_dx, max_dy)
-    return _chains_from_root(groups, _suffix_reach(groups), max_dx, max_dy, root)
+    return [fn(c) for c in
+            _chains_from_root(groups, _suffix_reach(groups), max_dx, max_dy, root)]
 
 
-def _shard_sets(args) -> list:
-    return [_lattice_points_of_chain(c) for c in _shard_chains(args)]
+def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1) -> list:
+    """fn of every closed convex chain fitting the box extent
+    (max_dx, max_dy), one chain per translation class, in shard order.
 
-
-def _shard_keyed_chains(args) -> list:
-    return [(_chain_key(c), tuple(c)) for c in _shard_chains(args)]
-
-
-def _check_jobs(jobs: int) -> None:
-    """Refuse a worker count below 1."""
+    Shard order is deterministic and the same for every jobs.  The shards
+    run in a process pool of min(jobs, shards, CPUs) workers when that is
+    more than one, else in this process; fn must then be a module-level
+    function.  Nothing is kept between calls."""
     if jobs < 1:
         raise LatticeError("jobs must be at least 1")
-
-
-def _map_shards(shard_fn, max_dx: int, max_dy: int, jobs: int) -> list:
-    """shard_fn over every root-ray shard of the box, in shard order.
-
-    Runs in a process pool of min(jobs, shards, CPUs) workers when that is
-    more than one, else in this process."""
-    _check_jobs(jobs)
-    shard_args = [(max_dx, max_dy, r)
+    shard_args = [(fn, max_dx, max_dy, r)
                   for r in range(len(_ray_groups(max_dx, max_dy)))]
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(shard_fn, shard_args))
-    return [shard_fn(a) for a in shard_args]
-
-
-def keyed_chains(max_dx: int, max_dy: int, jobs: int = 1) -> list:
-    """Every closed convex chain fitting the box extent (max_dx, max_dy),
-    one per translation class, as (_chain_key(chain), chain) in shard
-    order.  Not cached."""
-    return [kc for shard in _map_shards(_shard_keyed_chains, max_dx, max_dy, jobs)
-            for kc in shard]
-
-
-def convex_classes(max_dx: int, max_dy: int, jobs: int = 1) -> tuple:
-    """All spanning lattice-convex planar sets with tight bounding box
-    extent at most (max_dx, max_dy), one per translation class, with the
-    box corner at the origin.  Sorted deterministically; cached.
-    """
-    _check_jobs(jobs)
-    key = (max_dx, max_dy)
-    cached = _class_cache.get(key)
-    if cached is not None:
-        return cached
-    if max_dx < 1 or max_dy < 1:
-        result: tuple = ()
-        _class_cache[key] = result
-        return result
-    shards = _map_shards(_shard_sets, max_dx, max_dy, jobs)
-    sets = {s for shard in shards for s in shard}
-    result = tuple(sorted(sets, key=sorted))
-    _class_cache[key] = result
-    return result
+            shards = list(pool.map(_shard, shard_args))
+    else:
+        shards = [_shard(a) for a in shard_args]
+    return [x for shard in shards for x in shard]

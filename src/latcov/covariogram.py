@@ -62,12 +62,6 @@ def compute_covariogram(K) -> Covariogram:
     return Covariogram(d, dict(counts))
 
 
-def covariogram_equal(g1: Covariogram, g2: Covariogram) -> bool:
-    if g1.dim != g2.dim:
-        raise LatticeError("dimension mismatch")
-    return g1.entries == g2.entries
-
-
 def support_of(g: Covariogram) -> frozenset:
     """Vectors with positive count; equals the difference set of any
     realizing set."""

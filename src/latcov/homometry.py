@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covariogram import compute_covariogram, covariogram_equal
+from .covariogram import compute_covariogram
 from .lattice import (
     LatticeError,
     canonical_form,
@@ -172,8 +172,7 @@ def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport
     """The report for the pair (first, second) built from base and
     mirrored, once their covariograms are checked equal and the pair is
     checked nontrivial exactly when its canonical forms differ."""
-    if not covariogram_equal(compute_covariogram(first),
-                             compute_covariogram(second)):
+    if compute_covariogram(first) != compute_covariogram(second):
         raise AssertionError(f"{kind} pair failed the covariogram identity")
     nontrivial = (not is_centrally_symmetric(base)
                   and not is_centrally_symmetric(mirrored))

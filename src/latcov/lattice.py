@@ -335,55 +335,3 @@ def affine_witnesses(K, L):
 def affine_equivalent(K, L) -> AffineMap2 | None:
     """First unimodular affine map with map(K) = L, or None."""
     return next(affine_witnesses(K, L), None)
-
-
-def _halfopen_interval(c: int):
-    # Reachable multiples s*c for s in [0,1): half-open toward c.
-    return (0, True, c, False) if c > 0 else (c, False, 0, True)
-
-
-def halfopen_parallelogram_count(u, v) -> int:
-    """Number of lattice points in [0,1)u + [0,1)v, by direct enumeration.
-
-    For nonparallel u, v this equals |det(u, v)|.
-    """
-    u = tuple(u)
-    v = tuple(v)
-    if u == (0, 0) or v == (0, 0):
-        raise LatticeError("zero direction")
-    corners = [(0, 0), u, v, (u[0] + v[0], u[1] + v[1])]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    dd = det2(u, v)
-    count = 0
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if dd != 0:
-                s_num = det2(p, v)
-                t_num = det2(u, p)
-                if dd > 0:
-                    ok = 0 <= s_num < dd and 0 <= t_num < dd
-                else:
-                    ok = dd < s_num <= 0 and dd < t_num <= 0
-            else:
-                p0 = primitive(u)
-                if det2(p, p0) != 0:
-                    ok = False
-                else:
-                    axis = 0 if p0[0] else 1
-                    m, rem = divmod(p[axis], p0[axis])
-                    a = u[axis] // p0[axis]
-                    b = v[axis] // p0[axis]
-                    if rem:
-                        ok = False
-                    else:
-                        lo_a, cl_a, hi_a, ch_a = _halfopen_interval(a)
-                        lo_b, cl_b, hi_b, ch_b = _halfopen_interval(b)
-                        lo, lo_closed = lo_a + lo_b, cl_a and cl_b
-                        hi, hi_closed = hi_a + hi_b, ch_a and ch_b
-                        ok = ((m > lo or (lo_closed and m == lo))
-                              and (m < hi or (hi_closed and m == hi)))
-            if ok:
-                count += 1
-    return count

@@ -1,9 +1,9 @@
 """Recovery of structure from a covariogram alone.
 
 Nothing in this module looks at a realizing set: inputs are covariogram
-tables, and outputs are the difference set, boundary row pairs, the
-invariant record, and every realizing spanning lattice-convex set up to
-translation and point reflection.
+tables, and outputs are boundary row pairs, the invariant record, and
+every realizing spanning lattice-convex set up to translation and point
+reflection.
 
 Reconstruction does not search a box.  g fixes the edge signature of
 every realizing set: for each edge line of its support's hull, the
@@ -52,12 +52,6 @@ class EdgePairSketch:
 def _require_planar(g: Covariogram) -> None:
     if g.dim != 2:
         raise LatticeError("expected a planar covariogram")
-
-
-def diffset_from_covariogram(g: Covariogram) -> frozenset:
-    """Support of g; equals the difference set of every realizing set."""
-    _require_planar(g)
-    return support_of(g)
 
 
 def _face_run(g: Covariogram, pts: list) -> tuple[int, int]:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._polygons import (
+    _chain_key,
     _lattice_points_of_chain,
     _reflection_class,
-    convex_classes,
-    keyed_chains,
+    map_chains,
 )
-from .covariogram import compute_covariogram, covariogram_equal
+from .covariogram import compute_covariogram
 from .homometry import (
     HexagonParams,
     WidthOneParams,
@@ -82,10 +82,15 @@ class SearchReport:
 def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     """Every spanning lattice-convex set whose tight bounding box fits a
     width x height point grid, once per translation class, box corner at
-    the origin.  Deterministic order."""
+    the origin.  Streamed in shard order, the same for every jobs."""
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
-    yield from convex_classes(width - 1, height - 1, jobs=jobs)
+    yield from map_chains(_lattice_points_of_chain, width - 1, height - 1, jobs)
+
+
+def _keyed_chain(chain) -> tuple:
+    """A chain and its bucket key; module-level so pool workers run it."""
+    return _chain_key(chain), tuple(chain)
 
 
 def homometric_classes(width: int, height: int, jobs: int = 1,
@@ -102,17 +107,16 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     covariogram merges translates and point reflections, so a class is
     interesting exactly when it holds two or more distinct canonical
     forms.  Every reported pair is re-verified.  total_classes counts
-    every chain, one per translation class.  The search does not fill
-    the enumeration cache that enumerate_lattice_convex reads.
+    every chain, one per translation class.
     """
+    if width < 1 or height < 1:
+        raise LatticeError("box dimensions must be positive")
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    if width < 1 or height < 1:
-        raise LatticeError("box dimensions must be positive")
     buckets: dict = {}
     total = 0
-    for key, chain in keyed_chains(width - 1, height - 1, jobs=jobs):
+    for key, chain in map_chains(_keyed_chain, width - 1, height - 1, jobs):
         total += 1
         buckets.setdefault(key, []).append(chain)
     by_fingerprint: dict = {}
@@ -135,7 +139,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
         members = tuple(sorted(forms, key=sorted))
         pairs = []
         for a, b in combinations(members, 2):
-            if not covariogram_equal(compute_covariogram(a), compute_covariogram(b)):
+            if compute_covariogram(a) != compute_covariogram(b):
                 raise AssertionError("covariogram grouping failed re-verification")
             if canonical_form(a) == canonical_form(b):
                 raise AssertionError("distinct members share a canonical form")
@@ -193,7 +197,7 @@ def match_corollary(K, L, k_max: int = 4) -> CorollaryMatch | None:
     their class."""
     Kp = point_set(K)
     Lp = point_set(L)
-    if not covariogram_equal(compute_covariogram(Kp), compute_covariogram(Lp)):
+    if compute_covariogram(Kp) != compute_covariogram(Lp):
         raise LatticeError("pair is not homometric")
     if canonical_form(Kp) == canonical_form(Lp):
         raise LatticeError("pair is trivial")
@@ -259,7 +263,7 @@ def constructibility_search(K, L, t_max: int = 12,
     Lp = point_set(L)
     if len(next(iter(Kp))) != 2 or len(next(iter(Lp))) != 2:
         raise LatticeError("dimension")
-    if not covariogram_equal(compute_covariogram(Kp), compute_covariogram(Lp)):
+    if compute_covariogram(Kp) != compute_covariogram(Lp):
         raise LatticeError("pair is not homometric")
     n = len(Kp)
     anchor = min(Kp)

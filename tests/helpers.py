@@ -209,16 +209,17 @@ _candidates: dict = {}
 
 def _candidates_of(tx, ty, n):
     """(K, difference set) for every enumerated set K of n points and
-    tight extent (tx, ty); kept between calls."""
-    from latcov._polygons import convex_classes
+    tight extent (tx, ty).  The box is walked once per extent, and its
+    sets are kept between calls, grouped by size."""
     from latcov.lattice import difference_set, extent
+    from latcov.search import enumerate_lattice_convex
 
-    key = (tx, ty, n)
-    if key not in _candidates:
-        _candidates[key] = [(K, difference_set(K))
-                            for K in convex_classes(tx, ty)
-                            if len(K) == n and extent(K) == (tx, ty)]
-    return _candidates[key]
+    if (tx, ty) not in _candidates:
+        by_size = _candidates[tx, ty] = {}
+        for K in enumerate_lattice_convex(tx + 1, ty + 1):
+            if extent(K) == (tx, ty):
+                by_size.setdefault(len(K), []).append((K, difference_set(K)))
+    return _candidates[tx, ty].get(n, [])
 
 
 def reconstruct_by_enumeration(g, box_width=None, box_height=None):
@@ -248,3 +249,56 @@ def reconstruct_by_enumeration(g, box_width=None, box_height=None):
         if KD == D and compute_covariogram(K).entries == g.entries:
             found.add(canonical_form(K))
     return sorted(found, key=sorted)
+
+
+def halfopen_parallelogram_count(u, v) -> int:
+    """Number of lattice points in [0,1)u + [0,1)v, by direct enumeration.
+
+    For nonparallel u, v this equals |det(u, v)|.
+    """
+    from latcov.lattice import LatticeError, det2, primitive
+
+    def halfopen_interval(c):
+        # Reachable multiples s*c for s in [0,1): half-open toward c.
+        return (0, True, c, False) if c > 0 else (c, False, 0, True)
+
+    u = tuple(u)
+    v = tuple(v)
+    if u == (0, 0) or v == (0, 0):
+        raise LatticeError("zero direction")
+    corners = [(0, 0), u, v, (u[0] + v[0], u[1] + v[1])]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    dd = det2(u, v)
+    count = 0
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            p = (x, y)
+            if dd != 0:
+                s_num = det2(p, v)
+                t_num = det2(u, p)
+                if dd > 0:
+                    ok = 0 <= s_num < dd and 0 <= t_num < dd
+                else:
+                    ok = dd < s_num <= 0 and dd < t_num <= 0
+            else:
+                p0 = primitive(u)
+                if det2(p, p0) != 0:
+                    ok = False
+                else:
+                    axis = 0 if p0[0] else 1
+                    m, rem = divmod(p[axis], p0[axis])
+                    a = u[axis] // p0[axis]
+                    b = v[axis] // p0[axis]
+                    if rem:
+                        ok = False
+                    else:
+                        lo_a, cl_a, hi_a, ch_a = halfopen_interval(a)
+                        lo_b, cl_b, hi_b, ch_b = halfopen_interval(b)
+                        lo, lo_closed = lo_a + lo_b, cl_a and cl_b
+                        hi, hi_closed = hi_a + hi_b, ch_a and ch_b
+                        ok = ((m > lo or (lo_closed and m == lo))
+                              and (m < hi or (hi_closed and m == hi)))
+            if ok:
+                count += 1
+    return count

@@ -1,0 +1,15 @@
+"""The package's public names: every export resolves."""
+
+import latcov
+
+
+def test_all_names_resolve():
+    assert len(set(latcov.__all__)) == len(latcov.__all__)
+    missing = [n for n in latcov.__all__ if not hasattr(latcov, n)]
+    assert missing == []
+
+
+def test_star_import():
+    ns: dict = {}
+    exec("from latcov import *", ns)
+    assert set(latcov.__all__) <= set(ns)

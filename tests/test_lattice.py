@@ -11,7 +11,6 @@ from latcov.lattice import (
     canonical_form,
     convex_hull,
     difference_set,
-    halfopen_parallelogram_count,
     hull_lattice_points,
     is_centrally_symmetric,
     is_lattice_convex,
@@ -209,10 +208,10 @@ def test_affine_witnesses_include_self_symmetries():
 
 
 def test_halfopen_parallelogram_count():
-    assert halfopen_parallelogram_count((1, 0), (0, 1)) == 1
-    assert halfopen_parallelogram_count((2, 0), (0, 2)) == 4
-    assert halfopen_parallelogram_count((2, 1), (1, 1)) == 1
-    assert halfopen_parallelogram_count((-2, 1), (1, 1)) == 3
+    assert helpers.halfopen_parallelogram_count((1, 0), (0, 1)) == 1
+    assert helpers.halfopen_parallelogram_count((2, 0), (0, 2)) == 4
+    assert helpers.halfopen_parallelogram_count((2, 1), (1, 1)) == 1
+    assert helpers.halfopen_parallelogram_count((-2, 1), (1, 1)) == 3
     rng = random.Random(5)
     for _ in range(60):
         u = (rng.randint(-4, 4), rng.randint(-4, 4))
@@ -220,4 +219,4 @@ def test_halfopen_parallelogram_count():
         d = u[0] * v[1] - u[1] * v[0]
         if d == 0:
             continue
-        assert halfopen_parallelogram_count(u, v) == abs(d)
+        assert helpers.halfopen_parallelogram_count(u, v) == abs(d)

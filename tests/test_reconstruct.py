@@ -4,7 +4,7 @@ import time
 import pytest
 
 import helpers
-from latcov.covariogram import Covariogram, compute_covariogram
+from latcov.covariogram import Covariogram, compute_covariogram, support_of
 from latcov.homometry import HexagonParams, WidthOneParams, corollary_pair_generator
 from latcov.invariants import invariants_direct
 from latcov.lattice import (
@@ -16,7 +16,6 @@ from latcov.lattice import (
 )
 from latcov.reconstruct import (
     determination_verdict,
-    diffset_from_covariogram,
     edge_pair_from_covariogram,
     invariants_from_covariogram,
     reconstruct_all,
@@ -36,7 +35,7 @@ def test_diffset_roundtrip():
     for _ in range(60):
         K = helpers.random_lattice_convex(rng, 6, 6)
         g = compute_covariogram(K)
-        assert diffset_from_covariogram(g) == difference_set(K)
+        assert support_of(g) == difference_set(K)
 
 
 def test_edge_pair_trapezoid():

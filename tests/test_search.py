@@ -3,8 +3,8 @@ import random
 import pytest
 
 import helpers
-from latcov import _polygons, reconstruct
-from latcov.covariogram import compute_covariogram, covariogram_equal
+from latcov import _polygons, reconstruct, search
+from latcov.covariogram import compute_covariogram
 from latcov.homometry import (
     HexagonParams,
     WidthOneParams,
@@ -50,6 +50,11 @@ def test_enumerate_degenerate_boxes_empty():
 def test_enumerate_rejects_bad_box():
     with pytest.raises(LatticeError):
         list(enumerate_lattice_convex(0, 3))
+    # positivity is checked before the desk-scale limit, whose product of
+    # two negative sides is large
+    for w, h in [(-7, -7), (-1, -50), (0, 3)]:
+        with pytest.raises(LatticeError, match="positive"):
+            homometric_classes(w, h)
 
 
 def test_enumerate_sound():
@@ -68,10 +73,8 @@ def test_enumerate_complete_small_boxes():
 
 def test_enumerate_deterministic_and_parallel_identical():
     a = list(enumerate_lattice_convex(4, 4))
-    _polygons._class_cache.clear()
     b = list(enumerate_lattice_convex(4, 4, jobs=4))
     assert a == b
-    _polygons._class_cache.clear()
     c = list(enumerate_lattice_convex(4, 4))
     assert a == c
 
@@ -92,8 +95,7 @@ def test_homometric_classes_4x4_finds_nine_point_pair():
     assert hit
     for c in rep.classes:
         for pr in c.pairs:
-            assert covariogram_equal(compute_covariogram(pr.first),
-                                     compute_covariogram(pr.second))
+            assert compute_covariogram(pr.first) == compute_covariogram(pr.second)
             assert canonical_form(pr.first) != canonical_form(pr.second)
 
 
@@ -208,7 +210,7 @@ def test_homometric_classes_matches_covariogram_grouping():
 
 
 def test_chain_key_read_off_covariogram_5x4():
-    chains = _polygons.keyed_chains(4, 3)
+    chains = _polygons.map_chains(search._keyed_chain, 4, 3)
     sets = set()
     for key, chain in chains:
         K = _polygons._lattice_points_of_chain(chain)
@@ -239,10 +241,10 @@ def test_chain_fill_exact_on_sheared_and_far_sets():
     assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), far}
 
 
-def test_search_does_not_fill_enumeration_cache():
-    _polygons._class_cache.clear()
-    homometric_classes(3, 3)
-    assert _polygons._class_cache == {}
+def test_enumeration_streams_the_search_chains_in_shard_order():
+    chains = _polygons.map_chains(search._keyed_chain, 4, 3)
+    assert list(enumerate_lattice_convex(5, 4)) == \
+        [_polygons._lattice_points_of_chain(chain) for _, chain in chains]
 
 
 class RecordingPool:
@@ -266,23 +268,23 @@ class RecordingPool:
 def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
     monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes = []
-    serial = _polygons.keyed_chains(3, 3)
+    map_chains = _polygons.map_chains
+    serial = map_chains(tuple, 3, 3)
     assert len(_polygons._ray_groups(3, 3)) == 32
     assert len(_polygons._ray_groups(1, 1)) == 8
     monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 6)
-    assert _polygons.keyed_chains(3, 3, jobs=10 ** 6) == serial
-    assert _polygons.keyed_chains(3, 3, jobs=4) == serial
+    assert map_chains(tuple, 3, 3, jobs=10 ** 6) == serial
+    assert map_chains(tuple, 3, 3, jobs=4) == serial
     monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 100)
-    assert _polygons.keyed_chains(1, 1, jobs=10 ** 6) == _polygons.keyed_chains(1, 1)
+    assert map_chains(tuple, 1, 1, jobs=10 ** 6) == map_chains(tuple, 1, 1)
     monkeypatch.setattr(_polygons.os, "cpu_count", lambda: None)
-    assert _polygons.keyed_chains(3, 3, jobs=8) == serial
+    assert map_chains(tuple, 3, 3, jobs=8) == serial
     # CPUs, jobs, shards; no pool for jobs=1 or an unknown CPU count
     assert RecordingPool.sizes == [6, 4, 8]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_refused(jobs):
-    list(enumerate_lattice_convex(3, 3))  # cached: refused all the same
     with pytest.raises(LatticeError, match="jobs"):
         list(enumerate_lattice_convex(3, 3, jobs=jobs))
     with pytest.raises(LatticeError, match="jobs"):
