@@ -4,9 +4,12 @@ A strictly convex lattice polygon, up to translation, is exactly a set of
 nonzero integer edge vectors, at most one per direction ray, summing to
 zero, with at least three rays used; walking the vectors sorted by angle
 traverses the boundary counterclockwise.  The enumeration below chooses
-an increasing-angle subsequence of candidate vectors, pruning on the
-bounding box of the partial vertex chain and on whether the remaining
-vectors can still close the chain.
+an increasing-angle subsequence of candidate vectors: each step picks the
+next chosen ray, latest first, and one of its vectors.  A step is pruned
+when the partial vertex chain leaves the bounding box, or when the exact
+set of displacements the later rays can sum to (clipped to the box) does
+not hold the one that closes the chain.  A chain that closes is emitted
+and not extended, since the rays after it lie in an open half-plane.
 
 Sharding: the space partitions by the first (lowest-angle) ray used, so
 each shard is independent and results merge in a fixed shard order.
@@ -47,58 +50,54 @@ def _ray_groups(max_dx: int, max_dy: int) -> list[list[tuple[int, int]]]:
     return [sorted(rays[r], key=lambda v: abs(v[0]) + abs(v[1])) for r in order]
 
 
-def _suffix_reach(groups):
-    """Per suffix of the ray list, the extreme total x and y displacement
-    still achievable (one vector per ray at most)."""
-    n = len(groups)
-    neg_x = [0] * (n + 1)
-    pos_x = [0] * (n + 1)
-    neg_y = [0] * (n + 1)
-    pos_y = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        xs = [v[0] for v in groups[i]]
-        ys = [v[1] for v in groups[i]]
-        neg_x[i] = neg_x[i + 1] + min(0, min(xs))
-        pos_x[i] = pos_x[i + 1] + max(0, max(xs))
-        neg_y[i] = neg_y[i + 1] + min(0, min(ys))
-        pos_y[i] = pos_y[i + 1] + max(0, max(ys))
-    return neg_x, pos_x, neg_y, pos_y
+def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
+    """Per suffix of the ray list, the displacements within
+    [-lim_x, lim_x] x [-lim_y, lim_y] that one vector per ray at most can
+    reach.  Clipping to the box loses no chain: a run of consecutive
+    edges of a chain that fits the box sums to a difference of two of its
+    vertices."""
+    sums = [frozenset({(0, 0)})]
+    for group in reversed(groups):
+        prev = sums[-1]
+        sums.append(prev | {(sx + dx, sy + dy) for dx, dy in group
+                            for sx, sy in prev
+                            if -lim_x <= sx + dx <= lim_x
+                            and -lim_y <= sy + dy <= lim_y})
+    return sums[::-1]
 
 
-def _chains_from_root(groups, reach, lim_x, lim_y, root):
+def _chains_from_root(groups, sums, lim_x, lim_y, root):
     """Closed convex chains whose lowest-angle ray is groups[root],
     as lists of edge vectors in angle order."""
-    neg_x, pos_x, neg_y, pos_y = reach
-    ngroups = len(groups)
+    last = len(groups) - 1
     out = []
     chosen: list = []
 
     def rec(gi, x, y, mnx, mxx, mny, mxy):
-        if x + neg_x[gi] > 0 or x + pos_x[gi] < 0:
-            return
-        if y + neg_y[gi] > 0 or y + pos_y[gi] < 0:
-            return
-        if gi == ngroups:
-            if x == 0 and y == 0 and len(chosen) >= 3:
-                out.append(chosen.copy())
-            return
-        rec(gi + 1, x, y, mnx, mxx, mny, mxy)
-        for dx, dy in groups[gi]:
-            nx, ny = x + dx, y + dy
-            nmnx = nx if nx < mnx else mnx
-            nmxx = nx if nx > mxx else mxx
-            if nmxx - nmnx > lim_x:
-                continue
-            nmny = ny if ny < mny else mny
-            nmxy = ny if ny > mxy else mxy
-            if nmxy - nmny > lim_y:
-                continue
-            chosen.append((dx, dy))
-            rec(gi + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
-            chosen.pop()
+        # Next chosen ray j, latest first, then its vectors by length.
+        for j in range(last, gi - 1, -1):
+            reach = sums[j + 1]
+            for dx, dy in groups[j]:
+                nx, ny = x + dx, y + dy
+                if (-nx, -ny) not in reach:
+                    continue
+                nmnx = nx if nx < mnx else mnx
+                nmxx = nx if nx > mxx else mxx
+                if nmxx - nmnx > lim_x:
+                    continue
+                nmny = ny if ny < mny else mny
+                nmxy = ny if ny > mxy else mxy
+                if nmxy - nmny > lim_y:
+                    continue
+                chosen.append((dx, dy))
+                if nx or ny:
+                    rec(j + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
+                elif len(chosen) >= 3:
+                    out.append(chosen.copy())
+                chosen.pop()
 
     for dx, dy in groups[root]:
-        if abs(dx) > lim_x or abs(dy) > lim_y:
+        if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
             continue
         chosen.append((dx, dy))
         rec(root + 1, dx, dy, min(0, dx), max(0, dx), min(0, dy), max(0, dy))
@@ -188,28 +187,37 @@ def _reflection_class(chain) -> tuple:
 
 
 def _shard(args) -> list:
-    fn, max_dx, max_dy, root = args
-    groups = _ray_groups(max_dx, max_dy)
-    return [fn(c) for c in
-            _chains_from_root(groups, _suffix_reach(groups), max_dx, max_dy, root)]
+    fn, *walk = args
+    return [fn(c) for c in _chains_from_root(*walk)]
 
 
-def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1) -> list:
+def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1):
     """fn of every closed convex chain fitting the box extent
-    (max_dx, max_dy), one chain per translation class, in shard order.
+    (max_dx, max_dy), one chain per translation class, streamed in shard
+    order.
 
-    Shard order is deterministic and the same for every jobs.  The shards
-    run in a process pool of min(jobs, shards, CPUs) workers when that is
-    more than one, else in this process; fn must then be a module-level
-    function.  Nothing is kept between calls."""
+    Shard order is deterministic and the same for every jobs.  When
+    min(jobs, shards, CPUs) is more than one, the shards run in a process
+    pool of that many workers, fn must be a module-level function, and
+    results arrive a shard at a time.  Otherwise fn runs in this process
+    on one chain at a time, as results are consumed.  jobs below 1 is
+    refused here, before any shard runs.  Nothing is kept between
+    calls."""
     if jobs < 1:
         raise LatticeError("jobs must be at least 1")
-    shard_args = [(fn, max_dx, max_dy, r)
-                  for r in range(len(_ray_groups(max_dx, max_dy)))]
+    groups = _ray_groups(max_dx, max_dy)
+    sums = _suffix_sums(groups, max_dx, max_dy)
+    shard_args = [(fn, groups, sums, max_dx, max_dy, r)
+                  for r in range(len(groups))]
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    return _stream(shard_args, workers)
+
+
+def _stream(shard_args, workers):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_shard, shard_args))
+            for shard in pool.map(_shard, shard_args):
+                yield from shard
     else:
-        shards = [_shard(a) for a in shard_args]
-    return [x for shard in shards for x in shard]
+        for fn, *walk in shard_args:
+            yield from map(fn, _chains_from_root(*walk))

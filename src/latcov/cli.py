@@ -212,7 +212,7 @@ def _invariant_fields(emit: Emitter, rec) -> None:
 
 def _parse_box(text):
     parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise FormatError(f"--box expects WxH, got {text!r}")
     w, h = int(parts[0]), int(parts[1])
     if w < 1 or h < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from ._polygons import (
     _chain_key,
@@ -88,8 +89,22 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     yield from map_chains(_lattice_points_of_chain, width - 1, height - 1, jobs)
 
 
-def _keyed_chain(chain) -> tuple:
-    """A chain and its bucket key; module-level so pool workers run it."""
+def _keyed_chain(chain) -> tuple | None:
+    """A chain and its bucket key, or None when fewer than six of its
+    edge lines are free (faces of unequal length); module-level so pool
+    workers run it.  A line with equal faces holds an edge and its exact
+    negation."""
+    if len(chain) < 6:
+        return None
+    edges = set(chain)
+    lines = set()
+    for dx, dy in chain:
+        g = gcd(dx, dy)
+        lines.add((dx // g, dy // g) if dy > 0 or (dy == 0 and dx > 0)
+                  else (-dx // g, -dy // g))
+    paired = sum((-dx, -dy) in edges for dx, dy in chain)
+    if len(lines) - paired // 2 < 6:
+        return None
     return _chain_key(chain), tuple(chain)
 
 
@@ -101,13 +116,17 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     Homometric sets share |K| and the edge signature: for each edge line
     {u, -u}, the unordered lattice lengths of the two faces across it.
     Both are read off each enumerated edge chain without building any
-    points, and chains are bucketed by them.  Only buckets holding two or
-    more reflection classes (one chain kept per class) are materialized,
-    and those sets are grouped by full covariogram.  Grouping by
-    covariogram merges translates and point reflections, so a class is
-    interesting exactly when it holds two or more distinct canonical
-    forms.  Every reported pair is re-verified.  total_classes counts
-    every chain, one per translation class.
+    points, and chains are bucketed by them.  Only chains with six or
+    more free lines (faces of unequal length) are keyed: two side
+    assignments of one signature, other than a chain and its reflection,
+    split the free lines into two zero-sum sets of steps, and nonzero
+    steps on distinct lines need three to sum to zero.  Only buckets
+    holding two or more reflection classes (one chain kept per class)
+    are materialized, and those sets are grouped by full covariogram.
+    Grouping by covariogram merges translates and point reflections, so
+    a class is interesting exactly when it holds two or more distinct
+    canonical forms.  Every reported pair is re-verified.  total_classes
+    counts every chain, one per translation class.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -116,9 +135,10 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             "box exceeds the desk-scale limit; pass allow_large=True to override")
     buckets: dict = {}
     total = 0
-    for key, chain in map_chains(_keyed_chain, width - 1, height - 1, jobs):
+    for keyed in map_chains(_keyed_chain, width - 1, height - 1, jobs):
         total += 1
-        buckets.setdefault(key, []).append(chain)
+        if keyed is not None:
+            buckets.setdefault(keyed[0], []).append(keyed[1])
     by_fingerprint: dict = {}
     for bucket in buckets.values():
         if len(bucket) < 2:

@@ -157,20 +157,94 @@ def brute_edge_invariants(K):
     return normals, m_prime, (math.inf if m_double is None else m_double)
 
 
+def _suffix_reach(groups):
+    """Per suffix of the ray list, the extreme total x and y displacement
+    still achievable (one vector per ray at most)."""
+    n = len(groups)
+    neg_x = [0] * (n + 1)
+    pos_x = [0] * (n + 1)
+    neg_y = [0] * (n + 1)
+    pos_y = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        xs = [v[0] for v in groups[i]]
+        ys = [v[1] for v in groups[i]]
+        neg_x[i] = neg_x[i + 1] + min(0, min(xs))
+        pos_x[i] = pos_x[i + 1] + max(0, max(xs))
+        neg_y[i] = neg_y[i + 1] + min(0, min(ys))
+        pos_y[i] = pos_y[i + 1] + max(0, max(ys))
+    return neg_x, pos_x, neg_y, pos_y
+
+
+def _chains_from_root(groups, reach, lim_x, lim_y, root):
+    """Closed convex chains whose lowest-angle ray is groups[root], one
+    call per ray in turn: skip it, or take one of its vectors."""
+    neg_x, pos_x, neg_y, pos_y = reach
+    ngroups = len(groups)
+    out = []
+    chosen: list = []
+
+    def rec(gi, x, y, mnx, mxx, mny, mxy):
+        if x + neg_x[gi] > 0 or x + pos_x[gi] < 0:
+            return
+        if y + neg_y[gi] > 0 or y + pos_y[gi] < 0:
+            return
+        if gi == ngroups:
+            if x == 0 and y == 0 and len(chosen) >= 3:
+                out.append(chosen.copy())
+            return
+        rec(gi + 1, x, y, mnx, mxx, mny, mxy)
+        for dx, dy in groups[gi]:
+            nx, ny = x + dx, y + dy
+            nmnx = nx if nx < mnx else mnx
+            nmxx = nx if nx > mxx else mxx
+            if nmxx - nmnx > lim_x:
+                continue
+            nmny = ny if ny < mny else mny
+            nmxy = ny if ny > mxy else mxy
+            if nmxy - nmny > lim_y:
+                continue
+            chosen.append((dx, dy))
+            rec(gi + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
+            chosen.pop()
+
+    for dx, dy in groups[root]:
+        if abs(dx) > lim_x or abs(dy) > lim_y:
+            continue
+        chosen.append((dx, dy))
+        rec(root + 1, dx, dy, min(0, dx), max(0, dx), min(0, dy), max(0, dy))
+        chosen.pop()
+    return out
+
+
+def oracle_chains(max_dx, max_dy):
+    """Every closed convex chain fitting the box extent (max_dx, max_dy),
+    as tuples of edge vectors in shard order, by the ray-at-a-time walk
+    with per-axis reach bounds that the library's walk replaced (over the
+    library's ray groups, which the 2^(w*h) subset filter checks)."""
+    from latcov._polygons import _ray_groups
+
+    groups = _ray_groups(max_dx, max_dy)
+    reach = _suffix_reach(groups)
+    return [tuple(c) for root in range(len(groups))
+            for c in _chains_from_root(groups, reach, max_dx, max_dy, root)]
+
+
 def covariogram_grouping(width, height):
-    """Homometric classes of a box the exhaustive way: every enumerated
-    set gets a covariogram and a canonical form, and sets are grouped by
-    covariogram.  Returns (total sets, [(members, [(first, second)])])
-    with members sorted and classes in the library's report order."""
+    """Homometric classes of a box the exhaustive way: every set of the
+    oracle walk gets a covariogram and a canonical form, and sets are
+    grouped by covariogram.  Returns (total sets, [(members, [(first,
+    second)])]) with members sorted and classes in the library's report
+    order."""
     from itertools import combinations
 
+    from latcov._polygons import _lattice_points_of_chain
     from latcov.covariogram import compute_covariogram
     from latcov.lattice import canonical_form
-    from latcov.search import enumerate_lattice_convex
 
     groups = {}
     total = 0
-    for K in enumerate_lattice_convex(width, height):
+    for chain in oracle_chains(width - 1, height - 1):
+        K = _lattice_points_of_chain(chain)
         total += 1
         fp = tuple(sorted(compute_covariogram(K).entries.items()))
         groups.setdefault(fp, set()).add(canonical_form(K))

@@ -289,6 +289,20 @@ def test_search_box_guard(capsys):
     assert "allow_large" in err or "desk-scale" in err
 
 
+@pytest.mark.parametrize("box", ["\u00b2x3", "3x\u0663", "\uff13x3"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_box_takes_ascii_digits_only(tmp_path, capsys, box):
+    rc, out, err = run(capsys, "search", "--box", box)
+    assert (rc, out) == (2, "")
+    assert "--box expects WxH" in err
+    pts = write(tmp_path, "t.pts", TRAP)
+    _, cov, _ = run(capsys, "compute-cov", pts)
+    rc, out, err = run(capsys, "reconstruct", write(tmp_path, "t.cov", cov),
+                       "--box", box)
+    assert (rc, out) == (2, "")
+    assert "--box expects WxH" in err
+
+
 def test_missing_file_and_bad_args(tmp_path, capsys):
     rc, _, err = run(capsys, "invariants", str(tmp_path / "nope.pts"))
     assert rc == 2

@@ -210,9 +210,10 @@ def test_homometric_classes_matches_covariogram_grouping():
 
 
 def test_chain_key_read_off_covariogram_5x4():
-    chains = _polygons.map_chains(search._keyed_chain, 4, 3)
+    chains = list(_polygons.map_chains(tuple, 4, 3))
     sets = set()
-    for key, chain in chains:
+    for chain in chains:
+        key = _polygons._chain_key(chain)
         K = _polygons._lattice_points_of_chain(chain)
         sets.add(K)
         g = compute_covariogram(K)
@@ -242,9 +243,31 @@ def test_chain_fill_exact_on_sheared_and_far_sets():
 
 
 def test_enumeration_streams_the_search_chains_in_shard_order():
-    chains = _polygons.map_chains(search._keyed_chain, 4, 3)
+    chains = list(_polygons.map_chains(tuple, 4, 3))
     assert list(enumerate_lattice_convex(5, 4)) == \
-        [_polygons._lattice_points_of_chain(chain) for _, chain in chains]
+        [_polygons._lattice_points_of_chain(chain) for chain in chains]
+
+
+def test_walk_matches_oracle_walk():
+    # every extent up to (5, 4) and (4, 5): same chains, same order
+    extents = {(dx, dy) for dx in range(6) for dy in range(5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        assert list(_polygons.map_chains(tuple, dx, dy)) == \
+            helpers.oracle_chains(dx, dy), (dx, dy)
+
+
+def test_keyed_chain_drops_chains_with_fewer_than_six_free_lines():
+    kept = 0
+    chains = list(_polygons.map_chains(tuple, 5, 4))
+    for chain in chains:
+        free = sum(q != p for _, q, p in _polygons._chain_key(chain)[1])
+        keyed = search._keyed_chain(chain)
+        assert (keyed is None) == (free < 6), chain
+        if keyed is not None:
+            assert keyed == (_polygons._chain_key(chain), chain)
+            kept += 1
+    assert (kept, len(chains)) == (8466, 53524)
 
 
 class RecordingPool:
@@ -268,7 +291,9 @@ class RecordingPool:
 def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
     monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes = []
-    map_chains = _polygons.map_chains
+    def map_chains(*args, **kwargs):
+        return list(_polygons.map_chains(*args, **kwargs))
+
     serial = map_chains(tuple, 3, 3)
     assert len(_polygons._ray_groups(3, 3)) == 32
     assert len(_polygons._ray_groups(1, 1)) == 8
@@ -283,8 +308,32 @@ def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
     assert RecordingPool.sizes == [6, 4, 8]
 
 
+def test_map_chains_streams_shard_by_shard(monkeypatch):
+    ran = []
+    walk = _polygons._chains_from_root
+
+    def counted(*args):
+        ran.append(args[-1])
+        return walk(*args)
+
+    monkeypatch.setattr(_polygons, "_chains_from_root", counted)
+    monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
+    serial = list(_polygons.map_chains(tuple, 3, 3))
+    for jobs in (1, 2):
+        ran.clear()
+        chains = _polygons.map_chains(tuple, 3, 3, jobs=jobs)
+        assert ran == []
+        assert next(chains) == serial[0]
+        assert ran == [0]
+        assert [serial[0], *chains] == serial
+        assert ran == list(range(32))
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_refused(jobs):
+    with pytest.raises(LatticeError, match="jobs"):
+        _polygons.map_chains(tuple, 3, 3, jobs=jobs)
     with pytest.raises(LatticeError, match="jobs"):
         list(enumerate_lattice_convex(3, 3, jobs=jobs))
     with pytest.raises(LatticeError, match="jobs"):
