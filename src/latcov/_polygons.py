@@ -1,18 +1,21 @@
-"""Enumeration of strictly convex lattice polygons by edge-vector chains.
+"""Strictly convex lattice polygons as edge-vector chains.
 
 A strictly convex lattice polygon, up to translation, is exactly a set of
 nonzero integer edge vectors, at most one per direction ray, summing to
 zero, with at least three rays used; walking the vectors sorted by angle
-traverses the boundary counterclockwise.  The enumeration below chooses
-an increasing-angle subsequence of candidate vectors: each step picks the
-next chosen ray, latest first, and one of its vectors.  A step is pruned
-when the partial vertex chain leaves the bounding box, or when the exact
-set of displacements the later rays can sum to (clipped to the box) does
-not hold the one that closes the chain.  A chain that closes is emitted
-and not extended, since the rays after it lie in an open half-plane.
+traverses the boundary counterclockwise.  A chain gives the polygon's
+lattice points, or its key (2|K|, edge signature) without them.
 
-Sharding: the space partitions by the first (lowest-angle) ray used, so
-each shard is independent and results merge in a fixed shard order.
+map_chains walks every chain fitting a box.  It chooses an
+increasing-angle subsequence of candidate vectors: each step picks the
+next chosen ray, latest first, and one of its vectors.  A step is pruned
+when the partial vertex chain leaves the box, or when the exact set of
+displacements the later rays can sum to (clipped to the box) does not
+hold the one that closes the chain.  A chain that closes is emitted and
+not extended, since the rays after it lie in an open half-plane.  Shards
+by first (lowest-angle) ray are independent and merge in a fixed order.
+
+_closing_chains goes back from a key to its chains.
 """
 
 from __future__ import annotations
@@ -178,12 +181,52 @@ def _chain_key(chain) -> tuple:
     return twice_area + boundary + 2, sig
 
 
-def _reflection_class(chain) -> tuple:
-    """The same value for a chain and for its point reflection, and a
-    different one for any other polygon: the smaller of its sorted edge
-    vectors and its sorted negated edge vectors."""
-    return min(tuple(sorted(chain)),
-               tuple(sorted((-dx, -dy) for dx, dy in chain)))
+def _signed_sums(steps: list, start, first_bit: int) -> list:
+    """(start plus or minus each step, mask) for every choice of signs;
+    bit first_bit + i of mask is set when step i is subtracted."""
+    out = [(start, 0)]
+    for i, (sx, sy) in enumerate(steps, first_bit):
+        out = [o for (x, y), m in out
+               for o in (((x + sx, y + sy), m),
+                         ((x - sx, y - sy), m | 1 << i))]
+    return out
+
+
+def _closing_chains(lines, twice_n: int):
+    """Yield the angle-sorted edge chain of every polygon with the edge
+    signature lines and 2|K| = twice_n, one of each point-reflection pair.
+
+    A line (d, q, p) with q != p gives edges p*d and -q*d, or reversed,
+    q*d and -p*d; the chain closes iff the steps +-(p - q)*d sum to zero.
+    Reflection reverses every line, so the first such line is never
+    reversed.  The others are split in two halves whose sums are matched
+    through a dict: 2^(r/2) sums for r such lines, not 2^(r-1).  All
+    chains of one signature share their widths in every direction, so
+    they fit the same boxes.
+    """
+    base: list = []
+    free = []
+    for (dx, dy), q, p in lines:
+        if p == q:
+            base += [(p * dx, p * dy), (-p * dx, -p * dy)]
+        else:
+            free.append(((dx, dy), q, p))
+    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), q, p in free]
+    mid = (len(steps) + 1) // 2
+    left: dict = {}
+    first = steps[0] if steps else (0, 0)
+    for net, mask in _signed_sums(steps[1:mid], first, 1):
+        left.setdefault(net, []).append(mask)
+    for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
+        for mask in left.get((-x, -y), ()):
+            chain = list(base)
+            for i, ((dx, dy), q, p) in enumerate(free):
+                a, b = (q, p) if (mask | right) >> i & 1 else (p, q)
+                chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
+            chain = [e for e in chain if e != (0, 0)]
+            chain.sort(key=cmp_to_key(_angle_cmp))
+            if _chain_key(chain)[0] == twice_n:
+                yield chain
 
 
 def _shard(args) -> list:

@@ -158,10 +158,16 @@ def _load_cov(path) -> Covariogram:
 
 def _read(path) -> str:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FormatError(f"{path}:0: {exc.strerror or exc}") from None
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"{path}:{line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
 def _fmt_point(p) -> str:

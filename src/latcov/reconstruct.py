@@ -16,10 +16,9 @@ and each closing chain is checked against g exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from math import isqrt
+from math import gcd, isqrt
 
-from ._polygons import _angle_cmp, _chain_key, _lattice_points_of_chain
+from ._polygons import _closing_chains, _lattice_points_of_chain
 from .covariogram import Covariogram, compute_covariogram, support_of
 from .invariants import InvariantRecord, _record
 from .lattice import (
@@ -28,9 +27,7 @@ from .lattice import (
     convex_hull,
     extent,
     primitive,
-    segment_lattice_points,
     support_set,
-    vsub,
 )
 
 
@@ -54,16 +51,21 @@ def _require_planar(g: Covariogram) -> None:
         raise LatticeError("expected a planar covariogram")
 
 
-def _face_run(g: Covariogram, pts: list) -> tuple[int, int]:
-    """First and last index of the maximum of g along pts, the lattice
-    points of an extreme segment of the support, in order.
+def _face_run(g: Covariogram, start, d, count: int) -> tuple[int, int]:
+    """First and last index of the maximum of g along start + i*d for i
+    below count, the lattice points of an extreme segment of the support.
 
     For a realizing set the profile there is that of its two faces
     parallel to the segment, of lattice lengths p >= q: positive on the
-    whole run and maximal exactly at indices q..p.  Raises LatticeError
-    for a profile of any other shape.
+    whole run and maximal exactly at indices q..p.  Each point of the run
+    is then its own entry of g, so a longer run is refused before any
+    point is listed.  Raises LatticeError for a profile of any other
+    shape.
     """
-    vals = [g.value(p) for p in pts]
+    if count > len(g.entries):
+        raise LatticeError("not realizable")
+    (ax, ay), (dx, dy) = start, d
+    vals = [g.value((ax + i * dx, ay + i * dy)) for i in range(count)]
     if 0 in vals:
         # support not contiguous on its extreme line
         raise LatticeError("not realizable")
@@ -91,10 +93,9 @@ def _edge_lines(g: Covariogram) -> tuple:
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
     lines = []
-    for (ax, ay), d, count in hull.edges:
+    for a, d, count in hull.edges:
         if d[1] > 0 or (d[1] == 0 and d[0] > 0):
-            pts = [(ax + i * d[0], ay + i * d[1]) for i in range(count)]
-            q, p = _face_run(g, pts)
+            q, p = _face_run(g, a, d, count)
             if p + q != count - 1:
                 raise LatticeError("not realizable")
             lines.append((d, q, p))
@@ -118,10 +119,12 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     if len(E) == 1:
         (e,) = E
         return EdgePairSketch(frozenset({e}), frozenset({(0, 0)}), u)
-    pts = segment_lattice_points(min(E), max(E))
-    k2, k3 = _face_run(g, pts)
-    long_row = frozenset(pts[: k3 + 1])
-    short_row = frozenset(vsub(p, pts[k2]) for p in pts[: k2 + 1])
+    (ax, ay), (bx, by) = min(E), max(E)
+    steps = gcd(bx - ax, by - ay)
+    dx, dy = (bx - ax) // steps, (by - ay) // steps
+    k2, k3 = _face_run(g, (ax, ay), (dx, dy), steps + 1)
+    long_row = frozenset((ax + i * dx, ay + i * dy) for i in range(k3 + 1))
+    short_row = frozenset((i * dx, i * dy) for i in range(-k2, 1))
     return EdgePairSketch(long_row, short_row, u)
 
 
@@ -136,61 +139,15 @@ def invariants_from_covariogram(g: Covariogram) -> InvariantRecord:
     return _record(_edge_lines(g))
 
 
-def _signed_sums(steps: list, start, first_bit: int) -> list:
-    """(start plus or minus each step, mask) for every choice of signs;
-    bit first_bit + i of mask is set when step i is subtracted."""
-    out = [(start, 0)]
-    for i, (sx, sy) in enumerate(steps, first_bit):
-        out = [o for (x, y), m in out
-               for o in (((x + sx, y + sy), m),
-                         ((x - sx, y - sy), m | 1 << i))]
-    return out
-
-
-def _closing_chains(lines):
-    """Yield the angle-sorted edge chain of every polygon with the edge
-    signature lines, one of each point-reflection pair.
-
-    A line (d, q, p) with q != p gives edges p*d and -q*d, or reversed,
-    q*d and -p*d; the chain closes iff the steps +-(p - q)*d sum to zero.
-    Reflection reverses every line, so the first such line is never
-    reversed.  The others are split in two halves whose sums are matched
-    through a dict: 2^(r/2) sums for r such lines, not 2^(r-1).
-    """
-    base: list = []
-    free = []
-    for (dx, dy), q, p in lines:
-        if p == q:
-            base += [(p * dx, p * dy), (-p * dx, -p * dy)]
-        else:
-            free.append(((dx, dy), q, p))
-    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), q, p in free]
-    mid = (len(steps) + 1) // 2
-    left: dict = {}
-    first = steps[0] if steps else (0, 0)
-    for net, mask in _signed_sums(steps[1:mid], first, 1):
-        left.setdefault(net, []).append(mask)
-    for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
-        for mask in left.get((-x, -y), ()):
-            chain = list(base)
-            for i, ((dx, dy), q, p) in enumerate(free):
-                a, b = (q, p) if (mask | right) >> i & 1 else (p, q)
-                chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
-            chain = [e for e in chain if e != (0, 0)]
-            chain.sort(key=cmp_to_key(_angle_cmp))
-            yield chain
-
-
 def reconstruct_all(g: Covariogram) -> list:
     """Canonical forms of every realizing spanning lattice-convex set, up
     to translation and point reflection, sorted.
 
     A realizing set has total mass |K| squared and |K| at the origin.
     Its edge chain is one of those _closing_chains builds from the edge
-    signature of g.  A chain is kept when Pick's theorem gives it |K|
-    lattice points and the filled set has covariogram g.  A g whose
-    signature cannot be read, a degenerate support among them, has no
-    realizing set.
+    signature of g and |K|, and it is kept when the filled set has
+    covariogram g.  A g whose signature cannot be read, a degenerate
+    support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -203,9 +160,7 @@ def reconstruct_all(g: Covariogram) -> list:
     except LatticeError:
         return []
     found = set()
-    for chain in _closing_chains(lines):
-        if _chain_key(chain)[0] != 2 * n:
-            continue
+    for chain in _closing_chains(lines, 2 * n):
         K = _lattice_points_of_chain(chain)
         if compute_covariogram(K).entries == g.entries:
             found.add(canonical_form(K))

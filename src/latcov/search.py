@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 
 from ._polygons import (
     _chain_key,
+    _closing_chains,
     _lattice_points_of_chain,
-    _reflection_class,
     map_chains,
 )
 from .covariogram import compute_covariogram
@@ -90,22 +89,15 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
 
 
 def _keyed_chain(chain) -> tuple | None:
-    """A chain and its bucket key, or None when fewer than six of its
+    """The bucket key of a chain, or None when fewer than six of its
     edge lines are free (faces of unequal length); module-level so pool
-    workers run it.  A line with equal faces holds an edge and its exact
-    negation."""
+    workers run it."""
     if len(chain) < 6:
         return None
-    edges = set(chain)
-    lines = set()
-    for dx, dy in chain:
-        g = gcd(dx, dy)
-        lines.add((dx // g, dy // g) if dy > 0 or (dy == 0 and dx > 0)
-                  else (-dx // g, -dy // g))
-    paired = sum((-dx, -dy) in edges for dx, dy in chain)
-    if len(lines) - paired // 2 < 6:
+    key = _chain_key(chain)
+    if sum(q != p for _, q, p in key[1]) < 6:
         return None
-    return _chain_key(chain), tuple(chain)
+    return key
 
 
 def homometric_classes(width: int, height: int, jobs: int = 1,
@@ -116,56 +108,54 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     Homometric sets share |K| and the edge signature: for each edge line
     {u, -u}, the unordered lattice lengths of the two faces across it.
     Both are read off each enumerated edge chain without building any
-    points, and chains are bucketed by them.  Only chains with six or
-    more free lines (faces of unequal length) are keyed: two side
-    assignments of one signature, other than a chain and its reflection,
-    split the free lines into two zero-sum sets of steps, and nonzero
-    steps on distinct lines need three to sum to zero.  Only buckets
-    holding two or more reflection classes (one chain kept per class)
-    are materialized, and those sets are grouped by full covariogram.
-    Grouping by covariogram merges translates and point reflections, so
-    a class is interesting exactly when it holds two or more distinct
-    canonical forms.  Every reported pair is re-verified.  total_classes
-    counts every chain, one per translation class.
+    points, and only the number of chains per key is kept.  Only chains
+    with six or more free lines (faces of unequal length) are keyed: two
+    side assignments of one signature, other than a chain and its
+    reflection, split the free lines into two zero-sum sets of steps,
+    and nonzero steps on distinct lines need three to sum to zero.  Such
+    a chain is never centrally symmetric, so a key walked four or more
+    times holds two or more reflection classes.  Its sets are built from
+    _closing_chains, one per class, and grouped by covariogram within
+    the key, since a covariogram determines its key.  A class is
+    interesting when it holds two or more distinct canonical forms, and
+    every reported pair is re-verified.  total_classes counts every
+    chain, one per translation class.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    buckets: dict = {}
+    counts: dict = {}
     total = 0
-    for keyed in map_chains(_keyed_chain, width - 1, height - 1, jobs):
+    for key in map_chains(_keyed_chain, width - 1, height - 1, jobs):
         total += 1
-        if keyed is not None:
-            buckets.setdefault(keyed[0], []).append(keyed[1])
-    by_fingerprint: dict = {}
-    for bucket in buckets.values():
-        if len(bucket) < 2:
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    found = []
+    for (twice_n, sig), count in counts.items():
+        if count < 4:
             continue
-        reps: dict = {}
-        for chain in bucket:
-            reps.setdefault(_reflection_class(chain), chain)
-        if len(reps) < 2:
-            continue
-        for chain in reps.values():
+        by_covariogram: dict = {}
+        for chain in _closing_chains(sig, twice_n):
             K = _lattice_points_of_chain(chain)
             fp = tuple(sorted(compute_covariogram(K).entries.items()))
-            by_fingerprint.setdefault(fp, set()).add(canonical_form(K))
-    found = []
-    for fp, forms in by_fingerprint.items():
-        if len(forms) < 2:
-            continue
-        members = tuple(sorted(forms, key=sorted))
-        pairs = []
-        for a, b in combinations(members, 2):
-            if compute_covariogram(a) != compute_covariogram(b):
-                raise AssertionError("covariogram grouping failed re-verification")
-            if canonical_form(a) == canonical_form(b):
-                raise AssertionError("distinct members share a canonical form")
-            verdict = match_corollary(a, b) if match else None
-            pairs.append(PairVerdict(a, b, verdict))
-        found.append(HomometricClass(members, tuple(pairs)))
+            by_covariogram.setdefault(fp, set()).add(canonical_form(K))
+        for forms in by_covariogram.values():
+            if len(forms) < 2:
+                continue
+            members = tuple(sorted(forms, key=sorted))
+            pairs = []
+            for a, b in combinations(members, 2):
+                if compute_covariogram(a) != compute_covariogram(b):
+                    raise AssertionError(
+                        "covariogram grouping failed re-verification")
+                if canonical_form(a) == canonical_form(b):
+                    raise AssertionError(
+                        "distinct members share a canonical form")
+                verdict = match_corollary(a, b) if match else None
+                pairs.append(PairVerdict(a, b, verdict))
+            found.append(HomometricClass(members, tuple(pairs)))
     found.sort(key=lambda c: sorted(c.members[0]))
     return SearchReport(width, height, total, tuple(found))
 

@@ -317,3 +317,36 @@ def test_degenerate_input_reports_cleanly(tmp_path, capsys):
     rc, _, err = run(capsys, "invariants", seg)
     assert rc == 2
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("command,text", [
+    (("check-convex",), "dim ²\n0 0\n1 0\n0 1\n"),
+    (("reconstruct",), "dim 2\n0 0 1\n# café\n"),
+], ids=["points", "covariogram"])
+def test_non_ascii_file_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("utf-8"))
+    rc, out, err = run(capsys, *command, str(path))
+    assert (rc, out) == (2, "")
+    line = 1 if "²" in text else 3
+    assert f"bad.txt:{line}: non-ASCII byte" in err
+
+
+def test_far_covariogram_refused_in_time(tmp_path, capsys):
+    # the top edge of the support spans 2N + 1 points, more than g has
+    # entries, so it is refused without listing them
+    n = 2 ** 31
+    g = Covariogram(2, {(0, 0): 3, (n, 1): 1, (-n, -1): 1, (-n, 1): 1,
+                        (n, -1): 1, (1, 0): 1, (-1, 0): 1})
+    cov = write(tmp_path, "far.cov", serialize_covariogram(g))
+    t0 = time.monotonic()
+    rc, out, _ = run(capsys, "--format", "records", "reconstruct", cov)
+    assert (rc, out.splitlines()) == (0, ["verdict=unrealizable",
+                                          "class_count=0"])
+    rc, out, err = run(capsys, "invariants", "--from-cov", cov)
+    assert (rc, out) == (2, "")
+    assert "not realizable" in err
+    rc, out, err = run(capsys, "edges", cov, "--normal", "0,1")
+    assert (rc, out) == (2, "")
+    assert "not realizable" in err
+    assert time.monotonic() - t0 < 10

@@ -265,9 +265,27 @@ def test_keyed_chain_drops_chains_with_fewer_than_six_free_lines():
         keyed = search._keyed_chain(chain)
         assert (keyed is None) == (free < 6), chain
         if keyed is not None:
-            assert keyed == (_polygons._chain_key(chain), chain)
+            assert keyed == _polygons._chain_key(chain)
             kept += 1
     assert (kept, len(chains)) == (8466, 53524)
+
+
+@pytest.mark.parametrize("extent", [(5, 4), (4, 5)])
+def test_keyed_walk_meets_closing_chains_twice(extent):
+    # the search counts keys and fills each colliding one back through
+    # _closing_chains: per key, the walk holds exactly those chains and
+    # their point reflections, each once, so twice as many chains
+    walked = {}
+    for chain in _polygons.map_chains(tuple, *extent):
+        key = search._keyed_chain(chain)
+        if key is not None:
+            walked.setdefault(key, []).append(tuple(sorted(chain)))
+    assert walked
+    for (twice_n, sig), chains in walked.items():
+        built = [tuple(sorted(c))
+                 for c in _polygons._closing_chains(sig, twice_n)]
+        mirrored = [tuple(sorted((-dx, -dy) for dx, dy in c)) for c in built]
+        assert sorted(chains) == sorted(built + mirrored), (twice_n, sig)
 
 
 class RecordingPool:
