@@ -70,10 +70,9 @@ def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
 
 
 def _chains_from_root(groups, sums, lim_x, lim_y, root):
-    """Closed convex chains whose lowest-angle ray is groups[root],
-    as lists of edge vectors in angle order."""
+    """Yield the closed convex chains whose lowest-angle ray is
+    groups[root], as lists of edge vectors in angle order, one at a time."""
     last = len(groups) - 1
-    out = []
     chosen: list = []
 
     def rec(gi, x, y, mnx, mxx, mny, mxy):
@@ -94,18 +93,18 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root):
                     continue
                 chosen.append((dx, dy))
                 if nx or ny:
-                    rec(j + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
+                    yield from rec(j + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
                 elif len(chosen) >= 3:
-                    out.append(chosen.copy())
+                    yield chosen.copy()
                 chosen.pop()
 
     for dx, dy in groups[root]:
         if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
             continue
         chosen.append((dx, dy))
-        rec(root + 1, dx, dy, min(0, dx), max(0, dx), min(0, dy), max(0, dy))
+        yield from rec(root + 1, dx, dy,
+                       min(0, dx), max(0, dx), min(0, dy), max(0, dy))
         chosen.pop()
-    return out
 
 
 def _lattice_points_of_chain(chain) -> frozenset:

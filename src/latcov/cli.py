@@ -1,5 +1,10 @@
 """Command line toolkit.
 
+Every integer read, in a file or a flag, is ASCII digits after an
+optional sign, at most COORD_LIMIT in absolute value; anything else, such
+as a non-ASCII digit, a superscript or '1_0', exits 2 naming the file and
+line, or the flag.
+
 File formats
 ------------
 Points file: one point per line, whitespace-separated integers.  An
@@ -52,48 +57,68 @@ COORD_LIMIT = 2 ** 31
 
 
 class FormatError(Exception):
-    """Malformed input file; message carries file and line number."""
+    """Malformed input; the message names the file and line, or the flag."""
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+def _int(token: str, where: str) -> int:
+    """The one integer grammar: ASCII digits after an optional sign, at
+    most COORD_LIMIT in absolute value."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"{where}: not an integer: {token!r}")
+    digits = digits.lstrip("0") or "0"      # int() reads at most 4300 digits
+    if len(digits) > len(str(COORD_LIMIT)) or int(digits) > COORD_LIMIT:
+        raise FormatError(f"{where}: out of range: {token!r}")
+    return -int(digits) if token[0] == "-" else int(digits)
 
 
-def _int_fields(path, lineno, text):
-    out = []
-    for tok in text.split():
-        try:
-            v = int(tok)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: not an integer: {tok!r}") from None
-        if abs(v) > COORD_LIMIT:
-            raise FormatError(f"{path}:{lineno}: coordinate out of range")
-        out.append(v)
-    return out
+def _ints(text: str, sep: str, count: int, flag: str) -> list:
+    """The count integers of a flag's value, split at sep."""
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise FormatError(f"{flag} expects {count} integers, got {text!r}")
+    return [_int(part, flag) for part in parts]
+
+
+def _parse_box(text):
+    try:
+        w, h = _ints(text.lower(), "x", 2, "--box")
+    except FormatError:
+        raise FormatError(f"--box expects WxH, got {text!r}") from None
+    if w < 1 or h < 1:
+        raise FormatError("--box dimensions must be positive")
+    return w, h
+
+
+def _rows(text: str, path: str, dim):
+    """The dimension of a points or covariogram text, and its other lines
+    as (where, integer tuple) with where "path:line".
+
+    A '#' starts a comment and blank lines are skipped.  A first line
+    "dim <d>" with d >= 1 sets the dimension; without one it is dim, and
+    dim None makes the header required."""
+    rows = [(f"{path}:{n}", fields)
+            for n, line in enumerate(text.splitlines(), 1)
+            if (fields := line.split("#", 1)[0].split())]
+    where, fields = rows[0] if rows else (f"{path}:1", [""])
+    if fields[0] == "dim":
+        if len(fields) != 2 or (dim := _int(fields[1], where)) < 1:
+            raise FormatError(f"{where}: bad dim header")
+        del rows[0]
+    elif dim is None:
+        raise FormatError(f"{where}: missing dim header")
+    return dim, ((where, tuple([_int(tok, where) for tok in fields]))
+                 for where, fields in rows)
 
 
 def parse_points(text: str, path: str = "<points>") -> frozenset:
-    dim = None
+    dim, rows = _rows(text, path, 2)
     pts = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if dim is None and not pts and line.split()[0] == "dim":
-            fields = line.split()
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                raise FormatError(f"{path}:{lineno}: bad dim header")
-            dim = int(fields[1])
-            continue
-        vals = _int_fields(path, lineno, line)
-        if dim is None:
-            dim = 2
-        if len(vals) != dim:
-            raise FormatError(f"{path}:{lineno}: expected {dim} coordinates")
-        p = tuple(vals)
+    for where, p in rows:
+        if len(p) != dim:
+            raise FormatError(f"{where}: expected {dim} coordinates")
         if p in pts:
-            raise FormatError(f"{path}:{lineno}: duplicate point")
+            raise FormatError(f"{where}: duplicate point")
         pts.add(p)
     if not pts:
         raise FormatError(f"{path}:1: no points")
@@ -109,32 +134,17 @@ def serialize_points(points) -> str:
 
 
 def parse_covariogram(text: str, path: str = "<covariogram>") -> Covariogram:
-    dim = None
+    dim, rows = _rows(text, path, None)
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if dim is None:
-            fields = line.split()
-            if fields[0] != "dim" or len(fields) != 2 or not fields[1].isdigit():
-                raise FormatError(f"{path}:{lineno}: missing dim header")
-            dim = int(fields[1])
-            if dim < 1:
-                raise FormatError(f"{path}:{lineno}: bad dimension")
-            continue
-        vals = _int_fields(path, lineno, line)
+    for where, vals in rows:
         if len(vals) != dim + 1:
-            raise FormatError(
-                f"{path}:{lineno}: expected {dim} coordinates and a count")
-        u = tuple(vals[:dim])
+            raise FormatError(f"{where}: expected {dim} coordinates and a count")
+        u = vals[:dim]
         if u in entries:
-            raise FormatError(f"{path}:{lineno}: duplicate vector")
+            raise FormatError(f"{where}: duplicate vector")
         if vals[dim] <= 0:
-            raise FormatError(f"{path}:{lineno}: count must be positive")
+            raise FormatError(f"{where}: count must be positive")
         entries[u] = vals[dim]
-    if dim is None:
-        raise FormatError(f"{path}:1: missing dim header")
     try:
         return Covariogram(dim, entries)
     except LatticeError as exc:
@@ -206,47 +216,6 @@ class Emitter:
             print(f"# {title}")
 
 
-def _invariant_fields(emit: Emitter, rec) -> None:
-    emit.field("normals", _fmt_set(rec.normals))
-    emit.field("m_prime", _fmt_scalar(rec.m_prime))
-    emit.field("m_doubleprime", _fmt_scalar(rec.m_doubleprime))
-    emit.field("m", _fmt_scalar(rec.m))
-    emit.field("delta", f"{rec.delta.numerator}/{rec.delta.denominator}")
-    emit.field("det_set", ",".join(str(d) for d in sorted(rec.det_set)))
-    emit.field("certified", _fmt_scalar(rec.certified))
-
-
-def _parse_box(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise FormatError(f"--box expects WxH, got {text!r}")
-    w, h = int(parts[0]), int(parts[1])
-    if w < 1 or h < 1:
-        raise FormatError("--box dimensions must be positive")
-    return w, h
-
-
-def _parse_pair(text, flag):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"{flag} expects x,y, got {text!r}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise FormatError(f"{flag} expects integers, got {text!r}") from None
-
-
-def _parse_hex(text):
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise FormatError(f"--hex expects a1,a2,b1,b2,g1,g2, got {text!r}")
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(f"--hex expects integers, got {text!r}") from None
-    return HexagonParams(*vals)
-
-
 def _cmd_compute_cov(args, emit):
     K = _load_points(args.points)
     sys.stdout.write(serialize_covariogram(compute_covariogram(K)))
@@ -267,13 +236,19 @@ def _cmd_invariants(args, emit):
         rec = invariants_from_covariogram(_load_cov(args.points))
     else:
         rec = invariants_direct(_load_points(args.points))
-    _invariant_fields(emit, rec)
+    emit.field("normals", _fmt_set(rec.normals))
+    emit.field("m_prime", _fmt_scalar(rec.m_prime))
+    emit.field("m_doubleprime", _fmt_scalar(rec.m_doubleprime))
+    emit.field("m", _fmt_scalar(rec.m))
+    emit.field("delta", f"{rec.delta.numerator}/{rec.delta.denominator}")
+    emit.field("det_set", ",".join(str(d) for d in sorted(rec.det_set)))
+    emit.field("certified", _fmt_scalar(rec.certified))
     return 0
 
 
 def _cmd_edges(args, emit):
     g = _load_cov(args.covariogram)
-    sketch = edge_pair_from_covariogram(g, _parse_pair(args.normal, "--normal"))
+    sketch = edge_pair_from_covariogram(g, _ints(args.normal, ",", 2, "--normal"))
     emit.field("normal", _fmt_point(sketch.normal))
     emit.field("long_row", _fmt_set(sketch.long_row))
     emit.field("short_row", _fmt_set(sketch.short_row))
@@ -316,28 +291,34 @@ def _cmd_affine_equiv(args, emit):
     return 0
 
 
-def _pair_report(emit, report, out_prefix):
-    emit.field("homometric", _fmt_scalar(report.homometric))
-    emit.field("nontrivial", _fmt_scalar(report.nontrivial))
+def _pair_report(emit, report, out_prefix, *lead):
+    """Print the lead fields, then the pair, or with out_prefix the files
+    it was written to; the files are written first, so that a write that
+    fails prints nothing."""
+    tail = [("first", _fmt_set(report.first)),
+            ("second", _fmt_set(report.second))]
     if out_prefix:
+        tail = []
         for tag, pts in (("plus", report.first), ("minus", report.second)):
             path = f"{out_prefix}-{tag}.pts"
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(serialize_points(pts))
-            emit.field(f"wrote_{tag}", path)
-    else:
-        emit.field("first", _fmt_set(report.first))
-        emit.field("second", _fmt_set(report.second))
+            try:
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write(serialize_points(pts))
+            except OSError as exc:
+                raise FormatError(f"{path}: {exc.strerror or exc}") from None
+            tail.append((f"wrote_{tag}", path))
+    for key, value in (*lead, ("homometric", _fmt_scalar(report.homometric)),
+                       ("nontrivial", _fmt_scalar(report.nontrivial)), *tail):
+        emit.field(key, value)
     return 0
 
 
 def _cmd_gen_pair(args, emit):
     params = WidthOneParams(args.k, args.l)
-    report = corollary_pair_generator(params, _parse_hex(args.hex))
-    emit.field("k", params.k)
-    emit.field("l", params.ell)
-    emit.field("base", _fmt_set(report.base))
-    return _pair_report(emit, report, args.out)
+    hexagon = HexagonParams(*_ints(args.hex, ",", 6, "--hex"))
+    report = corollary_pair_generator(params, hexagon)
+    return _pair_report(emit, report, args.out, ("k", params.k),
+                        ("l", params.ell), ("base", _fmt_set(report.base)))
 
 
 def _cmd_verify_thm22(args, emit):
@@ -353,8 +334,8 @@ def _cmd_verify_thm22(args, emit):
 
 def _cmd_product_pair(args, emit):
     report = product_pair(_load_points(args.first), _load_points(args.second))
-    emit.field("dim", len(next(iter(report.first))))
-    return _pair_report(emit, report, args.out)
+    return _pair_report(emit, report, args.out,
+                        ("dim", len(next(iter(report.first)))))
 
 
 def _cmd_search(args, emit):
@@ -399,7 +380,7 @@ def _cmd_search(args, emit):
 
 def _cmd_decompose(args, emit):
     params = WidthOneParams(args.k, args.l)
-    lam, t = decompose_plane(_parse_pair(args.point, "--point"), params)
+    lam, t = decompose_plane(_ints(args.point, ",", 2, "--point"), params)
     emit.field("sublattice_part", _fmt_point(lam))
     emit.field("strip_part", _fmt_point(t))
     return 0
@@ -458,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-pair",
                        help="hexagon-family mirror pair for a width-one strip")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
+    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.add_argument("--hex", required=True, metavar="A1,A2,B1,B2,G1,G2")
     p.add_argument("--out", metavar="PREFIX",
                    help="write PREFIX-plus.pts and PREFIX-minus.pts")
@@ -468,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-thm22",
                        help="equivalence of the direct-sum and shape conditions")
     p.add_argument("points")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
+    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.set_defaults(fn=_cmd_verify_thm22)
 
     p = sub.add_parser("product-pair",
@@ -482,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="homometric pair search over a box")
     p.add_argument("--box", required=True, metavar="WxH")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=lambda s: _int(s, "--jobs"), default=1)
     p.add_argument("--match-corollary", action="store_true",
                    help="match every found pair against the hexagon family")
     p.add_argument("--allow-large", action="store_true",
@@ -491,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose",
                        help="split a point into sublattice and strip parts")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
+    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.add_argument("--point", required=True, metavar="X,Y")
     p.set_defaults(fn=_cmd_decompose)
 
@@ -500,15 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    emit = Emitter(records=(args.format == "records"))
     try:
-        return args.fn(args, emit)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LatticeError as exc:
+        args = build_parser().parse_args(argv)
+        return args.fn(args, Emitter(records=(args.format == "records")))
+    except (FormatError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

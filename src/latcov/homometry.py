@@ -193,12 +193,22 @@ def mirror_pair(S, T) -> MirrorPairReport:
     return _verified_pair(first, second, Sp, Tp, "mirror")
 
 
+def _in_strip(t, params: WidthOneParams) -> bool:
+    """t in width_one_T(params), without building the strip."""
+    x, y = t
+    return (y == 0 and 0 <= x <= params.k) or (y == 1 and 0 <= x <= params.ell)
+
+
 def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Unique writing of a lattice point as sublattice member plus strip point."""
+    """Unique writing of a lattice point as sublattice member plus strip point.
+
+    With r = (x + (k+1) y) mod (k + l + 2), p - (r, 0) and p - (r - k - 1, 1)
+    lie in the sublattice, and one of the two is in the strip: O(1) in k."""
     p = tuple(p)
     basis = params.basis()
-    hits = [(vsub(p, t), t) for t in sorted(width_one_T(params))
-            if basis.contains(vsub(p, t))]
+    r = (p[0] + (params.k + 1) * p[1]) % params.index
+    hits = [(vsub(p, t), t) for t in ((r, 0), (r - params.k - 1, 1))
+            if _in_strip(t, params) and basis.contains(vsub(p, t))]
     if len(hits) != 1:
         raise AssertionError("plane decomposition must be unique")
     return hits[0]

@@ -263,6 +263,33 @@ def test_decompose_command(capsys):
     assert "strip_part=1,0" in out
 
 
+def test_decompose_solves_at_largest_k(capsys):
+    # the strip of k = 2^31 - 1 has 2^31 + 1 points; none is built
+    k = 2 ** 31 - 1
+    t0 = time.monotonic()
+    for point, lam, t in [("2,1", "1,1", "1,0"),
+                          (f"{k + 1},0", f"{k + 1},-1", "0,1")]:
+        rc, out, _ = run(capsys, "--format", "records", "decompose",
+                         "--k", str(k), "--l", "0", "--point", point)
+        assert rc == 0
+        assert out.splitlines() == [f"sublattice_part={lam}",
+                                    f"strip_part={t}"]
+    assert time.monotonic() - t0 < 3
+
+
+@pytest.mark.parametrize("command", [
+    ("gen-pair", "--k", "1", "--l", "0", "--hex", "0,1,0,1,0,1"),
+    ("product-pair", "a.pts", "a.pts"),
+], ids=["gen-pair", "product-pair"])
+def test_out_write_failure_exits_2(tmp_path, capsys, command):
+    a = write(tmp_path, "a.pts", "0 0\n1 0\n0 1\n")
+    prefix = str(tmp_path / "missing" / "x")
+    argv = [a if arg == "a.pts" else arg for arg in command]
+    rc, out, err = run(capsys, *argv, "--out", prefix)
+    assert (rc, out) == (2, "")
+    assert f"{prefix}-plus.pts:" in err
+
+
 def test_product_pair_command(tmp_path, capsys):
     a = write(tmp_path, "a.pts", "0 0\n1 0\n0 1\n")
     rc, out, _ = run(capsys, "product-pair", a, a)
@@ -301,6 +328,48 @@ def test_box_takes_ascii_digits_only(tmp_path, capsys, box):
                        "--box", box)
     assert (rc, out) == (2, "")
     assert "--box expects WxH" in err
+
+
+@pytest.mark.parametrize("token", ["\u0663", "1_0", "\u00b2"],
+                         ids=["arabic-indic", "underscore", "superscript"])
+@pytest.mark.parametrize("case", [
+    "--box", "--normal", "--point", "--hex", "--k", "--l", "--jobs",
+    "points file", "covariogram file", "points dim", "covariogram dim"])
+def test_integer_grammar(tmp_path, capsys, case, token):
+    # every integer input reads ASCII digits only: a non-ASCII digit, an
+    # underscore-grouped literal and a superscript each exit 2 with empty
+    # stdout and an error naming the flag or file, or raise FormatError
+    # from the library parsers
+    def put(name, text):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        return str(tmp_path / name)
+
+    cov = put("t.cov", serialize_covariogram(compute_covariogram(
+        parse_points(TRAP))))
+    argv = {
+        "--box": ("search", "--box", f"{token}x2"),
+        "--normal": ("edges", cov, "--normal", f"{token},1"),
+        "--point": ("decompose", "--k", "20", "--l", "0",
+                    "--point", f"{token},1"),
+        "--hex": ("gen-pair", "--k", "1", "--l", "0",
+                  "--hex", f"0,{token},0,1,0,1"),
+        "--k": ("decompose", "--k", token, "--l", "0", "--point", "2,1"),
+        "--l": ("decompose", "--k", "20", "--l", token, "--point", "2,1"),
+        "--jobs": ("search", "--box", "2x2", "--jobs", token),
+        "points file": ("check-convex", put("p.pts", f"{token} 0\n0 1\n")),
+        "covariogram file": ("reconstruct",
+                             put("c.cov", f"dim 2\n0 0 {token}\n")),
+    }
+    if case == "points dim":
+        with pytest.raises(FormatError):
+            parse_points(f"dim {token}\n0 0 0\n")
+    elif case == "covariogram dim":
+        with pytest.raises(FormatError):
+            parse_covariogram(f"dim {token}\n0 0 0 1\n")
+    else:
+        rc, out, err = run(capsys, *argv[case])
+        assert (rc, out) == (2, "")
+        assert (case if case.startswith("--") else argv[case][-1]) in err
 
 
 def test_missing_file_and_bad_args(tmp_path, capsys):

@@ -98,11 +98,14 @@ def test_plane_splits_as_sublattice_plus_strip():
 def test_plane_decomposition_checks_uniqueness(monkeypatch):
     # A strip that misses a coset or covers one twice breaks uniqueness;
     # the check is an explicit raise, so it holds under python -O too.
+    # decompose_plane tests its two candidates, (1, 0) and (-1, 1) for
+    # (2, 1), by strip membership.
     p = WidthOneParams(1, 0)
     T = width_one_T(p)
-    doubled = T | {(2, 1)}  # (2, 1) - (1, 0) lies in the sublattice
+    doubled = T | {(-1, 1)}  # (2, 1) - (-1, 1) lies in the sublattice
     for broken in (frozenset(), doubled):
-        monkeypatch.setattr(latcov.homometry, "width_one_T", lambda _: broken)
+        monkeypatch.setattr(latcov.homometry, "_in_strip",
+                            lambda t, _: t in broken)
         with pytest.raises(AssertionError, match="unique"):
             decompose_plane((2, 1), p)
 

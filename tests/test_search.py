@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -346,6 +347,19 @@ def test_map_chains_streams_shard_by_shard(monkeypatch):
         assert ran == [0]
         assert [serial[0], *chains] == serial
         assert ran == list(range(32))
+
+
+def test_map_chains_walk_streams_within_a_shard():
+    # the walk yields each chain as it closes, so counting the chains of
+    # a box holds one chain at a time, not a shard's worth of lists
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _polygons.map_chains(len, 5, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 53524
+    assert peak < 2 * 1024 * 1024
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
