@@ -3,14 +3,18 @@
 The engine is the width-one strip T(k, l): a row of k+1 points with a row
 of l+1 points above it (k > l >= 0).  Its translates along the index
 sublattice generated by w1 = (-k-1, 1) and w2 = (l+1, 1) tile the plane,
-and |det(w1, w2)| = k + l + 2 = |T|.
+and |det(w1, w2)| = k + l + 2 = |T|.  WidthOneParams carries that
+sublattice: membership, and coordinates in the basis (w1, w2), in closed
+form.
 
 For any S, the mirror pair (S + T, S + (-T)) of a direct sum has equal
 covariograms; it is a nontrivial pair exactly when neither summand is
 centrally symmetric.  The direct sum is lattice-convex precisely when S
 is lattice-convex with respect to the sublattice and the hull edges of S
 point along w1, w2 (and w1 + w2 when k = l + 1); for k = l + 1 the
-admissible S form a hexagon family in sublattice coordinates.
+admissible S form a hexagon family in sublattice coordinates, and
+corollary_pair_generator is the one builder of its pairs, for the CLI's
+gen-pair and for the search's matcher alike.
 
 Every claimed property of a constructed pair is verified by computation
 before it is reported, never assumed.
@@ -25,11 +29,10 @@ from .lattice import (
     LatticeError,
     canonical_form,
     convex_hull,
-    det2,
+    hull_lattice_points,
     is_centrally_symmetric,
     is_lattice_convex,
     point_set,
-    primitive,
     vadd,
     vneg,
     vsub,
@@ -61,40 +64,22 @@ class WidthOneParams:
     def index(self) -> int:
         return self.k + self.ell + 2
 
-    def basis(self) -> "SublatticeBasis":
-        return SublatticeBasis(self.w1, self.w2, self.index)
-
-
-@dataclass(frozen=True)
-class SublatticeBasis:
-    """Basis (w1, w2) of the tiling sublattice; |det| equals the strip size."""
-
-    w1: tuple[int, int]
-    w2: tuple[int, int]
-    index: int
-
-    def __post_init__(self):
-        if abs(det2(self.w1, self.w2)) != self.index:
-            raise LatticeError("basis determinant does not match the strip size")
-
     def contains(self, p) -> bool:
+        """p lies in the sublattice generated by w1 and w2."""
         x, y = p
-        k1 = -self.w1[0]  # k + 1
-        return (x + k1 * y) % self.index == 0
+        return (x + (self.k + 1) * y) % self.index == 0
 
     def coords(self, p) -> tuple[int, int]:
-        """Integer coordinates of a sublattice member in the (w1, w2) basis."""
-        x, y = p
-        d = det2(self.w1, self.w2)  # -(k + l + 2)
-        i_num = x * self.w2[1] - y * self.w2[0]
-        j_num = -x * self.w1[1] + y * self.w1[0]
-        if i_num % d or j_num % d:
+        """The integers (i, j) with p = i w1 + j w2, for a sublattice member."""
+        if not self.contains(p):
             raise LatticeError("point is not in the sublattice")
-        return (i_num // d, j_num // d)
+        x, y = p
+        return (((self.ell + 1) * y - x) // self.index,
+                (x + (self.k + 1) * y) // self.index)
 
     def from_coords(self, ij) -> tuple[int, int]:
         i, j = ij
-        return (i * self.w1[0] + j * self.w2[0], i * self.w1[1] + j * self.w2[1])
+        return ((self.ell + 1) * j - (self.k + 1) * i, i + j)
 
 
 @dataclass(frozen=True)
@@ -112,16 +97,14 @@ class HexagonParams:
     def __post_init__(self):
         if self.a1 > self.a2 or self.b1 > self.b2 or self.g1 > self.g2:
             raise LatticeError("empty parameter range")
-        if not self.region():
+        # i - j takes every value in [a1 - b2, a2 - b1]
+        if max(self.a1 - self.b2, self.g1) > min(self.a2 - self.b1, self.g2):
             raise LatticeError("hexagon region is empty")
 
     def region(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.a1, self.a2 + 1)
-            for j in range(self.b1, self.b2 + 1)
-            if self.g1 <= i - j <= self.g2
-        ]
+        return [(i, j) for i in range(self.a1, self.a2 + 1)
+                for j in range(max(self.b1, i - self.g2),
+                               min(self.b2, i - self.g1) + 1)]
 
 
 @dataclass(frozen=True)
@@ -150,22 +133,26 @@ def width_one_T(params: WidthOneParams) -> frozenset:
     return frozenset(row0 | row1)
 
 
-def sum_is_direct(S, T) -> bool:
-    """True iff |S + T| = |S| |T|, i.e. all sums are distinct."""
+def _sums(S, T) -> tuple[frozenset, bool]:
+    """The sum set S + T, and whether the sum is direct: |S + T| = |S| |T|,
+    i.e. all sums are distinct."""
     Sp = point_set(S)
     Tp = point_set(T)
     if len(next(iter(Sp))) != len(next(iter(Tp))):
         raise LatticeError("dimension mismatch")
-    sums = {vadd(s, t) for s in Sp for t in Tp}
-    return len(sums) == len(Sp) * len(Tp)
+    sums = frozenset(vadd(s, t) for s in Sp for t in Tp)
+    return sums, len(sums) == len(Sp) * len(Tp)
+
+
+def sum_is_direct(S, T) -> bool:
+    return _sums(S, T)[1]
 
 
 def direct_sum(S, T) -> frozenset:
-    Sp = point_set(S)
-    Tp = point_set(T)
-    if not sum_is_direct(Sp, Tp):
+    sums, direct = _sums(S, T)
+    if not direct:
         raise LatticeError("sum not direct")
-    return frozenset(vadd(s, t) for s in Sp for t in Tp)
+    return sums
 
 
 def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport:
@@ -186,10 +173,7 @@ def mirror_pair(S, T) -> MirrorPairReport:
     Sp = point_set(S)
     Tp = point_set(T)
     first = direct_sum(Sp, Tp)
-    negT = frozenset(vneg(t) for t in Tp)
-    if not sum_is_direct(Sp, negT):
-        raise LatticeError("sum not direct")
-    second = frozenset(vadd(s, t) for s in Sp for t in negT)
+    second = direct_sum(Sp, frozenset(vneg(t) for t in Tp))
     return _verified_pair(first, second, Sp, Tp, "mirror")
 
 
@@ -205,10 +189,9 @@ def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[i
     With r = (x + (k+1) y) mod (k + l + 2), p - (r, 0) and p - (r - k - 1, 1)
     lie in the sublattice, and one of the two is in the strip: O(1) in k."""
     p = tuple(p)
-    basis = params.basis()
     r = (p[0] + (params.k + 1) * p[1]) % params.index
     hits = [(vsub(p, t), t) for t in ((r, 0), (r - params.k - 1, 1))
-            if _in_strip(t, params) and basis.contains(vsub(p, t))]
+            if _in_strip(t, params) and params.contains(vsub(p, t))]
     if len(hits) != 1:
         raise AssertionError("plane decomposition must be unique")
     return hits[0]
@@ -225,23 +208,19 @@ def _coord_window(S, params: WidthOneParams):
     if len(next(iter(Sp))) != 2:
         raise LatticeError("expected a planar set")
     anchor = min(Sp)
-    basis = params.basis()
     coords = []
     for p in Sp:
         q = vsub(p, anchor)
-        if not basis.contains(q):
+        if not params.contains(q):
             return None
-        coords.append(basis.coords(q))
+        coords.append(params.coords(q))
     return frozenset(coords)
 
 
 def condition_i(S, params: WidthOneParams) -> bool:
     """S sums directly with the strip and the sum is lattice-convex."""
-    T = width_one_T(params)
-    Sp = point_set(S)
-    if not sum_is_direct(Sp, T):
-        return False
-    return is_lattice_convex(frozenset(vadd(s, t) for s in Sp for t in T))
+    sums, direct = _sums(S, width_one_T(params))
+    return direct and is_lattice_convex(sums)
 
 
 def condition_ii(S, params: WidthOneParams) -> bool:
@@ -250,26 +229,20 @@ def condition_ii(S, params: WidthOneParams) -> bool:
     coords = _coord_window(S, params)
     if coords is None:
         return False
-    if not is_lattice_convex(coords):
-        return False
-    allowed = _HEX_DIRS if params.k == params.ell + 1 else _AXIS_DIRS
     hull = convex_hull(coords)
-    if len(hull.vertices) == 1:
-        return True
-    for _, d, _ in hull.edges:
-        d = primitive(d)
-        if d not in allowed and vneg(d) not in allowed:
-            return False
-    return True
+    if hull_lattice_points(hull) != coords:
+        return False
+    # Hull2 edge directions are primitive already
+    allowed = _HEX_DIRS if params.k == params.ell + 1 else _AXIS_DIRS
+    return all(d in allowed or vneg(d) in allowed for _, d, _ in hull.edges)
 
 
 def gs_graph_connected(S, params: WidthOneParams) -> bool:
     """Connectivity of S under steps by +-w1, +-w2 (and +-(w1+w2) when
     k = l + 1).  S must lie inside the sublattice itself."""
     Sp = point_set(S)
-    basis = params.basis()
     for p in Sp:
-        if not basis.contains(p):
+        if not params.contains(p):
             raise LatticeError("set is not contained in the sublattice")
     steps = [params.w1, vneg(params.w1), params.w2, vneg(params.w2)]
     if params.k == params.ell + 1:
@@ -305,8 +278,7 @@ def corollary_pair_generator(params: WidthOneParams, hexagon: HexagonParams) -> 
     """
     if params.k != params.ell + 1:
         raise LatticeError("corollary_pair_generator requires k = l + 1")
-    basis = params.basis()
-    S = frozenset(basis.from_coords(ij) for ij in hexagon.region())
+    S = frozenset(params.from_coords(ij) for ij in hexagon.region())
     if not condition_ii(S, params):
         raise AssertionError("hexagon region failed the shape condition")
     report = mirror_pair(S, width_one_T(params))

@@ -29,9 +29,8 @@ from .lattice import (
     LatticeError,
     convex_hull,
     det2,
-    is_lattice_convex,
+    hull_lattice_points,
     point_set,
-    spans_plane,
 )
 
 
@@ -57,11 +56,12 @@ class InvariantRecord:
 def _lattice_convex_hull(K) -> Hull2:
     """Hull of K, refusing a set that is degenerate or not lattice-convex."""
     pts = point_set(K)
-    if not spans_plane(pts):
+    hull = convex_hull(pts)
+    if hull.is_degenerate:
         raise LatticeError("degenerate set")
-    if not is_lattice_convex(pts):
+    if hull_lattice_points(hull) != pts:
         raise LatticeError("set is not lattice-convex")
-    return convex_hull(pts)
+    return hull
 
 
 def edge_normals(K) -> frozenset:

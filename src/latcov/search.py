@@ -24,8 +24,7 @@ from .covariogram import compute_covariogram
 from .homometry import (
     HexagonParams,
     WidthOneParams,
-    mirror_pair,
-    width_one_T,
+    corollary_pair_generator,
 )
 from .lattice import (
     AffineMap2,
@@ -196,15 +195,16 @@ def _translation_to(matrix, src, dst) -> tuple | None:
     return None
 
 
-def match_corollary(K, L, k_max: int = 4) -> CorollaryMatch | None:
+def match_corollary(K, L) -> CorollaryMatch | None:
     """Match a nontrivially homometric pair against the hexagon family.
 
-    Tries every strip size k = l + 1 up to k_max whose size divides |K|
-    and every hexagon window of the right cardinality; a match needs one
-    unimodular matrix carrying K and L onto the generated pair (in either
-    order), with translations free per member and the second member also
-    allowed a point reflection, since members are only determined up to
-    their class."""
+    Tries every strip size k = l + 1 whose size 2k + 1 divides |K|, and
+    every hexagon window of the right cardinality, each candidate built
+    by corollary_pair_generator; a match needs one unimodular matrix
+    carrying K and L onto a nontrivial generated pair (in either order),
+    with translations free per member and the second member also allowed
+    a point reflection, since members are only determined up to their
+    class."""
     Kp = point_set(K)
     Lp = point_set(L)
     if compute_covariogram(Kp) != compute_covariogram(Lp):
@@ -212,18 +212,14 @@ def match_corollary(K, L, k_max: int = 4) -> CorollaryMatch | None:
     if canonical_form(Kp) == canonical_form(Lp):
         raise LatticeError("pair is trivial")
     n = len(Kp)
-    for k in range(1, k_max + 1):
+    for k in range(1, (n - 1) // 2 + 1):
         params = WidthOneParams(k, k - 1)
         if n % params.index:
             continue
-        size = n // params.index
-        T = width_one_T(params)
-        basis = params.basis()
-        for hx in _hexagon_candidates(size):
-            S = frozenset(basis.from_coords(ij) for ij in hx.region())
-            if is_centrally_symmetric(S):
+        for hx in _hexagon_candidates(n // params.index):
+            pair = corollary_pair_generator(params, hx)
+            if not pair.nontrivial:
                 continue
-            pair = mirror_pair(S, T)
             for swapped, (P, Q) in enumerate(
                     [(pair.first, pair.second), (pair.second, pair.first)]):
                 for wit in affine_witnesses(Kp, P):

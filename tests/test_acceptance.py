@@ -120,10 +120,9 @@ def test_5_condition_equivalence():
     cells = [(i, j) for i in range(3) for j in range(3)]
     for k, ell in [(1, 0), (2, 0), (2, 1), (3, 2)]:
         params = WidthOneParams(k, ell)
-        basis = params.basis()
         for mask in range(1, 2 ** 9):
             coords = [c for b, c in enumerate(cells) if mask >> b & 1]
-            S = frozenset(basis.from_coords(c) for c in coords)
+            S = frozenset(params.from_coords(c) for c in coords)
             total += 1
             if condition_i(S, params) != condition_ii(S, params):
                 bad += 1
@@ -163,17 +162,16 @@ def test_7_plane_decomposition():
     total = 0
     for k, ell in [(1, 0), (2, 0), (2, 1), (3, 2)]:
         params = WidthOneParams(k, ell)
-        basis = params.basis()
         T = sorted(width_one_T(params))
         for x in range(-20, 21):
             for y in range(-20, 21):
                 total += 1
                 lam, t = decompose_plane((x, y), params)
                 witnesses = [s for s in T
-                             if basis.contains((x - s[0], y - s[1]))]
+                             if params.contains((x - s[0], y - s[1]))]
                 if (witnesses != [t]
                         or (lam[0] + t[0], lam[1] + t[1]) != (x, y)
-                        or not basis.contains(lam)):
+                        or not params.contains(lam)):
                     bad += 1
     report("7 unique plane decomposition", bad == 0,
            time.monotonic() - t0, 10, f"points={total} failures={bad}")

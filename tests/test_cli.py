@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -308,6 +309,15 @@ def test_search_command(capsys):
     rc2, out2, _ = run(capsys, "--format", "records", "search",
                        "--box", "4x4", "--match-corollary")
     assert out2 == out  # deterministic
+
+
+def test_search_records_pinned_6x5(capsys):
+    # the 12 pairs at 6x5 and the first witness found for each
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", "6x5",
+                     "--match-corollary", "--jobs", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6fa8f302ef225d55e15f82ebdf01864797b9e1a1cff354cf49621496121efeab")
 
 
 def test_search_box_guard(capsys):

@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+import latcov.cli
 import latcov.homometry
 from latcov.covariogram import compute_covariogram
 from latcov.homometry import (
@@ -55,22 +57,21 @@ def test_basis_membership_and_coords():
     rng = random.Random(600)
     for k, ell in [(1, 0), (2, 0), (2, 1), (3, 2), (5, 3)]:
         params = WidthOneParams(k, ell)
-        basis = params.basis()
         for _ in range(200):
             i = rng.randint(-8, 8)
             j = rng.randint(-8, 8)
-            p = (i * basis.w1[0] + j * basis.w2[0],
-                 i * basis.w1[1] + j * basis.w2[1])
-            assert basis.contains(p)
-            assert basis.coords(p) == (i, j)
-            assert basis.from_coords((i, j)) == p
+            p = (i * params.w1[0] + j * params.w2[0],
+                 i * params.w1[1] + j * params.w2[1])
+            assert params.contains(p)
+            assert params.coords(p) == (i, j)
+            assert params.from_coords((i, j)) == p
         # density: exactly 1 in index points of a window is a member
-        hits = sum(basis.contains((x, y))
+        hits = sum(params.contains((x, y))
                    for x in range(params.index) for y in range(1))
         assert hits == 1
-        assert not basis.contains((1, 0))
+        assert not params.contains((1, 0))
         with pytest.raises(LatticeError):
-            basis.coords((1, 0))
+            params.coords((1, 0))
 
 
 def test_plane_splits_as_sublattice_plus_strip():
@@ -81,17 +82,16 @@ def test_plane_splits_as_sublattice_plus_strip():
     for k, ell in [(1, 0), (2, 1), (4, 2)]:
         params = WidthOneParams(k, ell)
         T = sorted(width_one_T(params))
-        basis = params.basis()
         rng = random.Random(601)
         for _ in range(150):
             pt = (rng.randint(-30, 30), rng.randint(-30, 30))
             lam, t = decompose_plane(pt, params)
-            assert basis.contains(lam)
+            assert params.contains(lam)
             assert t in T
             assert (lam[0] + t[0], lam[1] + t[1]) == pt
             # uniqueness by full scan
             hits = [(s,) for s in T
-                    if basis.contains((pt[0] - s[0], pt[1] - s[1]))]
+                    if params.contains((pt[0] - s[0], pt[1] - s[1]))]
             assert len(hits) == 1
 
 
@@ -149,20 +149,18 @@ def test_condition_equivalence_exhaustive_small():
     # all nonempty subsets of a 2x2 coordinate window, several strips
     for k, ell in [(1, 0), (2, 0), (2, 1)]:
         params = WidthOneParams(k, ell)
-        basis = params.basis()
         cells = [(i, j) for i in range(2) for j in range(2)]
         for mask in range(1, 16):
             coords = [c for b, c in enumerate(cells) if mask >> b & 1]
-            S = frozenset(basis.from_coords(c) for c in coords)
+            S = frozenset(params.from_coords(c) for c in coords)
             assert condition_i(S, params) == condition_ii(S, params), \
                 (k, ell, coords)
 
 
 def test_condition_i_known_cases():
     p = WidthOneParams(1, 0)
-    basis = p.basis()
     # the hexagon triangle works
-    S = frozenset(basis.from_coords(c) for c in [(0, 0), (1, 0), (1, 1)])
+    S = frozenset(p.from_coords(c) for c in [(0, 0), (1, 0), (1, 1)])
     assert condition_i(S, p)
     assert condition_ii(S, p)
     # {o, w1, w2} does not: the sum has a notch
@@ -175,12 +173,11 @@ def test_condition_i_implies_connected_step_graph():
     rng = random.Random(603)
     for k, ell in [(1, 0), (2, 1), (2, 0)]:
         params = WidthOneParams(k, ell)
-        basis = params.basis()
         seen = 0
         for _ in range(150):
             coords = {(rng.randint(0, 2), rng.randint(0, 2))
                       for _ in range(rng.randint(1, 5))}
-            S = frozenset(basis.from_coords(c) for c in coords)
+            S = frozenset(params.from_coords(c) for c in coords)
             if condition_i(S, params):
                 assert gs_graph_connected(S, params)
                 seen += 1
@@ -193,13 +190,33 @@ def test_gs_graph_requires_membership():
         gs_graph_connected({(1, 0)}, p)
 
 
-def test_hexagon_params_validation():
+def test_hexagon_params_validation(capsys):
     with pytest.raises(LatticeError):
         HexagonParams(1, 0, 0, 0, 0, 0)
     with pytest.raises(LatticeError):
         HexagonParams(0, 0, 0, 0, 1, 1)  # region empty
     hx = HexagonParams(0, 1, 0, 1, 0, 1)
     assert set(hx.region()) == {(0, 0), (1, 0), (1, 1)}
+    # region and emptiness agree with a scan of the whole box
+    for a1, a2, b1, b2, g1, g2 in itertools.product(range(-1, 2), range(3),
+                                                    range(-1, 2), range(3),
+                                                    range(-3, 2), range(-1, 4)):
+        box = [(i, j) for i in range(a1, a2 + 1) for j in range(b1, b2 + 1)
+               if g1 <= i - j <= g2]
+        if not box:
+            with pytest.raises(LatticeError, match="empty"):
+                HexagonParams(a1, a2, b1, b2, g1, g2)
+        else:
+            assert HexagonParams(a1, a2, b1, b2, g1, g2).region() == box
+    # i - j <= 2^31 - 1 in this window, so g1 = 2^31 leaves it empty;
+    # emptiness is decided without a scan of its sides
+    t0 = time.monotonic()
+    rc = latcov.cli.main(["gen-pair", "--k", "1", "--l", "0", "--hex",
+                          "0,2147483647,0,2147483647,2147483648,2147483648"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "hexagon region is empty" in err
+    assert time.monotonic() - t0 < 2
 
 
 def test_nine_point_pair_from_generator():

@@ -114,7 +114,7 @@ def test_match_corollary_nine_point():
     assert m is not None
     assert m.params.k == 1 and m.params.ell == 0
     T = width_one_T(m.params)
-    S = frozenset(m.params.basis().from_coords(c)
+    S = frozenset(m.params.from_coords(c)
                   for c in m.hexagon.region())
     pair = {frozenset((s[0] + t[0], s[1] + t[1]) for s in S for t in T),
             frozenset((s[0] - t[0], s[1] - t[1]) for s in S for t in T)}
@@ -139,6 +139,15 @@ def test_match_corollary_reflected_member():
     refl = frozenset((-x, -y) for x, y in second)
     m = match_corollary(first, translate(refl, (7, 3)))
     assert m is not None
+
+
+def test_match_corollary_beyond_k_4():
+    # |K| = 33: the strip sizes 3 and 11 divide it, and only k = 5 matches
+    rep = corollary_pair_generator(
+        WidthOneParams(5, 4), HexagonParams(0, 1, 0, 1, 0, 1))
+    m = match_corollary(rep.first, rep.second)
+    assert m is not None
+    assert (m.params.k, m.params.ell) == (5, 4)
 
 
 def test_match_corollary_precondition():
