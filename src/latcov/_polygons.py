@@ -15,7 +15,9 @@ hold the one that closes the chain.  A chain that closes is emitted and
 not extended, since the rays after it lie in an open half-plane.  Shards
 by first (lowest-angle) ray are independent and merge in a fixed order.
 
-_closing_chains goes back from a key to its chains.
+count_chains counts the chains map_chains would walk, by a knapsack on
+their x and y extents, without walking them.  _closing_chains goes back
+from a key to its chains.
 """
 
 from __future__ import annotations
@@ -226,6 +228,49 @@ def _closing_chains(lines, twice_n: int):
             chain.sort(key=cmp_to_key(_angle_cmp))
             if _chain_key(chain)[0] == twice_n:
                 yield chain
+
+
+def count_chains(max_dx: int, max_dy: int) -> int:
+    """The number of closed convex chains fitting the box extent
+    (max_dx, max_dy), as map_chains would walk them, without walking.
+
+    A closed convex chain rises in x exactly once, so its x-extent is
+    the sum of its positive dx, and likewise for y: the chains are the
+    choices of at most one vector per ray with sum zero and positive
+    parts within the box, less the empty choice and the pairs {v, -v}.
+    Each half-open quadrant of rays feeds two of the four positive
+    parts, so a knapsack per quadrant counts its choices by those two
+    sums, and the quadrants are joined where the sums close."""
+    if max_dx < 0 or max_dy < 0:
+        return 0
+    nx, ny = max_dx + 1, max_dy + 1
+    # Quadrant q of (dx, dy) adds (|dx|, |dy|) to the parts
+    # (x+, y+), (x-, y+), (x-, y-) and (x+, y-) for q = 0, 1, 2, 3.
+    tables = [[[0] * ny for _ in range(nx)] for _ in range(4)]
+    for t in tables:
+        t[0][0] = 1
+    for group in _ray_groups(max_dx, max_dy):
+        rx, ry = group[0]
+        q = (0 if ry >= 0 else 3) if rx > 0 else (1 if ry > 0 else 2)
+        t = tables[q]
+        for u in range(max_dx, -1, -1):
+            row = t[u]
+            for v in range(max_dy, -1, -1):
+                for dx, dy in group:
+                    a, b = u - abs(dx), v - abs(dy)
+                    if a >= 0 and b >= 0:
+                        row[v] += t[a][b]
+    q0, q1, q2, q3 = tables
+    # right[x][y+][y-]: quadrants 0 and 3 with x+ == x; left likewise
+    # with quadrants 1 and 2 and x- == x.
+    right = [[[sum(q0[a][v] * q3[x - a][w] for a in range(x + 1))
+               for w in range(ny)] for v in range(ny)] for x in range(nx)]
+    left = [[[sum(q1[a][v] * q2[x - a][w] for a in range(x + 1))
+              for w in range(ny)] for v in range(ny)] for x in range(nx)]
+    closed = sum(right[x][v1][v4] * left[x][v2][v1 + v2 - v4]
+                 for x in range(nx) for v1 in range(ny) for v4 in range(ny)
+                 for v2 in range(max(0, v4 - v1), ny - v1))
+    return closed - 1 - ((2 * max_dx + 1) * (2 * max_dy + 1) - 1) // 2
 
 
 def _shard(args) -> list:

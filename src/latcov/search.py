@@ -1,23 +1,29 @@
 """Exhaustive search for homometric pairs among planar lattice-convex sets.
 
-Enumeration walks translation classes of spanning lattice-convex sets
-fitting a box as edge chains, buckets them by data the covariogram
-determines, groups the colliding buckets by covariogram, and reports
-every class with two or more members up to translation and point
-reflection.  Each found pair can be matched, up to unimodular affine
-maps of the lattice, against the hexagon-family mirror pairs of
-width-one strips.
+The search never walks the box.  Its set count is a knapsack count
+(count_chains), and the only signatures that can hold two sets up to
+reflection are enumerated as splits Z + A +- B: two lattice polygons A
+and B with no two parallel edges, on disjoint lines, and a centrally
+symmetric Z.  Each such signature's sets are rebuilt from its edge
+lines, grouped by covariogram, and every class with two or more
+members up to translation and point reflection is reported.  Each found
+pair can be matched, up to unimodular affine maps of the lattice,
+against the hexagon-family mirror pairs of width-one strips.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from ._polygons import (
     _chain_key,
     _closing_chains,
     _lattice_points_of_chain,
+    _ray_groups,
+    count_chains,
     map_chains,
 )
 from .covariogram import compute_covariogram
@@ -87,16 +93,110 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     yield from map_chains(_lattice_points_of_chain, width - 1, height - 1, jobs)
 
 
-def _keyed_chain(chain) -> tuple | None:
-    """The bucket key of a chain, or None when fewer than six of its
-    edge lines are free (faces of unequal length); module-level so pool
-    workers run it."""
-    if len(chain) < 6:
+def _rays(chain) -> frozenset:
+    """The primitive direction of each edge of a chain."""
+    return frozenset((dx // g, dy // g) for dx, dy in chain
+                     for g in (gcd(dx, dy),))
+
+
+def _split_part(chain) -> list | None:
+    """The chain when no two of its edges are parallel, else None;
+    module-level so pool workers run it."""
+    rays = _rays(chain)
+    if any((-x, -y) in rays for x, y in rays):
         return None
-    key = _chain_key(chain)
-    if sum(q != p for _, q, p in key[1]) < 6:
-        return None
-    return key
+    return chain
+
+
+def _sum_chain(rank: dict, chains) -> list:
+    """Edge chain of the Minkowski sum of closed convex chains: edges on
+    one ray add up, and rank orders the primitive rays by angle."""
+    edges: dict = {}
+    for chain in chains:
+        for dx, dy in chain:
+            g = gcd(dx, dy)
+            r = rank[dx // g, dy // g]
+            ex, ey = edges.get(r, (0, 0))
+            edges[r] = (ex + dx, ey + dy)
+    return [edges[r] for r in sorted(edges)]
+
+
+def _zonotopes(rx: int, ry: int) -> list:
+    """Every centrally symmetric chain part of x-extent at most rx and
+    y-extent at most ry: m >= 1 times the segment of each chosen line,
+    as the edge pairs (m*u, -m*u), the empty part included."""
+    lines = [(x, y) for y in range(ry + 1) for x in range(-rx, rx + 1)
+             if (y > 0 or x > 0) and gcd(x, y) == 1]
+    out = []
+
+    def rec(i, rx, ry, edges):
+        out.append(edges)
+        for j in range(i, len(lines)):
+            x, y = lines[j]
+            m = 1
+            while m * abs(x) <= rx and m * y <= ry:
+                rec(j + 1, rx - m * abs(x), ry - m * y,
+                    edges + [(m * x, m * y), (-m * x, -m * y)])
+                m += 1
+
+    rec(0, rx, ry, [])
+    return out
+
+
+def _split_keys(width: int, height: int, jobs: int = 1) -> set:
+    """The key (2|K|, edge signature) of every signature that has two
+    closings of equal |K|, other than a chain and its reflection, whose
+    sets fit a width x height point grid.
+
+    Two such closings agree on some free lines (faces of unequal length)
+    and differ on the others, and the steps (p - q) * d of each part sum
+    to zero, so each part is a closed chain A or B with no two parallel
+    edges, and the two sets are Z + A + B and Z + A - B for a centrally
+    symmetric Z.  Nonzero steps on distinct lines need three to sum to
+    zero, so A and B are lattice polygons of extent at least (1, 1), and
+    the parts are walked at one less than the box.  Parts are taken up
+    to sign, and a pair fits when its extents and Z's add up to at most
+    the box's.  Z + A + B and Z + A - B share their boundary count, and
+    their areas differ only by the mixed areas of A with B and with -B,
+    so the Pick test runs once per pair, on A + B and A - B, before any
+    Z is added."""
+    dx, dy = width - 1, height - 1
+    parts: dict = {}
+    for chain in map_chains(_split_part, dx - 1, dy - 1, jobs):
+        if chain is not None:
+            neg = tuple(sorted((-x, -y) for x, y in chain))
+            parts.setdefault(min(tuple(sorted(chain)), neg), chain)
+    rank = {group[0]: i for i, group in enumerate(_ray_groups(dx, dy))}
+    by_extent: dict = {}
+    for chain in parts.values():
+        rays = _rays(chain)
+        extent = (sum(x for x, _ in chain if x > 0),
+                  sum(y for _, y in chain if y > 0))
+        by_extent.setdefault(extent, []).append(
+            (chain, rays | {(-x, -y) for x, y in rays}))
+    extents = sorted(by_extent)
+    zonotopes: dict = {}
+    keys = set()
+    for i, (ax, ay) in enumerate(extents):
+        for bx, by in extents[i:]:
+            rx, ry = dx - ax - bx, dy - ay - by
+            if rx < 0 or ry < 0:
+                continue
+            group_a, group_b = by_extent[ax, ay], by_extent[bx, by]
+            for j, (a, lines_a) in enumerate(group_a):
+                for b, lines_b in (group_b if group_b is not group_a
+                                   else group_a[j + 1:]):
+                    if not lines_a.isdisjoint(lines_b):
+                        continue
+                    plus = _sum_chain(rank, (a, b))
+                    minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
+                    if _chain_key(plus)[0] != _chain_key(minus)[0]:
+                        continue
+                    if (rx, ry) not in zonotopes:
+                        zonotopes[rx, ry] = _zonotopes(rx, ry)
+                    for z in zonotopes[rx, ry]:
+                        keys.add(_chain_key(_sum_chain(rank, (plus, z))))
+    return keys
 
 
 def homometric_classes(width: int, height: int, jobs: int = 1,
@@ -106,41 +206,40 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
 
     Homometric sets share |K| and the edge signature: for each edge line
     {u, -u}, the unordered lattice lengths of the two faces across it.
-    Both are read off each enumerated edge chain without building any
-    points, and only the number of chains per key is kept.  Only chains
-    with six or more free lines (faces of unequal length) are keyed: two
-    side assignments of one signature, other than a chain and its
-    reflection, split the free lines into two zero-sum sets of steps,
-    and nonzero steps on distinct lines need three to sum to zero.  Such
-    a chain is never centrally symmetric, so a key walked four or more
-    times holds two or more reflection classes.  Its sets are built from
-    _closing_chains, one per class, and grouped by covariogram within
-    the key, since a covariogram determines its key.  A class is
-    interesting when it holds two or more distinct canonical forms, and
-    every reported pair is re-verified.  total_classes counts every
-    chain, one per translation class.
+    Only a signature with two side assignments of equal |K|, other than
+    a chain and its reflection, can hold a homometric pair, and those
+    keys are enumerated directly as splits Z + A +- B (_split_keys); the
+    box is never walked.  Each key's sets are built from
+    _closing_chains, one per reflection class, and grouped within the
+    key by an exact table of difference counts, since a covariogram
+    determines its key.  A class is interesting when it holds two or
+    more distinct canonical forms, and every reported pair is
+    re-verified.  total_classes counts every set of the box, one per
+    translation class, by count_chains.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    counts: dict = {}
-    total = 0
-    for key in map_chains(_keyed_chain, width - 1, height - 1, jobs):
-        total += 1
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
+    keys = _split_keys(width, height, jobs)
+    total = count_chains(width - 1, height - 1)
+    # Sets lie in the box, so a difference has |dy| <= height - 1 and
+    # x * stride + y packs differences injectively.
+    stride = 2 * height - 1
     found = []
-    for (twice_n, sig), count in counts.items():
-        if count < 4:
-            continue
-        by_covariogram: dict = {}
+    for twice_n, sig in sorted(keys):
+        by_table: dict = {}
         for chain in _closing_chains(sig, twice_n):
             K = _lattice_points_of_chain(chain)
-            fp = tuple(sorted(compute_covariogram(K).entries.items()))
-            by_covariogram.setdefault(fp, set()).add(canonical_form(K))
-        for forms in by_covariogram.values():
+            packed = [x * stride + y for x, y in K]
+            table = frozenset(
+                Counter([p - q for p in packed for q in packed]).items())
+            by_table.setdefault(table, []).append(K)
+        for sets in by_table.values():
+            if len(sets) < 2:
+                continue
+            forms = {canonical_form(K) for K in sets}
             if len(forms) < 2:
                 continue
             members = tuple(sorted(forms, key=sorted))

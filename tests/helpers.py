@@ -258,6 +258,34 @@ def covariogram_grouping(width, height):
     return total, classes
 
 
+def keyed_chain(chain):
+    """The (2|K|, edge signature) key of a chain, or None when fewer than
+    six of its edge lines are free (faces of unequal length)."""
+    from latcov._polygons import _chain_key
+
+    if len(chain) < 6:
+        return None
+    key = _chain_key(chain)
+    if sum(q != p for _, q, p in key[1]) < 6:
+        return None
+    return key
+
+
+def keyed_walk_counts(extent):
+    """Key -> number of chains, over every chain of the box extent with
+    six or more free lines: the count table the search kept before it
+    enumerated splits.  A key counted four or more times holds two or
+    more reflection classes."""
+    from latcov._polygons import map_chains
+
+    counts = {}
+    for chain in map_chains(tuple, *extent):
+        key = keyed_chain(chain)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def edge_line(d):
     """The direction of {d, -d} in the upper half-plane (or +x)."""
     return d if d[1] > 0 or (d[1] == 0 and d[0] > 0) else (-d[0], -d[1])

@@ -320,6 +320,15 @@ def test_search_records_pinned_6x5(capsys):
         "6fa8f302ef225d55e15f82ebdf01864797b9e1a1cff354cf49621496121efeab")
 
 
+def test_search_records_pinned_5x6(capsys):
+    # the transposed box: the same 12 pairs, each found and matched anew
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", "5x6",
+                     "--match-corollary", "--jobs", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e7b70edca6d87e23322b1ed458b644da35dff5c7fb7d8204226b63bf3e49e9cb")
+
+
 def test_search_box_guard(capsys):
     rc, _, err = run(capsys, "search", "--box", "9x9")
     assert rc == 2

@@ -272,30 +272,76 @@ def test_keyed_chain_drops_chains_with_fewer_than_six_free_lines():
     chains = list(_polygons.map_chains(tuple, 5, 4))
     for chain in chains:
         free = sum(q != p for _, q, p in _polygons._chain_key(chain)[1])
-        keyed = search._keyed_chain(chain)
+        keyed = helpers.keyed_chain(chain)
         assert (keyed is None) == (free < 6), chain
         if keyed is not None:
             assert keyed == _polygons._chain_key(chain)
             kept += 1
     assert (kept, len(chains)) == (8466, 53524)
+    assert sum(helpers.keyed_walk_counts((5, 4)).values()) == kept
 
 
 @pytest.mark.parametrize("extent", [(5, 4), (4, 5)])
 def test_keyed_walk_meets_closing_chains_twice(extent):
-    # the search counts keys and fills each colliding one back through
-    # _closing_chains: per key, the walk holds exactly those chains and
-    # their point reflections, each once, so twice as many chains
+    # a key's sets are filled back through _closing_chains: per key, the
+    # walk holds exactly those chains and their point reflections, each
+    # once, so twice as many chains
     walked = {}
     for chain in _polygons.map_chains(tuple, *extent):
-        key = search._keyed_chain(chain)
+        key = helpers.keyed_chain(chain)
         if key is not None:
             walked.setdefault(key, []).append(tuple(sorted(chain)))
     assert walked
+    assert {k: len(c) for k, c in walked.items()} == \
+        helpers.keyed_walk_counts(extent)
     for (twice_n, sig), chains in walked.items():
         built = [tuple(sorted(c))
                  for c in _polygons._closing_chains(sig, twice_n)]
         mirrored = [tuple(sorted((-dx, -dy) for dx, dy in c)) for c in built]
         assert sorted(chains) == sorted(built + mirrored), (twice_n, sig)
+
+
+def test_split_keys_are_the_walk_keys_with_two_classes():
+    # every extent up to (5, 4) and (4, 5): the splits Z + A +- B give
+    # exactly the keys the walk counts four or more times
+    extents = {(dx, dy) for dx in range(6) for dy in range(5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        counts = helpers.keyed_walk_counts((dx, dy))
+        want = {key for key, count in counts.items() if count >= 4}
+        assert search._split_keys(dx + 1, dy + 1) == want, (dx, dy)
+    assert len(search._split_keys(6, 5)) == len(search._split_keys(5, 6)) == 633
+
+
+def test_chain_count_is_the_walk_count():
+    extents = {(dx, dy) for dx in range(6) for dy in range(5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        walked = sum(1 for _ in _polygons.map_chains(len, dx, dy))
+        assert _polygons.count_chains(dx, dy) == walked, (dx, dy)
+    # the walk-measured counts of larger boxes, without walking them
+    assert _polygons.count_chains(6, 5) == 508374
+    assert _polygons.count_chains(6, 6) == 1588952
+    assert _polygons.count_chains(7, 6) == 4402020
+    assert _polygons.count_chains(-1, 3) == _polygons.count_chains(0, 0) == 0
+
+
+def test_search_walks_only_the_parts_of_splits(monkeypatch):
+    # the search walks the split parts at extent (4, 3), not the 53,524
+    # chains of the box, and counts the box without walking it
+    walk = _polygons._chains_from_root
+    leaves = []
+
+    def counted(*args):
+        for chain in walk(*args):
+            leaves.append(1)
+            yield chain
+
+    monkeypatch.setattr(_polygons, "_chains_from_root", counted)
+    rep = homometric_classes(6, 5)
+    assert rep.total_classes == 53524
+    assert len(rep.classes) == 12
+    assert 0 < len(leaves) <= 5024
 
 
 class RecordingPool:
@@ -372,10 +418,18 @@ def test_map_chains_walk_streams_within_a_shard():
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one_refused(jobs):
+def test_jobs_below_one_refused(jobs, monkeypatch):
     with pytest.raises(LatticeError, match="jobs"):
         _polygons.map_chains(tuple, 3, 3, jobs=jobs)
     with pytest.raises(LatticeError, match="jobs"):
         list(enumerate_lattice_convex(3, 3, jobs=jobs))
-    with pytest.raises(LatticeError, match="jobs"):
-        homometric_classes(3, 3, jobs=jobs)
+    # refused before any work, also on boxes that hold no split
+    def no_work(*args):
+        raise AssertionError("work done before jobs was checked")
+
+    monkeypatch.setattr(_polygons, "_ray_groups", no_work)
+    monkeypatch.setattr(search, "_ray_groups", no_work)
+    monkeypatch.setattr(search, "count_chains", no_work)
+    for w, h in [(1, 1), (2, 2), (2, 5), (3, 3), (6, 5)]:
+        with pytest.raises(LatticeError, match="jobs"):
+            homometric_classes(w, h, jobs=jobs)
