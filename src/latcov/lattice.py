@@ -290,46 +290,55 @@ def _anchor_triple(pts: list[Point]):
 def affine_witnesses(K, L):
     """Yield every unimodular affine map sending K exactly onto L.
 
-    Anchored at a minimal-determinant independent triple of K; candidate
-    images are the ordered triples of L with the same absolute determinant.
+    Such a map sends conv K onto conv L, so it sends hull vertices to hull
+    vertices and keeps their cyclic order, in one of two orientations.  The
+    candidates are therefore the at most 2v maps, v the number of hull
+    vertices, that send K's first vertex and its two neighbours to a vertex
+    of L's hull and its two neighbours, either way round; each is checked
+    for integrality and then on every point of K, in O(v * |K|) overall.
+    The witnesses come sorted by the images of K's minimal-determinant
+    independent triple, the order of a scan over all triples of L.
     """
-    Kp = sorted(point_set(K))
-    Lp = sorted(point_set(L))
-    if len(Kp[0]) != 2 or len(Lp[0]) != 2:
+    Kp = point_set(K)
+    Lp = point_set(L)
+    if dim_of(Kp) != 2 or dim_of(Lp) != 2:
         raise LatticeError("affine equivalence requires dimension 2")
-    if not spans_plane(Kp) or not spans_plane(Lp):
+    hk = convex_hull(Kp)
+    hl = convex_hull(Lp)
+    if hk.is_degenerate or hl.is_degenerate:
         raise LatticeError("degenerate set")
-    if len(Kp) != len(Lp):
+    V, W = hk.vertices, hl.vertices
+    if len(Kp) != len(Lp) or len(V) != len(W):
         return
-    d, p0, p1, p2 = _anchor_triple(Kp)
-    e1 = vsub(p1, p0)
-    e2 = vsub(p2, p0)
+    p0 = V[0]
+    e1 = vsub(V[1], p0)
+    e2 = vsub(V[-1], p0)
     detm = det2(e1, e2)
-    Lset = set(Lp)
-    for q0 in Lp:
-        for q1 in Lp:
-            if q1 == q0:
+    v = len(W)
+    found = []
+    for j, q0 in enumerate(W):
+        for s in (1, -1):
+            f1 = vsub(W[(j + s) % v], q0)
+            f2 = vsub(W[(j - s) % v], q0)
+            if abs(det2(f1, f2)) != abs(detm):
                 continue
-            f1 = vsub(q1, q0)
-            for q2 in Lp:
-                if q2 == q0 or q2 == q1:
-                    continue
-                f2 = vsub(q2, q0)
-                if abs(det2(f1, f2)) != d:
-                    continue
-                # Solve A [e1 e2] = [f1 f2] by adjugate; A must be integral.
-                n00 = f1[0] * e2[1] - f2[0] * e1[1]
-                n01 = -f1[0] * e2[0] + f2[0] * e1[0]
-                n10 = f1[1] * e2[1] - f2[1] * e1[1]
-                n11 = -f1[1] * e2[0] + f2[1] * e1[0]
-                if any(n % detm for n in (n00, n01, n10, n11)):
-                    continue
-                mat = ((n00 // detm, n01 // detm), (n10 // detm, n11 // detm))
-                t = (q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
-                     q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1])
-                fn = AffineMap2(mat, t)
-                if all(fn.apply(p) in Lset for p in Kp):
-                    yield fn
+            # Solve A [e1 e2] = [f1 f2] by adjugate; A must be integral.
+            n00 = f1[0] * e2[1] - f2[0] * e1[1]
+            n01 = -f1[0] * e2[0] + f2[0] * e1[0]
+            n10 = f1[1] * e2[1] - f2[1] * e1[1]
+            n11 = -f1[1] * e2[0] + f2[1] * e1[0]
+            if any(n % detm for n in (n00, n01, n10, n11)):
+                continue
+            mat = ((n00 // detm, n01 // detm), (n10 // detm, n11 // detm))
+            t = (q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
+                 q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1])
+            fn = AffineMap2(mat, t)
+            if all(fn.apply(p) in Lp for p in Kp):
+                found.append(fn)
+    if len(found) > 1:
+        anchor = _anchor_triple(sorted(Kp))[1:]
+        found.sort(key=lambda fn: [fn.apply(p) for p in anchor])
+    yield from found
 
 
 def affine_equivalent(K, L) -> AffineMap2 | None:

@@ -404,3 +404,49 @@ def halfopen_parallelogram_count(u, v) -> int:
             if ok:
                 count += 1
     return count
+
+
+def affine_witnesses_by_triples(K, L):
+    """affine_witnesses the exhaustive way: anchor K at a minimal-determinant
+    independent triple and try every ordered triple of L with the same
+    absolute determinant, in lexicographic order, checking each integral
+    map on all of K.  Cubic in |L|."""
+    from latcov.lattice import (AffineMap2, LatticeError, _anchor_triple,
+                                det2, point_set, spans_plane, vsub)
+
+    Kp = sorted(point_set(K))
+    Lp = sorted(point_set(L))
+    if len(Kp[0]) != 2 or len(Lp[0]) != 2:
+        raise LatticeError("affine equivalence requires dimension 2")
+    if not spans_plane(Kp) or not spans_plane(Lp):
+        raise LatticeError("degenerate set")
+    if len(Kp) != len(Lp):
+        return
+    d, p0, p1, p2 = _anchor_triple(Kp)
+    e1 = vsub(p1, p0)
+    e2 = vsub(p2, p0)
+    detm = det2(e1, e2)
+    Lset = set(Lp)
+    for q0 in Lp:
+        for q1 in Lp:
+            if q1 == q0:
+                continue
+            f1 = vsub(q1, q0)
+            for q2 in Lp:
+                if q2 == q0 or q2 == q1:
+                    continue
+                f2 = vsub(q2, q0)
+                if abs(det2(f1, f2)) != d:
+                    continue
+                n00 = f1[0] * e2[1] - f2[0] * e1[1]
+                n01 = -f1[0] * e2[0] + f2[0] * e1[0]
+                n10 = f1[1] * e2[1] - f2[1] * e1[1]
+                n11 = -f1[1] * e2[0] + f2[1] * e1[0]
+                if any(n % detm for n in (n00, n01, n10, n11)):
+                    continue
+                mat = ((n00 // detm, n01 // detm), (n10 // detm, n11 // detm))
+                t = (q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
+                     q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1])
+                fn = AffineMap2(mat, t)
+                if all(fn.apply(p) in Lset for p in Kp):
+                    yield fn

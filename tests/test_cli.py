@@ -147,6 +147,18 @@ def test_affine_equiv_exit_codes(tmp_path, capsys):
     assert "equivalent=false" in out
 
 
+def test_affine_equiv_in_time_on_large_sets(tmp_path, capsys):
+    # 324 points each; the hulls differ in area, so no map exists
+    grid = "".join(f"{i} {j}\n" for i in range(18) for j in range(18))
+    strip = "".join(f"{i} {j}\n" for i in range(162) for j in range(2))
+    a = write(tmp_path, "grid.pts", grid)
+    b = write(tmp_path, "strip.pts", strip)
+    t0 = time.monotonic()
+    rc, out, _ = run(capsys, "affine-equiv", a, b)
+    assert rc == 1 and "equivalent=false" in out
+    assert time.monotonic() - t0 < 2
+
+
 def test_gen_pair_stdout_and_files(tmp_path, capsys):
     rc, out, _ = run(capsys, "gen-pair", "--k", "1", "--l", "0",
                      "--hex", "0,1,0,1,0,1")

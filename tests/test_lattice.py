@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from latcov.lattice import (
     support_set,
     translate,
 )
+from latcov.search import enumerate_lattice_convex
 
 
 def test_primitive():
@@ -205,6 +207,77 @@ def test_affine_witnesses_include_self_symmetries():
     assert ((0, 1), (1, 0)) in mats
     for w in wits:
         assert w.apply_set(sq) == sq
+
+
+# reflections, rotations and shears, each with a shift
+ORDER_MAPS = [AffineMap2(m, t) for m, t in [
+    (((1, 0), (0, 1)), (3, -2)), (((0, 1), (1, 0)), (0, 0)),
+    (((-1, 0), (0, 1)), (5, 1)), (((0, -1), (1, 0)), (-2, 7)),
+    (((1, 1), (0, 1)), (0, 0)), (((1, 0), (-2, 1)), (1, 1)),
+    (((2, 1), (1, 1)), (-4, 0)), (((1, 2), (1, 1)), (2, -3))]]
+
+
+def assert_oracle_order(K, L):
+    got = [(w.matrix, w.shift) for w in affine_witnesses(K, L)]
+    want = [(w.matrix, w.shift)
+            for w in helpers.affine_witnesses_by_triples(K, L)]
+    assert got == want
+    return len(got)
+
+
+@pytest.mark.parametrize("fn", ORDER_MAPS, ids=lambda fn: str(fn.matrix))
+def test_affine_witnesses_oracle_order_on_images(fn):
+    for K in enumerate_lattice_convex(4, 4):
+        assert assert_oracle_order(K, fn.apply_set(K)) >= 1
+
+
+def test_affine_witnesses_oracle_order_on_random_pairs():
+    by_size = {}
+    for K in enumerate_lattice_convex(4, 4):
+        by_size.setdefault(len(K), []).append(K)
+    sizes = sorted(by_size)
+    rng = random.Random(412)
+    found = 0
+    for _ in range(400):
+        group = by_size[rng.choice(sizes)]
+        K, L = rng.choice(group), rng.choice(group)
+        found += assert_oracle_order(K, rng.choice(ORDER_MAPS).apply_set(L))
+    assert found
+
+
+def test_affine_witnesses_oracle_order_off_lattice_convex():
+    sq = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+    assert assert_oracle_order(sq, sq) == 8
+    grid = frozenset((2 * i, 2 * j) for i in range(3) for j in range(3))
+    assert assert_oracle_order(grid, grid) == 8
+    # a 4x3 grid minus an inner point, and its mirror image
+    rect = frozenset((i, j) for i in range(4) for j in range(3))
+    holed, mirrored = rect - {(1, 1)}, rect - {(2, 1)}
+    for fn in ORDER_MAPS:
+        assert assert_oracle_order(grid, fn.apply_set(grid)) == 8
+        assert assert_oracle_order(holed, fn.apply_set(holed)) == 2
+        assert assert_oracle_order(holed, fn.apply_set(mirrored)) == 2
+    # sets of the 4x4 box minus a point that is not a hull vertex
+    for n, K in enumerate(enumerate_lattice_convex(4, 4)):
+        inner = sorted(K - set(convex_hull(K).vertices))
+        if n % 4 or not inner:
+            continue
+        fn = ORDER_MAPS[n // 4 % len(ORDER_MAPS)]
+        D = K - {inner[0]}
+        assert assert_oracle_order(D, fn.apply_set(D)) >= 1
+        assert_oracle_order(D, fn.apply_set(K - {inner[-1]}))
+
+
+def test_affine_equivalent_in_time_on_large_sets():
+    grid = frozenset((i, j) for i in range(18) for j in range(18))
+    strip = frozenset((i, j) for i in range(162) for j in range(2))
+    fn = AffineMap2(((2, 1), (1, 1)), (0, 0))
+    t0 = time.monotonic()
+    assert affine_equivalent(grid, strip) is None
+    assert time.monotonic() - t0 < 2
+    t0 = time.monotonic()
+    assert affine_equivalent(grid, fn.apply_set(grid)) == fn
+    assert time.monotonic() - t0 < 2
 
 
 def test_halfopen_parallelogram_count():

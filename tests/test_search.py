@@ -15,6 +15,7 @@ from latcov.homometry import (
 from latcov.lattice import (
     AffineMap2,
     LatticeError,
+    affine_witnesses,
     canonical_form,
     convex_hull,
     is_lattice_convex,
@@ -148,6 +149,30 @@ def test_match_corollary_beyond_k_4():
     m = match_corollary(rep.first, rep.second)
     assert m is not None
     assert (m.params.k, m.params.ell) == (5, 4)
+
+
+def test_affine_witnesses_oracle_order_on_6x5_candidates():
+    # each member against every generated member match_corollary tries
+    matched = 0
+    for cls in homometric_classes(6, 5).classes:
+        for hom in cls.pairs:
+            n = len(hom.first)
+            for k in range(1, (n - 1) // 2 + 1):
+                params = WidthOneParams(k, k - 1)
+                if n % params.index:
+                    continue
+                for hx in search._hexagon_candidates(n // params.index):
+                    pair = corollary_pair_generator(params, hx)
+                    if not pair.nontrivial:
+                        continue
+                    for K in (hom.first, hom.second):
+                        for P in (pair.first, pair.second):
+                            got = list(affine_witnesses(K, P))
+                            want = list(
+                                helpers.affine_witnesses_by_triples(K, P))
+                            assert got == want
+                            matched += bool(got)
+    assert matched
 
 
 def test_match_corollary_precondition():
