@@ -184,21 +184,6 @@ def is_lattice_convex(K) -> bool:
     return hull_lattice_points(convex_hull(pts)) == pts
 
 
-def spans_plane(K) -> bool:
-    """True iff the planar set contains three non-collinear points."""
-    pts = list(point_set(K))
-    if len(pts) < 3:
-        return False
-    p0 = pts[0]
-    base = None
-    for p in pts[1:]:
-        if base is None:
-            base = vsub(p, p0)
-        elif det2(base, vsub(p, p0)) != 0:
-            return True
-    return False
-
-
 def support_set(K, u) -> frozenset[Point]:
     """Points of K with maximal inner product against u."""
     pts = point_set(K)
@@ -275,14 +260,29 @@ class AffineMap2:
         return cls(((1, 0), (0, 1)), (0, 0))
 
 
+def _index(vectors) -> int:
+    """Index in Z^2 of the lattice the planar vectors span, 0 when they
+    are collinear: Euclid on x keeps a basis (a, (0, c)) of the span."""
+    a, c = (0, 0), 0
+    for v in vectors:
+        while v[0]:
+            q = a[0] // v[0]
+            a, v = v, (a[0] - q * v[0], a[1] - q * v[1])
+        c = gcd(c, v[1])
+    return abs(a[0] * c)
+
+
 def _anchor_triple(pts: list[Point]):
-    """Affinely independent triple with minimal |det| of its edge pair."""
+    """Affinely independent triple with minimal |det| of its edge pair.
+    Every such |det| is a multiple of the index of the lattice that the
+    differences span, so the scan stops at the first triple there."""
+    index = _index(vsub(p, pts[0]) for p in pts)
     best = None
     for p0, p1, p2 in combinations(pts, 3):
         d = abs(det2(vsub(p1, p0), vsub(p2, p0)))
         if d and (best is None or d < best[0]):
             best = (d, p0, p1, p2)
-            if d == 1:
+            if d == index:
                 break
     return best
 

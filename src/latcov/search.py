@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
 from ._polygons import (
+    _angle_cmp,
     _chain_key,
     _closing_chains,
     _lattice_points_of_chain,
@@ -31,14 +33,15 @@ from .homometry import (
     HexagonParams,
     WidthOneParams,
     corollary_pair_generator,
+    width_one_T,
 )
 from .lattice import (
     AffineMap2,
     LatticeError,
     affine_witnesses,
     canonical_form,
-    difference_set,
-    is_centrally_symmetric,
+    convex_hull,
+    dim_of,
     min_corner,
     point_set,
     vadd,
@@ -46,6 +49,7 @@ from .lattice import (
 )
 
 DESK_SCALE_LIMIT = 42
+_STRIP_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -258,32 +262,6 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     return SearchReport(width, height, total, tuple(found))
 
 
-def _hexagon_candidates(size: int):
-    """Hexagon windows holding exactly size points, one per translation
-    class of the coordinate region, in deterministic order."""
-    seen = set()
-    out = []
-    for a2 in range(size):
-        for b2 in range(size):
-            for g1 in range(-b2, a2 + 1):
-                for g2 in range(g1, a2 + 1):
-                    try:
-                        hx = HexagonParams(0, a2, 0, b2, g1, g2)
-                    except LatticeError:
-                        continue
-                    region = hx.region()
-                    if len(region) != size:
-                        continue
-                    mi = min(i for i, _ in region)
-                    mj = min(j for _, j in region)
-                    key = frozenset((i - mi, j - mj) for i, j in region)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(hx)
-    return out
-
-
 def _translation_to(matrix, src, dst) -> tuple | None:
     """Shift t with {matrix p + t} = dst, or None."""
     img = frozenset((matrix[0][0] * p[0] + matrix[0][1] * p[1],
@@ -294,108 +272,104 @@ def _translation_to(matrix, src, dst) -> tuple | None:
     return None
 
 
+def _faces(K) -> dict:
+    """Lattice lengths [along +d, along -d] of the hull's two faces
+    across each edge line d, d in the upper half-plane (or +x)."""
+    faces: dict = {}
+    for _, (dx, dy), count in convex_hull(K).edges:
+        if dy > 0 or (dy == 0 and dx > 0):
+            faces.setdefault((dx, dy), [0, 0])[0] = count - 1
+        else:
+            faces.setdefault((-dx, -dy), [0, 0])[1] = count - 1
+    return faces
+
+
+def _strip_windows(K, L):
+    """(k, a2, b2, g1, g2) of each hexagon window (0, a2, 0, b2, g1, g2)
+    that the edge chains of the homometric pair K, L allow.
+
+    K's free lines (faces of unequal length) split by whether L's faces
+    there have the same orientation, and the strip's triangle is one
+    group (Fact A; which depends on whether L is matched reflected).  A
+    group of three lines gives a triangle from its steps (p - q) d, and
+    each of the at most six maps of it onto conv{0, e1, e2} sends K to a
+    P whose (1, 0) line has faces (k, k - 1).  S is the points of P in
+    the sublattice coset of min P whose strip tile lies in P; the tight
+    windows of S and of -S are proposed."""
+    faces_l = _faces(L)
+    groups = ([], [])
+    for d, (p, q) in _faces(K).items():
+        if p != q:
+            groups[faces_l[d] == [p, q]].append(((p - q) * d[0],
+                                                 (p - q) * d[1]))
+    for steps in groups:
+        if len(steps) != 3:
+            continue
+        s1, s2, _ = sorted(steps, key=cmp_to_key(_angle_cmp))
+        for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
+                                   _STRIP_TRIANGLE):
+            P = fn.apply_set(K)
+            k, ell = _faces(P).get((1, 0), (0, 0))
+            if k != ell + 1:
+                continue
+            params = WidthOneParams(k, ell)
+            T = width_one_T(params)
+            o = min(P)
+            ij = [params.coords(vsub(p, o)) for p in P
+                  if params.contains(vsub(p, o))
+                  and all(vadd(p, t) in P for t in T)]
+            if not ij:
+                continue
+            a1, b1 = min(i for i, _ in ij), min(j for _, j in ij)
+            a2, b2 = max(i for i, _ in ij) - a1, max(j for _, j in ij) - b1
+            g1 = min(i - j for i, j in ij) - a1 + b1
+            g2 = max(i - j for i, j in ij) - a1 + b1
+            yield k, a2, b2, g1, g2
+            yield k, a2, b2, a2 - b2 - g2, a2 - b2 - g1
+
+
 def match_corollary(K, L) -> CorollaryMatch | None:
     """Match a nontrivially homometric pair against the hexagon family.
 
-    Tries every strip size k = l + 1 whose size 2k + 1 divides |K|, and
-    every hexagon window of the right cardinality, each candidate built
-    by corollary_pair_generator; a match needs one unimodular matrix
-    carrying K and L onto a nontrivial generated pair (in either order),
-    with translations free per member and the second member also allowed
-    a point reflection, since members are only determined up to their
-    class."""
+    A match needs one unimodular matrix carrying K and L onto a
+    nontrivial pair of corollary_pair_generator (in either order), with
+    translations free per member and the second member also allowed a
+    point reflection, since members are only determined up to their
+    class.  The windows _strip_windows proposes are tried in the order
+    (k, a2, b2, g1, g2), skipping those whose region does not hold
+    |K| / (2k + 1) points; the first that confirms is the witness, and
+    None means no strip size fits.
+
+    That is the first hit of a scan over every k with 2k + 1 dividing |K|
+    and every window of |K| / (2k + 1) points, one per region, as those
+    are the tight windows with corner 0, met in the same order.  A matrix
+    that confirms sends K onto S + T or S - T, so up to sign it sends K's
+    triangle part onto the strip's and is one of the maps the reader
+    tries, and the image of K under it gives k and the window exactly."""
     Kp = point_set(K)
     Lp = point_set(L)
+    if dim_of(Kp) != 2 or dim_of(Lp) != 2:
+        raise LatticeError("match_corollary requires dimension 2")
     if compute_covariogram(Kp) != compute_covariogram(Lp):
         raise LatticeError("pair is not homometric")
     if canonical_form(Kp) == canonical_form(Lp):
         raise LatticeError("pair is trivial")
-    n = len(Kp)
-    for k in range(1, (n - 1) // 2 + 1):
+    for k, a2, b2, g1, g2 in sorted(set(_strip_windows(Kp, Lp))):
         params = WidthOneParams(k, k - 1)
-        if n % params.index:
+        hx = HexagonParams(0, a2, 0, b2, g1, g2)
+        if len(hx.region()) * params.index != len(Kp):
             continue
-        for hx in _hexagon_candidates(n // params.index):
-            pair = corollary_pair_generator(params, hx)
-            if not pair.nontrivial:
-                continue
-            for swapped, (P, Q) in enumerate(
-                    [(pair.first, pair.second), (pair.second, pair.first)]):
-                for wit in affine_witnesses(Kp, P):
-                    m = wit.matrix
-                    for mm in (m, ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))):
-                        t = _translation_to(mm, Lp, Q)
-                        if t is not None:
-                            return CorollaryMatch(
-                                params, hx, wit,
-                                AffineMap2(mm, t), bool(swapped))
-    return None
-
-
-def _tilings(K0: frozenset, tile: tuple, positions: list):
-    """Exact-cover enumeration: position sets whose tile translates
-    partition K0."""
-    pos_cover = {}
-    for s in positions:
-        pos_cover[s] = frozenset(vadd(s, t) for t in tile)
-
-    def rec(uncovered, chosen):
-        if not uncovered:
-            yield frozenset(chosen)
-            return
-        p = min(uncovered)
-        for t in tile:
-            s = vsub(p, t)
-            cover = pos_cover.get(s)
-            if cover is not None and cover <= uncovered:
-                chosen.append(s)
-                yield from rec(uncovered - cover, chosen)
-                chosen.pop()
-
-    yield from rec(frozenset(K0), [])
-
-
-def constructibility_search(K, L, t_max: int = 12,
-                            require_nontrivial: bool = False):
-    """Look for S and a tile T with K = S + T directly and S + (-T) in
-    the class of L.  Bounded by t_max, so a None is not a proof of
-    impossibility.
-
-    Candidate tiles anchor their lexicographic minimum at the one of K,
-    must have size dividing |K|, and must fit the difference set of K;
-    each is tried by exact-cover tiling."""
-    Kp = point_set(K)
-    Lp = point_set(L)
-    if len(next(iter(Kp))) != 2 or len(next(iter(Lp))) != 2:
-        raise LatticeError("dimension")
-    if compute_covariogram(Kp) != compute_covariogram(Lp):
-        raise LatticeError("pair is not homometric")
-    n = len(Kp)
-    anchor = min(Kp)
-    K0 = frozenset(vsub(p, anchor) for p in Kp)
-    DK0 = difference_set(K0)
-    canon_L = canonical_form(Lp)
-    rest = sorted(K0 - {(0, 0)})
-    for size in range(2, min(t_max, n) + 1):
-        if n % size:
+        pair = corollary_pair_generator(params, hx)
+        if not pair.nontrivial:
             continue
-        for combo in combinations(rest, size - 1):
-            tile = ((0, 0),) + combo
-            if not difference_set(tile) <= DK0:
-                continue
-            tileset = frozenset(tile)
-            positions = [s for s in sorted(K0)
-                         if all(vadd(s, t) in K0 for t in tile)]
-            if len(positions) * size < n:
-                continue
-            for S in _tilings(K0, tile, positions):
-                mirror = frozenset(vsub(s, t) for s in S for t in tile)
-                if len(mirror) != n:
-                    continue
-                if canonical_form(mirror) != canon_L:
-                    continue
-                if require_nontrivial and (is_centrally_symmetric(S)
-                                           or is_centrally_symmetric(tileset)):
-                    continue
-                return (frozenset(vadd(s, anchor) for s in S), tileset)
+        for swapped, (P, Q) in enumerate(
+                [(pair.first, pair.second), (pair.second, pair.first)]):
+            for wit in affine_witnesses(Kp, P):
+                m = wit.matrix
+                for mm in (m, ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))):
+                    t = _translation_to(mm, Lp, Q)
+                    if t is not None:
+                        return CorollaryMatch(
+                            params, hx, wit,
+                            AffineMap2(mm, t), bool(swapped))
     return None

@@ -82,6 +82,23 @@ def brute_spanning(K):
     return any(_cross(o, a, b) != 0 for a, b in itertools.combinations(pts[1:], 2))
 
 
+def spans_plane(K):
+    """True iff the planar set contains three non-collinear points."""
+    from latcov.lattice import det2, point_set, vsub
+
+    pts = list(point_set(K))
+    if len(pts) < 3:
+        return False
+    p0 = pts[0]
+    base = None
+    for p in pts[1:]:
+        if base is None:
+            base = vsub(p, p0)
+        elif det2(base, vsub(p, p0)) != 0:
+            return True
+    return False
+
+
 def spanning_convex_subsets(width, height):
     """Every spanning lattice-convex subset of the box, the 2^(w*h) way."""
     cells = [(x, y) for x in range(width) for y in range(height)]
@@ -332,7 +349,7 @@ def reconstruct_by_enumeration(g, box_width=None, box_height=None):
     from math import isqrt
 
     from latcov.covariogram import compute_covariogram
-    from latcov.lattice import canonical_form, extent, spans_plane
+    from latcov.lattice import canonical_form, extent
 
     D = frozenset(g.entries)
     ex, ey = extent(D)
@@ -412,7 +429,7 @@ def affine_witnesses_by_triples(K, L):
     absolute determinant, in lexicographic order, checking each integral
     map on all of K.  Cubic in |L|."""
     from latcov.lattice import (AffineMap2, LatticeError, _anchor_triple,
-                                det2, point_set, spans_plane, vsub)
+                                det2, point_set, vsub)
 
     Kp = sorted(point_set(K))
     Lp = sorted(point_set(L))
@@ -450,3 +467,87 @@ def affine_witnesses_by_triples(K, L):
                 fn = AffineMap2(mat, t)
                 if all(fn.apply(p) in Lset for p in Kp):
                     yield fn
+
+
+def anchor_triple_by_scan(pts):
+    """_anchor_triple without its early stop: the first affinely
+    independent triple of minimal |det| over every triple of pts."""
+    best = None
+    for p0, p1, p2 in itertools.combinations(pts, 3):
+        d = abs(_cross(p0, p1, p2))
+        if d and (best is None or d < best[0]):
+            best = (d, p0, p1, p2)
+    return best
+
+
+def hexagon_candidates(size):
+    """Hexagon windows holding exactly size points, one per translation
+    class of the coordinate region, by scanning every window with its
+    corner at 0: the window list match_corollary once tried per strip
+    size.  For fixed a2, b2 and g1 a region only grows with g2, so the
+    g2 loop stops once it holds more than size points."""
+    from latcov.homometry import HexagonParams
+    from latcov.lattice import LatticeError
+
+    seen = set()
+    out = []
+    for a2 in range(size):
+        for b2 in range(size):
+            for g1 in range(-b2, a2 + 1):
+                for g2 in range(g1, a2 + 1):
+                    try:
+                        hx = HexagonParams(0, a2, 0, b2, g1, g2)
+                    except LatticeError:
+                        continue
+                    region = hx.region()
+                    if len(region) > size:
+                        break
+                    if len(region) != size:
+                        continue
+                    mi = min(i for i, _ in region)
+                    mj = min(j for _, j in region)
+                    key = frozenset((i - mi, j - mj) for i, j in region)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    out.append(hx)
+    return out
+
+
+def match_corollary_by_windows(K, L):
+    """match_corollary the exhaustive way: every strip size k = l + 1
+    whose size 2k + 1 divides |K|, and every hexagon window of
+    |K| / (2k + 1) points, each pair built by corollary_pair_generator
+    and confirmed by the same loop."""
+    from latcov.covariogram import compute_covariogram
+    from latcov.homometry import WidthOneParams, corollary_pair_generator
+    from latcov.lattice import (AffineMap2, LatticeError, affine_witnesses,
+                                canonical_form, point_set)
+    from latcov.search import CorollaryMatch, _translation_to
+
+    Kp = point_set(K)
+    Lp = point_set(L)
+    if compute_covariogram(Kp) != compute_covariogram(Lp):
+        raise LatticeError("pair is not homometric")
+    if canonical_form(Kp) == canonical_form(Lp):
+        raise LatticeError("pair is trivial")
+    n = len(Kp)
+    for k in range(1, (n - 1) // 2 + 1):
+        params = WidthOneParams(k, k - 1)
+        if n % params.index:
+            continue
+        for hx in hexagon_candidates(n // params.index):
+            pair = corollary_pair_generator(params, hx)
+            if not pair.nontrivial:
+                continue
+            for swapped, (P, Q) in enumerate(
+                    [(pair.first, pair.second), (pair.second, pair.first)]):
+                for wit in affine_witnesses(Kp, P):
+                    m = wit.matrix
+                    for mm in (m, ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))):
+                        t = _translation_to(mm, Lp, Q)
+                        if t is not None:
+                            return CorollaryMatch(
+                                params, hx, wit,
+                                AffineMap2(mm, t), bool(swapped))
+    return None

@@ -16,8 +16,8 @@ from latcov.lattice import (
     is_centrally_symmetric,
     is_lattice_convex,
     point_set,
+    _anchor_triple,
     primitive,
-    spans_plane,
     support_set,
     translate,
 )
@@ -105,6 +105,7 @@ def test_lattice_convex_segment():
 
 
 def test_spans_plane():
+    spans_plane = helpers.spans_plane
     assert spans_plane({(0, 0), (1, 0), (0, 1)})
     assert not spans_plane({(0, 0), (1, 1), (2, 2)})
     assert not spans_plane({(4, 5)})
@@ -278,6 +279,32 @@ def test_affine_equivalent_in_time_on_large_sets():
     t0 = time.monotonic()
     assert affine_equivalent(grid, fn.apply_set(grid)) == fn
     assert time.monotonic() - t0 < 2
+
+
+def test_affine_witnesses_in_time_without_a_unimodular_triangle():
+    # 2Z^2: every triangle has |det| at least 4, the index of the
+    # difference lattice, where the anchor scan stops
+    grid = frozenset((2 * i, 2 * j) for i in range(18) for j in range(18))
+    t0 = time.monotonic()
+    assert len(list(affine_witnesses(grid, grid))) == 8
+    assert time.monotonic() - t0 < 2
+
+
+def test_anchor_triple_matches_full_scan():
+    rng = random.Random(1331)
+    sets = [frozenset((a * i, b * j) for i in range(w) for j in range(h))
+            for a, b, w, h in [(2, 2, 4, 4), (3, 1, 3, 5), (2, 3, 5, 3)]]
+    sets.append(frozenset({(0, 0), (2, 0), (0, 2), (3, 3)}))
+    for _ in range(60):
+        pts = {(rng.randrange(-6, 7), rng.randrange(-6, 7))
+               for _ in range(rng.randint(3, 12))}
+        sets.append(frozenset(pts))
+        # sparse: scaled and sheared, so no small triangle need exist
+        s = rng.choice([2, 3])
+        sets.append(frozenset((s * x + y, s * y) for x, y in pts))
+    for K in sets:
+        pts = sorted(K)
+        assert _anchor_triple(pts) == helpers.anchor_triple_by_scan(pts)
 
 
 def test_halfopen_parallelogram_count():

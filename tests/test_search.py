@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -19,11 +20,9 @@ from latcov.lattice import (
     canonical_form,
     convex_hull,
     is_lattice_convex,
-    spans_plane,
     translate,
 )
 from latcov.search import (
-    constructibility_search,
     enumerate_lattice_convex,
     homometric_classes,
     match_corollary,
@@ -62,7 +61,7 @@ def test_enumerate_rejects_bad_box():
 def test_enumerate_sound():
     for K in enumerate_lattice_convex(4, 3):
         assert is_lattice_convex(K)
-        assert spans_plane(K)
+        assert helpers.spans_plane(K)
 
 
 def test_enumerate_complete_small_boxes():
@@ -161,7 +160,7 @@ def test_affine_witnesses_oracle_order_on_6x5_candidates():
                 params = WidthOneParams(k, k - 1)
                 if n % params.index:
                     continue
-                for hx in search._hexagon_candidates(n // params.index):
+                for hx in helpers.hexagon_candidates(n // params.index):
                     pair = corollary_pair_generator(params, hx)
                     if not pair.nontrivial:
                         continue
@@ -182,44 +181,72 @@ def test_match_corollary_precondition():
         match_corollary(sq, tri)  # not homometric
     with pytest.raises(LatticeError):
         match_corollary(sq, translate(sq, (4, 4)))  # trivial pair
-
-
-def test_constructibility_recovers_strip():
-    first, second = nine_point_pair()
-    found = constructibility_search(first, second, t_max=3)
-    assert found is not None
-    S, T = found
-    assert canonical_form(T) == canonical_form({(0, 0), (1, 0), (0, 1)})
-    summed = frozenset((s[0] + t[0], s[1] + t[1]) for s in S for t in T)
-    assert summed == frozenset(first)
-    mirrored = frozenset((s[0] - t[0], s[1] - t[1]) for s in S for t in T)
-    assert canonical_form(mirrored) == canonical_form(second)
-
-
-def test_constructibility_none_within_bound():
-    first, second = nine_point_pair()
-    assert constructibility_search(first, second, t_max=2) is None
-
-
-def test_constructibility_trivial_square():
-    sq = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
-    assert constructibility_search(sq, sq, require_nontrivial=True) is None
-    # without the flag a trivial witness exists
-    hit = constructibility_search(sq, sq)
-    assert hit is not None
-
-
-def test_constructibility_rejects_non_homometric():
-    sq = {(0, 0), (1, 0), (0, 1), (1, 1)}
-    tri = {(0, 0), (1, 0), (0, 1)}
-    with pytest.raises(LatticeError):
-        constructibility_search(sq, tri)
-
-
-def test_constructibility_dimension_guard():
     a = {(0, 0, 0, 0), (1, 0, 0, 0)}
     with pytest.raises(LatticeError, match="dimension"):
-        constructibility_search(a, a)
+        match_corollary(a, a)
+
+
+def test_hexagon_candidates_are_the_tight_windows():
+    # a window (0, a2, 0, b2, g1, g2) is tight when every bound is met:
+    # g1 <= min(0, a2 - b2) and g2 >= max(0, a2 - b2); its region is the
+    # rectangle less the two corners cut by g1 and g2
+    def tri(m):
+        return m * (m + 1) // 2
+
+    for size in range(1, 31):
+        tight = [(a2, b2, g1, g2)
+                 for a2 in range(size) for b2 in range(size)
+                 for g1 in range(-b2, min(0, a2 - b2) + 1)
+                 for g2 in range(max(0, a2 - b2), a2 + 1)
+                 if (a2 + 1) * (b2 + 1) - tri(b2 + g1) - tri(a2 - g2) == size]
+        got = [(hx.a2, hx.b2, hx.g1, hx.g2)
+               for hx in helpers.hexagon_candidates(size)]
+        assert got == tight
+
+
+# unimodular matrices that place generated pairs in general position
+PLACEMENTS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
+              ((2, 1), (1, 1)), ((1, 0), (-1, 1)), ((-1, 2), (0, 1)),
+              ((0, -1), (1, 0)), ((3, 2), (1, 1))]
+
+
+def test_match_corollary_equals_window_scan():
+    pairs = [(pr.first, pr.second)
+             for box in [(6, 5), (5, 6), (7, 6)]
+             for c in homometric_classes(*box, allow_large=True).classes
+             for pr in c.pairs]
+    assert len(pairs) == 12 + 12 + 36
+    rng = random.Random(2005)
+    while len(pairs) < 60 + 30:
+        k, a2, b2 = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        g1 = rng.randint(-b2, a2)
+        rep = corollary_pair_generator(
+            WidthOneParams(k, k - 1),
+            HexagonParams(0, a2, 0, b2, g1, rng.randint(g1, a2)))
+        if not rep.nontrivial:
+            continue
+        fn = AffineMap2(rng.choice(PLACEMENTS),
+                        (rng.randint(-9, 9), rng.randint(-9, 9)))
+        first, second = fn.apply_set(rep.first), fn.apply_set(rep.second)
+        if rng.random() < 0.5:
+            second = frozenset((-x, -y) for x, y in second)
+        pairs.append((second, first) if rng.random() < 0.5
+                     else (first, second))
+    for first, second in pairs:
+        m = match_corollary(first, second)
+        assert m is not None
+        assert m == helpers.match_corollary_by_windows(first, second)
+
+
+def test_match_corollary_in_time_at_k_20():
+    rep = corollary_pair_generator(
+        WidthOneParams(20, 19), HexagonParams(0, 1, 0, 1, 0, 1))
+    shear = AffineMap2(((2, 1), (1, 1)), (0, 0))
+    second = frozenset((-x, -y) for x, y in shear.apply_set(rep.second))
+    t0 = time.monotonic()
+    m = match_corollary(shear.apply_set(rep.first), second)
+    assert time.monotonic() - t0 < 2
+    assert m is not None and m.params.k == 20
 
 
 def test_search_5x4_report_shape():
