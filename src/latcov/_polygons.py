@@ -16,27 +16,36 @@ not extended, since the rays after it lie in an open half-plane.  Shards
 by first (lowest-angle) ray are independent and merge in a fixed order.
 
 count_chains counts the chains map_chains would walk, by a knapsack on
-their x and y extents, without walking them.  _closing_chains goes back
-from a key to its chains.
+their x and y extents, without walking them.
+
+The module owns the edge signature: _upper names a line {v, -v} by its
+side in the open upper half-plane or on the +x ray, _faces reads a
+chain's two face lengths per line, _chain_key packs them with 2|K| into
+the key, and _classes goes back from a key to its sets, grouped by
+covariogram.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from functools import cmp_to_key
 from math import gcd
 
 from .lattice import LatticeError
 
 
+def _upper(v) -> bool:
+    """v is the side that names the line {v, -v}: in the open upper
+    half-plane or on the +x ray."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+
+
 def _angle_cmp(a, b):
-    # Counterclockwise from the positive x axis: upper half-plane
-    # (including +x ray) before lower (including -x ray).
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return ha - hb
+    # Counterclockwise from the positive x axis: the _upper side first.
+    ua, ub = _upper(a), _upper(b)
+    if ua != ub:
+        return ub - ua
     c = a[0] * b[1] - a[1] * b[0]
     return -1 if c > 0 else (1 if c < 0 else 0)
 
@@ -156,28 +165,36 @@ def _lattice_points_of_chain(chain) -> frozenset:
     return frozenset(pts)
 
 
+def _faces(chain) -> dict:
+    """Per line d (its _upper side) parallel to an edge of a closed convex
+    chain, the lattice lengths [along d, along -d] of its two faces (0
+    for a vertex), whatever the order of the edges."""
+    faces: dict = {}
+    for dx, dy in chain:
+        g = gcd(dx, dy)
+        if _upper((dx, dy)):
+            faces.setdefault((dx // g, dy // g), [0, 0])[0] = g
+        else:
+            faces.setdefault((-dx // g, -dy // g), [0, 0])[1] = g
+    return faces
+
+
 def _chain_key(chain) -> tuple:
     """(2|K|, edge signature) of the polygon traced by a closed convex
     chain, in O(edges) and without building any points.
 
     2|K| is Pick's theorem: twice the shoelace area plus the boundary
-    point count plus 2.  The signature lists, for each line {u, -u}
-    parallel to an edge, the unordered lattice lengths of the two faces
-    across it (0 for a face that is a vertex).  The covariogram of the
+    point count plus 2.  The signature lists (line, q, p) for each line
+    of _faces, with q <= p its two face lengths.  The covariogram of the
     set determines both parts.
     """
-    x = y = twice_area = boundary = 0
-    faces: dict = {}
+    x = y = twice_area = 0
     for dx, dy in chain:
         twice_area += x * dy - y * dx
         x += dx
         y += dy
-        g = gcd(dx, dy)
-        boundary += g
-        if dy > 0 or (dy == 0 and dx > 0):
-            faces.setdefault((dx // g, dy // g), [0, 0])[0] = g
-        else:
-            faces.setdefault((-dx // g, -dy // g), [0, 0])[1] = g
+    faces = _faces(chain)
+    boundary = sum(p + q for p, q in faces.values())
     sig = tuple(sorted((line, min(f), max(f)) for line, f in faces.items()))
     return twice_area + boundary + 2, sig
 
@@ -228,6 +245,25 @@ def _closing_chains(lines, twice_n: int):
             chain.sort(key=cmp_to_key(_angle_cmp))
             if _chain_key(chain)[0] == twice_n:
                 yield chain
+
+
+def _classes(lines, twice_n: int):
+    """The sets of _closing_chains(lines, twice_n), in lists grouped by
+    their exact tables of difference counts, that is by covariogram.
+    Every closing has the y-extent h = sum (p + q) dy / 2 over the lines,
+    so a difference (x, y) packs injectively as x (2h + 1) + y."""
+    sets = [_lattice_points_of_chain(chain)
+            for chain in _closing_chains(lines, twice_n)]
+    if len(sets) < 2:       # most signatures close once: nothing to group
+        return [sets] if sets else []
+    stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
+    groups: dict = {}
+    for K in sets:
+        packed = [x * stride + y for x, y in K]
+        table = frozenset(
+            Counter([p - q for p in packed for q in packed]).items())
+        groups.setdefault(table, []).append(K)
+    return groups.values()
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:
@@ -302,6 +338,9 @@ def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1):
 
 def _stream(shard_args, workers):
     if workers > 1:
+        # Loaded here: the pool's modules cost every import of latcov.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for shard in pool.map(_shard, shard_args):
                 yield from shard

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .lattice import LatticeError, point_set, vadd, vneg
 
@@ -20,7 +21,8 @@ class Covariogram:
 
     Entries store u and -u redundantly.  Symmetry, positivity of counts,
     and presence and maximality of the origin entry are all checked at
-    construction time; an object of this type is always a structurally
+    construction time, on a private copy of the entries that is then
+    kept read-only; an object of this type is always a structurally
     valid covariogram (though not necessarily realizable by any set).
     """
 
@@ -29,7 +31,8 @@ class Covariogram:
 
     def __post_init__(self):
         origin = (0,) * self.dim
-        e = self.entries
+        e = dict(self.entries)
+        object.__setattr__(self, "entries", MappingProxyType(e))
         peak = e.get(origin)
         if peak is None:
             raise LatticeError("invalid covariogram: origin entry missing")
@@ -59,13 +62,15 @@ def compute_covariogram(K) -> Covariogram:
         counts = Counter((a[0] - b[0], a[1] - b[1]) for a in pts for b in pts)
     else:
         counts = Counter(tuple(x - y for x, y in zip(a, b)) for a in pts for b in pts)
-    return Covariogram(d, dict(counts))
+    return Covariogram(d, counts)
 
 
 def support_of(g: Covariogram) -> frozenset:
     """Vectors with positive count; equals the difference set of any
     realizing set."""
-    return frozenset(g.entries)
+    # From a dict copy, frozenset reuses the stored hashes; from the
+    # read-only view it would hash every key again.
+    return frozenset(g.entries.copy())
 
 
 def convolve(g1: Covariogram, g2: Covariogram) -> Covariogram:
@@ -80,4 +85,4 @@ def convolve(g1: Covariogram, g2: Covariogram) -> Covariogram:
     for v, cv in g1.entries.items():
         for w, cw in g2.entries.items():
             out[vadd(v, w)] += cv * cw
-    return Covariogram(g1.dim, dict(out))
+    return Covariogram(g1.dim, out)

@@ -101,10 +101,29 @@ class HexagonParams:
         if max(self.a1 - self.b2, self.g1) > min(self.a2 - self.b1, self.g2):
             raise LatticeError("hexagon region is empty")
 
+    def _rows(self) -> range:
+        # the i whose j-range is nonempty
+        return range(max(self.a1, self.b1 + self.g1),
+                     min(self.a2, self.b2 + self.g2) + 1)
+
+    def _width(self, i: int) -> int:
+        return min(self.b2, i - self.g1) - max(self.b1, i - self.g2) + 1
+
     def region(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.a1, self.a2 + 1)
+        return [(i, j) for i in self._rows()
                 for j in range(max(self.b1, i - self.g2),
                                min(self.b2, i - self.g1) + 1)]
+
+    def size(self) -> int:
+        """len(region()) in O(1): the row width is linear in i between
+        the breaks b2 + g1 and b1 + g2, so each piece is an arithmetic
+        series."""
+        rows = self._rows()
+        cuts = sorted({rows.start, rows.stop} | {
+            c for c in (self.b2 + self.g1 + 1, self.b1 + self.g2 + 1)
+            if c in rows})
+        return sum((e - s) * (self._width(s) + self._width(e - 1)) // 2
+                   for s, e in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)

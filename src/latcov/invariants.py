@@ -108,9 +108,7 @@ def _record(sig) -> InvariantRecord:
 def invariants_direct(K) -> InvariantRecord:
     """Invariants computed from the set itself, through the edge
     signature of its hull."""
-    chain = [(dx * (c - 1), dy * (c - 1))
-             for _, (dx, dy), c in _lattice_convex_hull(K).edges]
-    return _record(_chain_key(chain)[1])
+    return _record(_chain_key(_lattice_convex_hull(K).chain)[1])
 
 
 def delta_bound_check(normals, n: int) -> bool:

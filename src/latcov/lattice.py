@@ -107,19 +107,21 @@ class Hull2:
         return len(self.vertices) < 3
 
     @property
-    def edges(self) -> list[tuple[Point, Point, int]]:
-        """Directed boundary edges as (start vertex, primitive direction,
-        lattice point count on the closed edge)."""
+    def chain(self) -> list[Point]:
+        """The edge vectors, counterclockwise from the first vertex."""
         vs = self.vertices
         if len(vs) < 2:
             return []
-        out = []
-        for i, a in enumerate(vs):
-            b = vs[(i + 1) % len(vs)]
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            g = gcd(abs(dx), abs(dy))
-            out.append((a, (dx // g, dy // g), g + 1))
-        return out
+        return [(b[0] - a[0], b[1] - a[1])
+                for a, b in zip(vs, vs[1:] + vs[:1])]
+
+    @property
+    def edges(self) -> list[tuple[Point, Point, int]]:
+        """Directed boundary edges as (start vertex, primitive direction,
+        lattice point count on the closed edge)."""
+        return [(a, (dx // g, dy // g), g + 1)
+                for a, (dx, dy) in zip(self.vertices, self.chain)
+                for g in (gcd(dx, dy),)]
 
 
 def convex_hull(K) -> Hull2:

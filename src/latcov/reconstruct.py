@@ -9,8 +9,9 @@ Reconstruction does not search a box.  g fixes the edge signature of
 every realizing set: for each edge line of its support's hull, the
 lattice lengths of the two faces parallel to it.  What g leaves open is,
 for each line whose two faces differ, which side carries the longer
-one; the sides that close the edge chain are found meet-in-the-middle
-and each closing chain is checked against g exactly.
+one; the sides that close the edge chain are found meet-in-the-middle,
+their sets are grouped by covariogram, and g is checked exactly once
+per group.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from ._polygons import _closing_chains, _lattice_points_of_chain
+from ._polygons import _classes, _upper
 from .covariogram import Covariogram, compute_covariogram, support_of
 from .invariants import InvariantRecord, _record
 from .lattice import (
@@ -80,10 +81,9 @@ def _face_run(g: Covariogram, start, d, count: int) -> tuple[int, int]:
 def _edge_lines(g: Covariogram) -> tuple:
     """The edge signature of g, in the form _polygons._chain_key gives
     it for a realizing set: (line, q, p) for each edge line of the
-    support's hull, sorted, with line the primitive direction in the
-    upper half-plane (or +x) and q <= p the lattice lengths of the two
-    faces of a realizing set parallel to it (0 for a face that is a
-    vertex).
+    support's hull, sorted, with line its _upper primitive direction
+    and q <= p the lattice lengths of the two faces of a realizing set
+    parallel to it (0 for a face that is a vertex).
 
     The support and its hull are computed once.  Raises LatticeError
     when the support is degenerate or a profile is not that of two faces
@@ -94,7 +94,7 @@ def _edge_lines(g: Covariogram) -> tuple:
         raise LatticeError("degenerate set")
     lines = []
     for a, d, count in hull.edges:
-        if d[1] > 0 or (d[1] == 0 and d[0] > 0):
+        if _upper(d):
             q, p = _face_run(g, a, d, count)
             if p + q != count - 1:
                 raise LatticeError("not realizable")
@@ -144,9 +144,9 @@ def reconstruct_all(g: Covariogram) -> list:
     to translation and point reflection, sorted.
 
     A realizing set has total mass |K| squared and |K| at the origin.
-    Its edge chain is one of those _closing_chains builds from the edge
-    signature of g and |K|, and it is kept when the filled set has
-    covariogram g.  A g whose signature cannot be read, a degenerate
+    It is one of the sets _classes builds from the edge signature of g
+    and |K|, grouped by covariogram; g is checked once per group, on its
+    first member.  A g whose signature cannot be read, a degenerate
     support among them, has no realizing set.
     """
     _require_planar(g)
@@ -159,12 +159,10 @@ def reconstruct_all(g: Covariogram) -> list:
         lines = _edge_lines(g)
     except LatticeError:
         return []
-    found = set()
-    for chain in _closing_chains(lines, 2 * n):
-        K = _lattice_points_of_chain(chain)
-        if compute_covariogram(K).entries == g.entries:
-            found.add(canonical_form(K))
-    return sorted(found, key=sorted)
+    for sets in _classes(lines, 2 * n):
+        if compute_covariogram(sets[0]).entries == g.entries:
+            return sorted({canonical_form(K) for K in sets}, key=sorted)
+    return []
 
 
 def determination_verdict(g: Covariogram, box_width: int | None = None,

@@ -13,7 +13,6 @@ against the hexagon-family mirror pairs of width-one strips.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
@@ -22,9 +21,11 @@ from math import gcd
 from ._polygons import (
     _angle_cmp,
     _chain_key,
-    _closing_chains,
+    _classes,
+    _faces,
     _lattice_points_of_chain,
     _ray_groups,
+    _upper,
     count_chains,
     map_chains,
 )
@@ -97,19 +98,10 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     yield from map_chains(_lattice_points_of_chain, width - 1, height - 1, jobs)
 
 
-def _rays(chain) -> frozenset:
-    """The primitive direction of each edge of a chain."""
-    return frozenset((dx // g, dy // g) for dx, dy in chain
-                     for g in (gcd(dx, dy),))
-
-
 def _split_part(chain) -> list | None:
     """The chain when no two of its edges are parallel, else None;
     module-level so pool workers run it."""
-    rays = _rays(chain)
-    if any((-x, -y) in rays for x, y in rays):
-        return None
-    return chain
+    return chain if len(_faces(chain)) == len(chain) else None
 
 
 def _sum_chain(rank: dict, chains) -> list:
@@ -127,21 +119,18 @@ def _sum_chain(rank: dict, chains) -> list:
 
 def _zonotopes(rx: int, ry: int) -> list:
     """Every centrally symmetric chain part of x-extent at most rx and
-    y-extent at most ry: m >= 1 times the segment of each chosen line,
-    as the edge pairs (m*u, -m*u), the empty part included."""
-    lines = [(x, y) for y in range(ry + 1) for x in range(-rx, rx + 1)
-             if (y > 0 or x > 0) and gcd(x, y) == 1]
+    y-extent at most ry: a multiple u of the segment of each chosen line,
+    as the edge pairs (u, -u), the empty part included."""
+    lines = [group for group in _ray_groups(rx, ry) if _upper(group[0])]
     out = []
 
     def rec(i, rx, ry, edges):
         out.append(edges)
         for j in range(i, len(lines)):
-            x, y = lines[j]
-            m = 1
-            while m * abs(x) <= rx and m * y <= ry:
-                rec(j + 1, rx - m * abs(x), ry - m * y,
-                    edges + [(m * x, m * y), (-m * x, -m * y)])
-                m += 1
+            for x, y in lines[j]:
+                if abs(x) > rx or y > ry:
+                    break
+                rec(j + 1, rx - abs(x), ry - y, edges + [(x, y), (-x, -y)])
 
     rec(0, rx, ry, [])
     return out
@@ -173,11 +162,9 @@ def _split_keys(width: int, height: int, jobs: int = 1) -> set:
     rank = {group[0]: i for i, group in enumerate(_ray_groups(dx, dy))}
     by_extent: dict = {}
     for chain in parts.values():
-        rays = _rays(chain)
         extent = (sum(x for x, _ in chain if x > 0),
                   sum(y for _, y in chain if y > 0))
-        by_extent.setdefault(extent, []).append(
-            (chain, rays | {(-x, -y) for x, y in rays}))
+        by_extent.setdefault(extent, []).append((chain, _faces(chain).keys()))
     extents = sorted(by_extent)
     zonotopes: dict = {}
     keys = set()
@@ -213,13 +200,11 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     Only a signature with two side assignments of equal |K|, other than
     a chain and its reflection, can hold a homometric pair, and those
     keys are enumerated directly as splits Z + A +- B (_split_keys); the
-    box is never walked.  Each key's sets are built from
-    _closing_chains, one per reflection class, and grouped within the
-    key by an exact table of difference counts, since a covariogram
-    determines its key.  A class is interesting when it holds two or
-    more distinct canonical forms, and every reported pair is
-    re-verified.  total_classes counts every set of the box, one per
-    translation class, by count_chains.
+    box is never walked.  _classes builds each key's sets, one per
+    reflection class, grouped by covariogram, which determines the key.
+    A class is interesting when it holds two or more distinct canonical
+    forms, and every reported pair is re-verified.  total_classes counts
+    every set of the box, one per translation class, by count_chains.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -228,19 +213,9 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             "box exceeds the desk-scale limit; pass allow_large=True to override")
     keys = _split_keys(width, height, jobs)
     total = count_chains(width - 1, height - 1)
-    # Sets lie in the box, so a difference has |dy| <= height - 1 and
-    # x * stride + y packs differences injectively.
-    stride = 2 * height - 1
     found = []
     for twice_n, sig in sorted(keys):
-        by_table: dict = {}
-        for chain in _closing_chains(sig, twice_n):
-            K = _lattice_points_of_chain(chain)
-            packed = [x * stride + y for x, y in K]
-            table = frozenset(
-                Counter([p - q for p in packed for q in packed]).items())
-            by_table.setdefault(table, []).append(K)
-        for sets in by_table.values():
+        for sets in _classes(sig, twice_n):
             if len(sets) < 2:
                 continue
             forms = {canonical_form(K) for K in sets}
@@ -272,18 +247,6 @@ def _translation_to(matrix, src, dst) -> tuple | None:
     return None
 
 
-def _faces(K) -> dict:
-    """Lattice lengths [along +d, along -d] of the hull's two faces
-    across each edge line d, d in the upper half-plane (or +x)."""
-    faces: dict = {}
-    for _, (dx, dy), count in convex_hull(K).edges:
-        if dy > 0 or (dy == 0 and dx > 0):
-            faces.setdefault((dx, dy), [0, 0])[0] = count - 1
-        else:
-            faces.setdefault((-dx, -dy), [0, 0])[1] = count - 1
-    return faces
-
-
 def _strip_windows(K, L):
     """(k, a2, b2, g1, g2) of each hexagon window (0, a2, 0, b2, g1, g2)
     that the edge chains of the homometric pair K, L allow.
@@ -296,9 +259,9 @@ def _strip_windows(K, L):
     P whose (1, 0) line has faces (k, k - 1).  S is the points of P in
     the sublattice coset of min P whose strip tile lies in P; the tight
     windows of S and of -S are proposed."""
-    faces_l = _faces(L)
+    faces_l = _faces(convex_hull(L).chain)
     groups = ([], [])
-    for d, (p, q) in _faces(K).items():
+    for d, (p, q) in _faces(convex_hull(K).chain).items():
         if p != q:
             groups[faces_l[d] == [p, q]].append(((p - q) * d[0],
                                                  (p - q) * d[1]))
@@ -309,7 +272,7 @@ def _strip_windows(K, L):
         for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
                                    _STRIP_TRIANGLE):
             P = fn.apply_set(K)
-            k, ell = _faces(P).get((1, 0), (0, 0))
+            k, ell = _faces(convex_hull(P).chain).get((1, 0), (0, 0))
             if k != ell + 1:
                 continue
             params = WidthOneParams(k, ell)
@@ -357,7 +320,7 @@ def match_corollary(K, L) -> CorollaryMatch | None:
     for k, a2, b2, g1, g2 in sorted(set(_strip_windows(Kp, Lp))):
         params = WidthOneParams(k, k - 1)
         hx = HexagonParams(0, a2, 0, b2, g1, g2)
-        if len(hx.region()) * params.index != len(Kp):
+        if hx.size() * params.index != len(Kp):
             continue
         pair = corollary_pair_generator(params, hx)
         if not pair.nontrivial:

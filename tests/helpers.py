@@ -551,3 +551,43 @@ def match_corollary_by_windows(K, L):
                                 params, hx, wit,
                                 AffineMap2(mm, t), bool(swapped))
     return None
+
+
+def faces_by_hull(K):
+    """Lattice lengths [along +d, along -d] of the hull's two faces
+    across each edge line d, d in the upper half-plane (or +x), read off
+    Hull2.edges: the reader match_corollary used before _polygons._faces."""
+    from latcov.lattice import convex_hull
+
+    faces = {}
+    for _, (dx, dy), count in convex_hull(K).edges:
+        if dy > 0 or (dy == 0 and dx > 0):
+            faces.setdefault((dx, dy), [0, 0])[0] = count - 1
+        else:
+            faces.setdefault((-dx, -dy), [0, 0])[1] = count - 1
+    return faces
+
+
+def zonotopes_by_scan(rx, ry):
+    """Every centrally symmetric chain part of x-extent at most rx and
+    y-extent at most ry, by a scan of the primitive lines in the box and
+    their multiples: m >= 1 times the segment of each chosen line, as the
+    edge pairs (m*u, -m*u), the empty part included."""
+    from math import gcd
+
+    lines = [(x, y) for y in range(ry + 1) for x in range(-rx, rx + 1)
+             if (y > 0 or x > 0) and gcd(x, y) == 1]
+    out = []
+
+    def rec(i, rx, ry, edges):
+        out.append(edges)
+        for j in range(i, len(lines)):
+            x, y = lines[j]
+            m = 1
+            while m * abs(x) <= rx and m * y <= ry:
+                rec(j + 1, rx - m * abs(x), ry - m * y,
+                    edges + [(m * x, m * y), (-m * x, -m * y)])
+                m += 1
+
+    rec(0, rx, ry, [])
+    return out

@@ -290,6 +290,40 @@ def test_decompose_solves_at_largest_k(capsys):
     assert time.monotonic() - t0 < 3
 
 
+def test_gen_pair_far_one_point_window(capsys):
+    # the window's i-side is 10^7 long, but only i = 0 has a j
+    t0 = time.monotonic()
+    rc, out, _ = run(capsys, "--format", "records", "gen-pair", "--k", "1",
+                     "--l", "0", "--hex", "0,10000000,0,0,0,0")
+    assert rc == 0
+    assert "base=0,0" in out.splitlines()
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-pair", "--k", "2147483647", "--l", "2147483646",
+     "--hex", "0,0,0,0,0,0"),
+    ("verify-thm22", "s.pts", "--k", "2147483647", "--l", "0"),
+    ("gen-pair", "--k", "1", "--l", "0",
+     "--hex", "0,100000,0,100000,-100000,100000"),
+], ids=["gen-pair-huge-k", "verify-thm22-huge-k", "gen-pair-1e10-window"])
+def test_oversized_pair_refused_up_front(tmp_path, capsys, argv):
+    s = write(tmp_path, "s.pts", "0 0\n-2 1\n-1 2\n")
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, *[s if arg == "s.pts" else arg for arg in argv])
+    assert (rc, out) == (2, "")
+    assert f"exceeds the limit of {latcov.cli.PAIR_POINT_LIMIT}" in err
+    assert time.monotonic() - t0 < 2
+
+
+def test_pair_limit_counts_base_times_strip():
+    params = WidthOneParams(1, 0)
+    latcov.cli._check_pair_size(latcov.cli.PAIR_POINT_LIMIT // 3, params)
+    with pytest.raises(FormatError, match="exceeds the limit"):
+        latcov.cli._check_pair_size(latcov.cli.PAIR_POINT_LIMIT // 3 + 1,
+                                    params)
+
+
 @pytest.mark.parametrize("command", [
     ("gen-pair", "--k", "1", "--l", "0", "--hex", "0,1,0,1,0,1"),
     ("product-pair", "a.pts", "a.pts"),

@@ -20,6 +20,18 @@ def test_triangle_values():
     assert g.value((5, 5)) == 0
 
 
+def test_entries_are_a_read_only_copy():
+    d = {(0, 0): 2, (1, 0): 1, (-1, 0): 1}
+    g = Covariogram(2, d)
+    with pytest.raises(TypeError):
+        g.entries[(0, 0)] = 0
+    d[(0, 0)] = 0
+    del d[(1, 0)]
+    assert g.entries == {(0, 0): 2, (1, 0): 1, (-1, 0): 1}
+    assert g == compute_covariogram({(0, 0), (1, 0)})
+    assert compute_covariogram({(0, 0), (1, 0)}).entries == g.entries
+
+
 def test_matches_brute_oracle():
     rng = random.Random(41)
     for _ in range(150):

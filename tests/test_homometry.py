@@ -207,7 +207,19 @@ def test_hexagon_params_validation(capsys):
             with pytest.raises(LatticeError, match="empty"):
                 HexagonParams(a1, a2, b1, b2, g1, g2)
         else:
-            assert HexagonParams(a1, a2, b1, b2, g1, g2).region() == box
+            hx = HexagonParams(a1, a2, b1, b2, g1, g2)
+            assert hx.region() == box
+            assert hx.size() == len(box)
+    rng = random.Random(14)
+    for _ in range(300):
+        a1, b1, g1 = (rng.randint(-30, 30) for _ in range(3))
+        a2, b2 = a1 + rng.randint(0, 30), b1 + rng.randint(0, 30)
+        g2 = g1 + rng.randint(0, 60)
+        box = [(i, j) for i in range(a1, a2 + 1) for j in range(b1, b2 + 1)
+               if g1 <= i - j <= g2]
+        if box:
+            hx = HexagonParams(a1, a2, b1, b2, g1, g2)
+            assert (hx.region(), hx.size()) == (box, len(box))
     # i - j <= 2^31 - 1 in this window, so g1 = 2^31 leaves it empty;
     # emptiness is decided without a scan of its sides
     t0 = time.monotonic()

@@ -77,6 +77,23 @@ def test_hull_ccw_random():
             assert turn > 0  # strictly convex, counterclockwise
 
 
+def test_hull_chain_steps_through_vertices():
+    rng = random.Random(77)
+    sets = [{(0, 0)}, {(0, 0), (3, 6)}, {(2 ** 31, 0), (0, 1), (0, 0)}]
+    sets += [{(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)}
+             for n in range(1, 40) for _ in range(5)]
+    for K in sets:
+        hull = convex_hull(K)
+        vs, chain = hull.vertices, hull.chain
+        assert len(chain) == (len(vs) if len(vs) > 1 else 0)
+        assert sum(x for x, _ in chain) == sum(y for _, y in chain) == 0
+        p = vs[0]
+        for v, (dx, dy) in zip(vs, chain):
+            assert p == v
+            p = (p[0] + dx, p[1] + dy)
+        assert p == vs[0]
+
+
 def test_hull_lattice_points_matches_scan():
     rng = random.Random(7)
     for _ in range(200):

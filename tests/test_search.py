@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -285,23 +289,50 @@ def test_chain_key_read_off_covariogram_5x4():
     assert sets == set(enumerate_lattice_convex(5, 4))
 
 
-def test_chain_fill_exact_on_sheared_and_far_sets():
+FAR = (2 ** 31 - 1, 1)
+
+
+def sheared_sets():
+    """200 seeded lattice-convex sets of the 6x5 box under shears of up
+    to 40 along either axis."""
     rng = random.Random(404)
     for _ in range(200):
         K = helpers.random_lattice_convex(rng, 6, 5)
         s = rng.randint(-40, 40)
         if rng.random() < 0.5:
-            F = {(x + s * y, y) for x, y in K}
+            yield {(x + s * y, y) for x, y in K}
         else:
-            F = {(x, y + s * x) for x, y in K}
-        vs = convex_hull(F).vertices
-        chain = [(b[0] - a[0], b[1] - a[1])
-                 for a, b in zip(vs, vs[1:] + vs[:1])]
-        assert _polygons._lattice_points_of_chain(chain) == \
+            yield {(x, y + s * x) for x, y in K}
+
+
+def test_chain_fill_exact_on_sheared_and_far_sets():
+    for F in sheared_sets():
+        assert _polygons._lattice_points_of_chain(convex_hull(F).chain) == \
             helpers.min_normalize(F)
-    far = (2 ** 31 - 1, 1)
-    chain = [(1, 0), (far[0] - 1, 1), (-far[0], -1)]
-    assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), far}
+    chain = [(1, 0), (FAR[0] - 1, 1), (-FAR[0], -1)]
+    assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), FAR}
+
+
+def test_faces_of_hull_chain_match_hull_edges():
+    # the one face reader, on a hull's edge vectors, against the reader
+    # on Hull2.edges that match_corollary used before
+    sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(),
+            {(0, 0), (1, 0), FAR}]
+    assert len(sets) == 5024 + 200 + 1
+    for K in sets:
+        assert _polygons._faces(convex_hull(K).chain) == \
+            helpers.faces_by_hull(K), sorted(K)
+
+
+def test_zonotopes_match_scan_of_lines():
+    # the multiples of each line come from the ray groups of the box
+    def parts(zs):
+        return sorted(tuple(sorted(z)) for z in zs)
+
+    for rx in range(7):
+        for ry in range(7):
+            assert parts(search._zonotopes(rx, ry)) == \
+                parts(helpers.zonotopes_by_scan(rx, ry)), (rx, ry)
 
 
 def test_enumeration_streams_the_search_chains_in_shard_order():
@@ -396,6 +427,16 @@ def test_search_walks_only_the_parts_of_splits(monkeypatch):
     assert 0 < len(leaves) <= 5024
 
 
+def test_import_loads_no_process_pool():
+    # the pool's modules load only where a pool starts
+    code = ("import sys, latcov.cli; print(sorted(m for m in sys.modules if "
+            "m in ('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                         "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    assert out == "[]\n"
+
+
 class RecordingPool:
     """Serial stand-in for ProcessPoolExecutor that records its size."""
 
@@ -415,7 +456,8 @@ class RecordingPool:
 
 
 def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
-    monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     RecordingPool.sizes = []
     def map_chains(*args, **kwargs):
         return list(_polygons.map_chains(*args, **kwargs))
@@ -443,7 +485,8 @@ def test_map_chains_streams_shard_by_shard(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
-    monkeypatch.setattr(_polygons, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
     serial = list(_polygons.map_chains(tuple, 3, 3))
     for jobs in (1, 2):
