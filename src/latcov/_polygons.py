@@ -22,7 +22,10 @@ The module owns the edge signature: _upper names a line {v, -v} by its
 side in the open upper half-plane or on the +x ray, _faces reads a
 chain's two face lengths per line, _chain_key packs them with 2|K| into
 the key, and _classes goes back from a key to its sets, grouped by
-covariogram.
+covariogram.  All closings of one signature share its boundary count,
+so Pick's theorem tests them by area alone.  Homometric sets share their
+second moments, sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), so
+_classes compares exact tables only between sets whose moments agree.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import os
 from collections import Counter
 from functools import cmp_to_key
 from math import gcd
+from operator import mul
 
 from .lattice import LatticeError
 
@@ -179,6 +183,15 @@ def _faces(chain) -> dict:
     return faces
 
 
+def _twice_area(chain) -> int:
+    """Twice the shoelace area of a closed chain in angle order."""
+    x = y = twice_area = 0
+    for dx, dy in chain:
+        twice_area += x * dy - y * dx
+        x, y = x + dx, y + dy
+    return twice_area
+
+
 def _chain_key(chain) -> tuple:
     """(2|K|, edge signature) of the polygon traced by a closed convex
     chain, in O(edges) and without building any points.
@@ -188,15 +201,10 @@ def _chain_key(chain) -> tuple:
     of _faces, with q <= p its two face lengths.  The covariogram of the
     set determines both parts.
     """
-    x = y = twice_area = 0
-    for dx, dy in chain:
-        twice_area += x * dy - y * dx
-        x += dx
-        y += dy
     faces = _faces(chain)
     boundary = sum(p + q for p, q in faces.values())
     sig = tuple(sorted((line, min(f), max(f)) for line, f in faces.items()))
-    return twice_area + boundary + 2, sig
+    return _twice_area(chain) + boundary + 2, sig
 
 
 def _signed_sums(steps: list, start, first_bit: int) -> list:
@@ -220,8 +228,10 @@ def _closing_chains(lines, twice_n: int):
     reversed.  The others are split in two halves whose sums are matched
     through a dict: 2^(r/2) sums for r such lines, not 2^(r-1).  All
     chains of one signature share their widths in every direction, so
-    they fit the same boxes.
+    they fit the same boxes, and their boundary count, so Pick's theorem
+    tests each closing by its area alone.
     """
+    twice_area = twice_n - 2 - sum(p + q for _, q, p in lines)
     base: list = []
     free = []
     for (dx, dy), q, p in lines:
@@ -243,27 +253,46 @@ def _closing_chains(lines, twice_n: int):
                 chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
             chain = [e for e in chain if e != (0, 0)]
             chain.sort(key=cmp_to_key(_angle_cmp))
-            if _chain_key(chain)[0] == twice_n:
+            if _twice_area(chain) == twice_area:
                 yield chain
+
+
+def _moments(K) -> tuple:
+    """(n Sxx - Sx^2, n Sxy - Sx Sy, n Syy - Sy^2) of a set of n points,
+    half of sum g(u) (ux^2, ux uy, uy^2) over its covariogram g."""
+    xs, ys = zip(*K)
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    return (n * sum(map(mul, xs, xs)) - sx * sx,
+            n * sum(map(mul, xs, ys)) - sx * sy,
+            n * sum(map(mul, ys, ys)) - sy * sy)
+
+
+def _difference_table(K, stride: int) -> frozenset:
+    """K's exact table of difference counts, (x, y) packed as x stride + y."""
+    packed = [x * stride + y for x, y in K]
+    return frozenset(Counter([p - q for p in packed for q in packed]).items())
 
 
 def _classes(lines, twice_n: int):
     """The sets of _closing_chains(lines, twice_n), in lists grouped by
-    their exact tables of difference counts, that is by covariogram.
-    Every closing has the y-extent h = sum (p + q) dy / 2 over the lines,
-    so a difference (x, y) packs injectively as x (2h + 1) + y."""
-    sets = [_lattice_points_of_chain(chain)
-            for chain in _closing_chains(lines, twice_n)]
-    if len(sets) < 2:       # most signatures close once: nothing to group
-        return [sets] if sets else []
+    covariogram.  Sets whose _moments differ are never homometric, so only
+    a bucket of two or more is split, by exact _difference_table.  Every
+    closing has y-extent h = sum (p + q) dy / 2; stride 2h + 1 is injective."""
     stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
-    groups: dict = {}
-    for K in sets:
-        packed = [x * stride + y for x, y in K]
-        table = frozenset(
-            Counter([p - q for p in packed for q in packed]).items())
-        groups.setdefault(table, []).append(K)
-    return groups.values()
+    buckets: dict = {}
+    for chain in _closing_chains(lines, twice_n):
+        K = _lattice_points_of_chain(chain)
+        buckets.setdefault(_moments(K), []).append(K)
+    groups = []
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            groups.append(bucket)
+        else:
+            tables: dict = {}
+            for K in bucket:
+                tables.setdefault(_difference_table(K, stride), []).append(K)
+            groups.extend(tables.values())
+    return groups
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:

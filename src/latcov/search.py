@@ -25,6 +25,7 @@ from ._polygons import (
     _faces,
     _lattice_points_of_chain,
     _ray_groups,
+    _twice_area,
     _upper,
     count_chains,
     map_chains,
@@ -181,7 +182,7 @@ def _split_keys(width: int, height: int, jobs: int = 1) -> set:
                         continue
                     plus = _sum_chain(rank, (a, b))
                     minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
-                    if _chain_key(plus)[0] != _chain_key(minus)[0]:
+                    if _twice_area(plus) != _twice_area(minus):
                         continue
                     if (rx, ry) not in zonotopes:
                         zonotopes[rx, ry] = _zonotopes(rx, ry)

@@ -303,6 +303,29 @@ def keyed_walk_counts(extent):
     return counts
 
 
+def classes_by_tables(lines, twice_n):
+    """The sets of _closing_chains(lines, twice_n), in lists grouped by
+    their exact tables of difference counts alone, with no moment
+    buckets: the grouping _polygons._classes made before it bucketed by
+    second moments.  Every closing has the y-extent h = sum (p + q) dy / 2
+    over the lines, so a difference (x, y) packs injectively as
+    x (2h + 1) + y."""
+    from collections import Counter
+
+    from latcov._polygons import _closing_chains, _lattice_points_of_chain
+
+    sets = [_lattice_points_of_chain(chain)
+            for chain in _closing_chains(lines, twice_n)]
+    stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
+    groups = {}
+    for K in sets:
+        packed = [x * stride + y for x, y in K]
+        table = frozenset(
+            Counter([p - q for p in packed for q in packed]).items())
+        groups.setdefault(table, []).append(K)
+    return list(groups.values())
+
+
 def edge_line(d):
     """The direction of {d, -d} in the upper half-plane (or +x)."""
     return d if d[1] > 0 or (d[1] == 0 and d[0] > 0) else (-d[0], -d[1])

@@ -375,6 +375,15 @@ def test_search_records_pinned_5x6(capsys):
         "e7b70edca6d87e23322b1ed458b644da35dff5c7fb7d8204226b63bf3e49e9cb")
 
 
+def test_search_records_pinned_7x6(capsys):
+    # the 36 pairs at 7x6, beyond the desk-scale limit
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", "7x6",
+                     "--allow-large", "--match-corollary", "--jobs", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eee9cae8ba1eb0cfaebd5852f3e4bcd51fc1717841080e26e06e754bf33e0896")
+
+
 def test_search_box_guard(capsys):
     rc, _, err = run(capsys, "search", "--box", "9x9")
     assert rc == 2

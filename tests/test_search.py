@@ -313,6 +313,58 @@ def test_chain_fill_exact_on_sheared_and_far_sets():
     assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), FAR}
 
 
+def group_sets(groups):
+    return {frozenset(group) for group in groups}
+
+
+def test_classes_equal_table_oracle_on_search_keys():
+    # moment buckets, then tables inside a bucket, give exactly the
+    # groups of tables alone, on every key the 6x5 and 5x6 searches fill
+    for box in [(6, 5), (5, 6)]:
+        keys = search._split_keys(*box)
+        assert len(keys) == 633
+        for twice_n, sig in keys:
+            assert group_sets(_polygons._classes(sig, twice_n)) == \
+                group_sets(helpers.classes_by_tables(sig, twice_n)), sig
+
+
+def test_classes_equal_table_oracle_on_5x4_signatures():
+    keys = {(2 * len(K), reconstruct._edge_lines(compute_covariogram(K)))
+            for K in enumerate_lattice_convex(5, 4)}
+    for twice_n, sig in keys:
+        assert group_sets(_polygons._classes(sig, twice_n)) == \
+            group_sets(helpers.classes_by_tables(sig, twice_n)), sig
+
+
+def test_moments_are_half_the_covariogram_second_moments():
+    # over pairs (p, q), sum (p - q)(p - q)^T = 2 (n sum p p^T - sum p sum p^T)
+    sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(),
+            {(0, 0), (1, 0), FAR}]
+    for K in sets:
+        g = compute_covariogram(K).entries
+        second = [sum(c * u[i] * u[j] for u, c in g.items())
+                  for i, j in [(0, 0), (0, 1), (1, 1)]]
+        assert all(s % 2 == 0 for s in second), sorted(K)
+        assert _polygons._moments(K) == tuple(s // 2 for s in second), \
+            sorted(K)
+
+
+def test_search_builds_tables_only_for_moment_collisions(monkeypatch):
+    # 30 of the 1,304 closings at 6x5 share their moments with another
+    # closing of the same key; only those get a difference table
+    table = _polygons._difference_table
+    built = []
+
+    def counted(K, stride):
+        built.append(K)
+        return table(K, stride)
+
+    monkeypatch.setattr(_polygons, "_difference_table", counted)
+    rep = homometric_classes(6, 5)
+    assert len(rep.classes) == 12
+    assert 0 < len(built) <= 30
+
+
 def test_faces_of_hull_chain_match_hull_edges():
     # the one face reader, on a hull's edge vectors, against the reader
     # on Hull2.edges that match_corollary used before
