@@ -14,6 +14,10 @@ displacements the later rays can sum to (clipped to the box) does not
 hold the one that closes the chain.  A chain that closes is emitted and
 not extended, since the rays after it lie in an open half-plane.  Shards
 by first (lowest-angle) ray are independent and merge in a fixed order.
+The same walk, with parts, takes only the chains with no two parallel
+edges, one of each pair +-A, by banning the line of every chosen ray and
+the lines below the first; the prune still holds, as the reachable sums
+only over-approximate.  Each part comes with the bitmask of its lines.
 
 count_chains counts the chains map_chains would walk, by a knapsack on
 their x and y extents, without walking them.
@@ -84,15 +88,27 @@ def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
     return sums[::-1]
 
 
-def _chains_from_root(groups, sums, lim_x, lim_y, root):
+def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False):
     """Yield the closed convex chains whose lowest-angle ray is
-    groups[root], as lists of edge vectors in angle order, one at a time."""
+    groups[root], as lists of edge vectors in angle order, one at a time.
+
+    With parts, yield instead (chain, lines) for the chains with no two
+    parallel edges, one of each pair +-A, where bit i of lines is set
+    when the chain has an edge on the line of groups[i].  The rays come
+    as the U rays of the upper side, then their negatives in the same
+    order, so groups[i] and groups[i + U] share line i.  A chosen ray
+    bans its line, and the root r also bans the lines below it: only the
+    sign whose lowest line is used on its upper side is walked."""
     last = len(groups) - 1
+    half = len(groups) // 2
+    bits = [1 << (j % half) if parts else 0 for j in range(len(groups))]
     chosen: list = []
 
-    def rec(gi, x, y, mnx, mxx, mny, mxy):
+    def rec(gi, x, y, mnx, mxx, mny, mxy, used):
         # Next chosen ray j, latest first, then its vectors by length.
         for j in range(last, gi - 1, -1):
+            if used & bits[j]:
+                continue
             reach = sums[j + 1]
             for dx, dy in groups[j]:
                 nx, ny = x + dx, y + dy
@@ -108,17 +124,20 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root):
                     continue
                 chosen.append((dx, dy))
                 if nx or ny:
-                    yield from rec(j + 1, nx, ny, nmnx, nmxx, nmny, nmxy)
+                    yield from rec(j + 1, nx, ny, nmnx, nmxx, nmny, nmxy,
+                                   used | bits[j])
                 elif len(chosen) >= 3:
-                    yield chosen.copy()
+                    yield ((chosen.copy(), (used | bits[j]) >> root << root)
+                           if parts else chosen.copy())
                 chosen.pop()
 
+    ban = (2 << root) - 1 if parts else 0
     for dx, dy in groups[root]:
         if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
             continue
         chosen.append((dx, dy))
         yield from rec(root + 1, dx, dy,
-                       min(0, dx), max(0, dx), min(0, dy), max(0, dy))
+                       min(0, dx), max(0, dx), min(0, dy), max(0, dy), ban)
         chosen.pop()
 
 
@@ -127,10 +146,13 @@ def _lattice_points_of_chain(chain) -> frozenset:
     translated so the bounding box corner sits at the origin.
 
     Rows run parallel to the longest edge e.  With f completing e to a
-    unimodular basis, every lattice point is s*e + t*f for integers s, t,
-    and each row t holds the s between exact ceil and floor bounds taken
-    from the edges.  There are at most 2*area + 1 rows, so the cost is
-    O(|K| * edges) whatever the size of the coordinates.
+    unimodular basis, every lattice point is s*e + t*f for integers s, t.
+    The basis change has det 1, so the chain stays counterclockwise in
+    (s, t): an edge that rises in t bounds s above on the rows it spans,
+    one that falls bounds it below, and each row takes its exact floor
+    and ceil bounds from the one edge of each side that spans it.  There
+    are at most 2*area + 1 rows, so the cost is O(|K| + rows + edges)
+    whatever the size of the coordinates.
     """
     ex, ey = max(chain, key=lambda v: gcd(*v))
     g = gcd(ex, ey)
@@ -138,34 +160,34 @@ def _lattice_points_of_chain(chain) -> frozenset:
     u = pow(ex, -1, abs(ey)) if ey else ex      # ex*u + ey*v == 1
     v = (1 - ex * u) // ey if ey else 0
     fx, fy = -v, u                              # det(e, f) == 1
-    x = y = 0
-    mnx = mny = 0
-    verts = []                          # (s, t) of each vertex
+    x = y = mnx = mny = s = t = tmin = tmax = 0
+    edges = []                          # (s, t, ds, dt) from each vertex
     for dx, dy in chain:
-        verts.append((x * fy - y * fx, ex * y - ey * x))
+        ds, dt = dx * fy - dy * fx, ex * dy - ey * dx
+        edges.append((s, t, ds, dt))
+        s += ds
+        t += dt
+        tmin = t if t < tmin else tmin
+        tmax = t if t > tmax else tmax
         x += dx
         y += dy
         mnx = x if x < mnx else mnx
         mny = y if y < mny else mny
-    # Counterclockwise in (s, t) too, as the basis change has det 1: the
-    # edge from P with step (ds, dt) bounds s above when dt > 0, below
-    # when dt < 0.
-    upper = []
-    lower = []
-    nv = len(verts)
-    for i, (ps, pt) in enumerate(verts):
-        qs, qt = verts[(i + 1) % nv]
-        if qt > pt:
-            upper.append((ps, pt, qs - ps, qt - pt))
-        elif qt < pt:
-            lower.append((ps, pt, qs - ps, qt - pt))
+    hi = [0] * (tmax - tmin + 1)
+    lo = hi.copy()
+    for s, t, ds, dt in edges:
+        r = t - tmin
+        if dt > 0:
+            hi[r:r + dt + 1] = [s + ds * k // dt for k in range(dt + 1)]
+        elif dt < 0:
+            # from the lower end (s + ds, t + dt) up: ceil is -floor(-x)
+            lo[r + dt:r + 1] = [s + ds - ds * k // -dt for k in range(1 - dt)]
     pts = []
-    for t in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
-        hi = min(ps + ds * (t - pt) // dt for ps, pt, ds, dt in upper)
-        lo = max(ps - (ds * (pt - t)) // dt for ps, pt, ds, dt in lower)
-        bx = t * fx - mnx
-        by = t * fy - mny
-        pts.extend((bx + s * ex, by + s * ey) for s in range(lo, hi + 1))
+    bx, by = tmin * fx - mnx, tmin * fy - mny
+    for a, b in zip(lo, hi):
+        pts.extend((bx + s * ex, by + s * ey) for s in range(a, b + 1))
+        bx += fx
+        by += fy
     return frozenset(pts)
 
 
@@ -343,10 +365,12 @@ def _shard(args) -> list:
     return [fn(c) for c in _chains_from_root(*walk)]
 
 
-def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1):
+def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1,
+               parts: bool = False):
     """fn of every closed convex chain fitting the box extent
     (max_dx, max_dy), one chain per translation class, streamed in shard
-    order.
+    order.  With parts, fn of (chain, lines) for every such chain with no
+    two parallel edges, one of each pair +-A (see _chains_from_root).
 
     Shard order is deterministic and the same for every jobs.  When
     min(jobs, shards, CPUs) is more than one, the shards run in a process
@@ -359,7 +383,7 @@ def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1):
         raise LatticeError("jobs must be at least 1")
     groups = _ray_groups(max_dx, max_dy)
     sums = _suffix_sums(groups, max_dx, max_dy)
-    shard_args = [(fn, groups, sums, max_dx, max_dy, r)
+    shard_args = [(fn, groups, sums, max_dx, max_dy, r, parts)
                   for r in range(len(groups))]
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
     return _stream(shard_args, workers)

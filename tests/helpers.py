@@ -614,3 +614,57 @@ def zonotopes_by_scan(rx, ry):
 
     rec(0, rx, ry, [])
     return out
+
+
+def split_parts_by_filter(max_dx, max_dy):
+    """Every closed convex chain of the box extent with no two parallel
+    edges, one of each pair +-A as the lesser of the two sorted edge
+    tuples: the full walk, filtered and deduplicated by sign afterwards,
+    that _split_keys ran before the walk took only parts."""
+    from latcov._polygons import _faces, map_chains
+
+    parts = set()
+    for chain in map_chains(tuple, max_dx, max_dy):
+        if len(_faces(chain)) == len(chain):
+            neg = tuple(sorted((-x, -y) for x, y in chain))
+            parts.add(min(tuple(sorted(chain)), neg))
+    return parts
+
+
+def lattice_points_by_all_edges(chain):
+    """Lattice points of the polygon traced by a closed convex chain,
+    box corner at the origin, by rows parallel to the longest edge with
+    each row's bounds the min and max over every edge of that side: the
+    fill _polygons._lattice_points_of_chain made before it took each row
+    from the two edges that span it."""
+    from math import gcd
+
+    ex, ey = max(chain, key=lambda v: gcd(*v))
+    g = gcd(ex, ey)
+    ex, ey = ex // g, ey // g
+    u = pow(ex, -1, abs(ey)) if ey else ex
+    v = (1 - ex * u) // ey if ey else 0
+    fx, fy = -v, u
+    x = y = mnx = mny = 0
+    verts = []
+    for dx, dy in chain:
+        verts.append((x * fy - y * fx, ex * y - ey * x))
+        x += dx
+        y += dy
+        mnx = min(x, mnx)
+        mny = min(y, mny)
+    upper = []
+    lower = []
+    for i, (ps, pt) in enumerate(verts):
+        qs, qt = verts[(i + 1) % len(verts)]
+        if qt > pt:
+            upper.append((ps, pt, qs - ps, qt - pt))
+        elif qt < pt:
+            lower.append((ps, pt, qs - ps, qt - pt))
+    pts = []
+    for t in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
+        hi = min(ps + ds * (t - pt) // dt for ps, pt, ds, dt in upper)
+        lo = max(ps - (ds * (pt - t)) // dt for ps, pt, ds, dt in lower)
+        pts.extend((t * fx - mnx + s * ex, t * fy - mny + s * ey)
+                   for s in range(lo, hi + 1))
+    return frozenset(pts)

@@ -300,20 +300,55 @@ def test_gen_pair_far_one_point_window(capsys):
     assert time.monotonic() - t0 < 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("gen-pair", "--k", "2147483647", "--l", "2147483646",
-     "--hex", "0,0,0,0,0,0"),
-    ("verify-thm22", "s.pts", "--k", "2147483647", "--l", "0"),
-    ("gen-pair", "--k", "1", "--l", "0",
-     "--hex", "0,100000,0,100000,-100000,100000"),
+@pytest.mark.parametrize("argv, limit", [
+    (("gen-pair", "--k", "2147483647", "--l", "2147483646",
+      "--hex", "0,0,0,0,0,0"), "PAIR_POINT_LIMIT"),
+    (("verify-thm22", "s.pts", "--k", "2147483647", "--l", "0"),
+     "VERIFY_POINT_LIMIT"),
+    (("gen-pair", "--k", "1", "--l", "0",
+      "--hex", "0,100000,0,100000,-100000,100000"), "PAIR_POINT_LIMIT"),
 ], ids=["gen-pair-huge-k", "verify-thm22-huge-k", "gen-pair-1e10-window"])
-def test_oversized_pair_refused_up_front(tmp_path, capsys, argv):
+def test_oversized_pair_refused_up_front(tmp_path, capsys, argv, limit):
     s = write(tmp_path, "s.pts", "0 0\n-2 1\n-1 2\n")
     t0 = time.monotonic()
     rc, out, err = run(capsys, *[s if arg == "s.pts" else arg for arg in argv])
     assert (rc, out) == (2, "")
-    assert f"exceeds the limit of {latcov.cli.PAIR_POINT_LIMIT}" in err
+    assert f"exceeds the limit of {getattr(latcov.cli, limit)}" in err
     assert time.monotonic() - t0 < 2
+
+
+def window_points(params, a, b):
+    return "".join(f"{x} {y}\n" for x, y in sorted(
+        params.from_coords((i, j)) for i in range(a + 1)
+        for j in range(b + 1)))
+
+
+def test_verify_thm22_sized_to_its_own_check(tmp_path, capsys):
+    # a 3,481-point window, whose pair gen-pair refuses, is checked
+    s = write(tmp_path, "s.pts", window_points(WidthOneParams(1, 0), 58, 58))
+    t0 = time.monotonic()
+    rc, out, _ = run(capsys, "verify-thm22", s, "--k", "1", "--l", "0")
+    assert rc == 0
+    assert "condition_i=true" in out and "agree=true" in out
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("points, k, limit", [
+    # 3 points times a strip of 33,336 points: 100,008 sums
+    ("0 0\n-2 1\n-1 2\n", "33334", "VERIFY_POINT_LIMIT"),
+    # three points whose sublattice box has about 10^12 cells
+    ("0 0\n3000000 0\n1 1\n", "1", "VERIFY_CELL_LIMIT"),
+    # a far triangle: its box of S + T alone is about 2^62 cells
+    ("0 0\n1 0\n2147483646 2147483647\n", "1", "VERIFY_CELL_LIMIT"),
+], ids=["sums", "sliver", "far"])
+def test_verify_thm22_refuses_slow_checks_up_front(tmp_path, capsys, points,
+                                                   k, limit):
+    s = write(tmp_path, "s.pts", points)
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "verify-thm22", s, "--k", k, "--l", "0")
+    assert (rc, out) == (2, "")
+    assert f"exceeds the limit of {getattr(latcov.cli, limit)}" in err
+    assert time.monotonic() - t0 < 1
 
 
 def test_pair_limit_counts_base_times_strip():

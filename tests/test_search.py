@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -313,6 +314,44 @@ def test_chain_fill_exact_on_sheared_and_far_sets():
     assert _polygons._lattice_points_of_chain(chain) == {(0, 0), (1, 0), FAR}
 
 
+def far_sets():
+    """The far triangle, its point reflection, and 100 seeded sets of the
+    6x5 box sheared by about +-2^29 along either axis, so that their
+    coordinates reach about 2^31 in absolute value, of either sign."""
+    rng = random.Random(405)
+    yield {(0, 0), (1, 0), FAR}
+    yield {(0, 0), (-1, 0), (-FAR[0], -FAR[1])}
+    for _ in range(100):
+        K = helpers.random_lattice_convex(rng, 6, 5)
+        s = rng.choice([-1, 1]) * (2 ** 29 - rng.randint(1, 40))
+        if rng.random() < 0.5:
+            yield {(x + s * y, y) for x, y in K}
+        else:
+            yield {(x, y + s * x) for x, y in K}
+
+
+def test_chain_fill_matches_all_edges_fill():
+    # each row from its two spanning edges gives what the min and max
+    # over all edges gave: every chain up to (5, 4) and (4, 5), every
+    # closing the 6x5, 5x6 and 7x6 searches fill, and sheared and far
+    # chains whose lower edges need the exact ceiling
+    chains = [*_polygons.map_chains(tuple, 5, 4),
+              *_polygons.map_chains(tuple, 4, 5)]
+    assert len(chains) == 2 * 53524
+    for box in [(6, 5), (5, 6), (7, 6)]:
+        for twice_n, sig in search._split_keys(*box):
+            chains.extend(_polygons._closing_chains(sig, twice_n))
+    assert len(chains) > 2 * 53524 + 2 * 1304
+    for chain in chains:
+        assert _polygons._lattice_points_of_chain(chain) == \
+            helpers.lattice_points_by_all_edges(chain), chain
+    for F in [*sheared_sets(), *far_sets()]:
+        chain = convex_hull(F).chain
+        K = _polygons._lattice_points_of_chain(chain)
+        assert K == helpers.lattice_points_by_all_edges(chain), sorted(F)
+        assert K == helpers.min_normalize(F), sorted(F)
+
+
 def group_sets(groups):
     return {frozenset(group) for group in groups}
 
@@ -448,6 +487,27 @@ def test_split_keys_are_the_walk_keys_with_two_classes():
     assert len(search._split_keys(6, 5)) == len(search._split_keys(5, 6)) == 633
 
 
+def test_part_walk_matches_filtered_walk():
+    # every extent up to (5, 4) and (4, 5): the part walk gives each
+    # parallel-free chain of the full walk once up to sign, with the
+    # mask of its lines
+    extents = {(dx, dy) for dx in range(6) for dy in range(5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        groups = _polygons._ray_groups(dx, dy)
+        line = {group[0]: i % (len(groups) // 2)
+                for i, group in enumerate(groups)}
+        got = []
+        for chain, lines in _polygons.map_chains(tuple, dx, dy, parts=True):
+            primitive = [(x // gcd(x, y), y // gcd(x, y)) for x, y in chain]
+            assert lines == sum(1 << line[d] for d in primitive), chain
+            assert lines.bit_count() == len(chain), chain
+            neg = tuple(sorted((-x, -y) for x, y in chain))
+            got.append(min(tuple(sorted(chain)), neg))
+        assert len(got) == len(set(got)), (dx, dy)
+        assert set(got) == helpers.split_parts_by_filter(dx, dy), (dx, dy)
+
+
 def test_chain_count_is_the_walk_count():
     extents = {(dx, dy) for dx in range(6) for dy in range(5)}
     extents |= {(dy, dx) for dx, dy in extents}
@@ -462,8 +522,9 @@ def test_chain_count_is_the_walk_count():
 
 
 def test_search_walks_only_the_parts_of_splits(monkeypatch):
-    # the search walks the split parts at extent (4, 3), not the 53,524
-    # chains of the box, and counts the box without walking it
+    # the search walks the 1,015 split parts at extent (4, 3), one of
+    # each pair +-A, not the 5,024 chains there nor the 53,524 of the
+    # box, and counts the box without walking it
     walk = _polygons._chains_from_root
     leaves = []
 
@@ -476,7 +537,7 @@ def test_search_walks_only_the_parts_of_splits(monkeypatch):
     rep = homometric_classes(6, 5)
     assert rep.total_classes == 53524
     assert len(rep.classes) == 12
-    assert 0 < len(leaves) <= 5024
+    assert len(leaves) == 1015
 
 
 def test_import_loads_no_process_pool():
@@ -528,13 +589,27 @@ def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
     assert RecordingPool.sizes == [6, 4, 8]
 
 
+def test_split_keys_same_at_two_jobs(monkeypatch):
+    # the part walk shards by root like the full walk: the serial pool
+    # stand-in runs the two-worker path, and the keys do not change
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
+    RecordingPool.sizes = []
+    for box in [(6, 5), (5, 6)]:
+        keys = search._split_keys(*box)
+        assert len(keys) == 633
+        assert search._split_keys(*box, jobs=2) == keys
+    assert RecordingPool.sizes == [2, 2]
+
+
 def test_map_chains_streams_shard_by_shard(monkeypatch):
     ran = []
     walk = _polygons._chains_from_root
 
-    def counted(*args):
-        ran.append(args[-1])
-        return walk(*args)
+    def counted(groups, sums, lim_x, lim_y, root, *rest):
+        ran.append(root)
+        return walk(groups, sums, lim_x, lim_y, root, *rest)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
