@@ -10,8 +10,10 @@ every realizing set: for each edge line of its support's hull, the
 lattice lengths of the two faces parallel to it.  What g leaves open is,
 for each line whose two faces differ, which side carries the longer
 one; the sides that close the edge chain are found meet-in-the-middle,
-their sets are grouped by covariogram, and g is checked exactly once
-per group.
+in angle order.  The chains are bucketed by second moments read off
+their rows, a bucket of two or more is filled and split by exact
+difference tables, a lone chain is filled only when g is checked
+against it, and g is checked exactly once per group.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from ._polygons import _classes, _upper
+from ._polygons import (
+    _lattice_points_of_chain,
+    _moment_buckets,
+    _table_groups,
+    _upper,
+)
 from .covariogram import Covariogram, compute_covariogram, support_of
 from .invariants import InvariantRecord, _record
 from .lattice import (
@@ -144,10 +151,11 @@ def reconstruct_all(g: Covariogram) -> list:
     to translation and point reflection, sorted.
 
     A realizing set has total mass |K| squared and |K| at the origin.
-    It is one of the sets _classes builds from the edge signature of g
-    and |K|, grouped by covariogram; g is checked once per group, on its
-    first member.  A g whose signature cannot be read, a degenerate
-    support among them, has no realizing set.
+    It is one of the closings of the edge signature of g and |K|.  These
+    are bucketed by moments, as _classes does, and grouped by
+    covariogram; g is checked once per group, on its first member, and
+    a lone closing is filled only then.  A g whose signature cannot be
+    read, a degenerate support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -159,9 +167,12 @@ def reconstruct_all(g: Covariogram) -> list:
         lines = _edge_lines(g)
     except LatticeError:
         return []
-    for sets in _classes(lines, 2 * n):
-        if compute_covariogram(sets[0]).entries == g.entries:
-            return sorted({canonical_form(K) for K in sets}, key=sorted)
+    for bucket in _moment_buckets(lines, 2 * n):
+        groups = (_table_groups(bucket) if len(bucket) > 1
+                  else [[_lattice_points_of_chain(bucket[0])]])
+        for sets in groups:
+            if compute_covariogram(sets[0]).entries == g.entries:
+                return sorted({canonical_form(K) for K in sets}, key=sorted)
     return []
 
 

@@ -197,11 +197,12 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     Only a signature with two side assignments of equal |K|, other than
     a chain and its reflection, can hold a homometric pair, and those
     keys are enumerated directly as splits Z + A +- B (_split_keys); the
-    box is never walked.  _classes builds each key's sets, one per
-    reflection class, grouped by covariogram, which determines the key.
-    A class is interesting when it holds two or more distinct canonical
-    forms, and every reported pair is re-verified.  total_classes counts
-    every set of the box, one per translation class, by count_chains.
+    box is never walked.  _classes gives each key's covariogram classes
+    of two or more sets, one per reflection class; the covariogram
+    determines the key.  A class is interesting when it holds two or
+    more distinct canonical forms, and every reported pair is
+    re-verified once, before it is matched.  total_classes counts every
+    set of the box, one per translation class, by count_chains.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -213,8 +214,6 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     found = []
     for twice_n, sig in sorted(keys):
         for sets in _classes(sig, twice_n):
-            if len(sets) < 2:
-                continue
             forms = {canonical_form(K) for K in sets}
             if len(forms) < 2:
                 continue
@@ -227,7 +226,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
                 if canonical_form(a) == canonical_form(b):
                     raise AssertionError(
                         "distinct members share a canonical form")
-                verdict = match_corollary(a, b) if match else None
+                verdict = _match(a, b) if match else None
                 pairs.append(PairVerdict(a, b, verdict))
             found.append(HomometricClass(members, tuple(pairs)))
     found.sort(key=lambda c: sorted(c.members[0]))
@@ -314,6 +313,12 @@ def match_corollary(K, L) -> CorollaryMatch | None:
         raise LatticeError("pair is not homometric")
     if canonical_form(Kp) == canonical_form(Lp):
         raise LatticeError("pair is trivial")
+    return _match(Kp, Lp)
+
+
+def _match(Kp, Lp) -> CorollaryMatch | None:
+    """match_corollary on a planar pair of frozensets already checked to
+    be homometric and nontrivial."""
     for k, a2, b2, g1, g2 in sorted(set(_strip_windows(Kp, Lp))):
         params = WidthOneParams(k, k - 1)
         hx = HexagonParams(0, a2, 0, b2, g1, g2)

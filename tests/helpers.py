@@ -668,3 +668,49 @@ def lattice_points_by_all_edges(chain):
         pts.extend((t * fx - mnx + s * ex, t * fy - mny + s * ey)
                    for s in range(lo, hi + 1))
     return frozenset(pts)
+
+
+def closing_chains_by_sort(lines, twice_n):
+    """The chains _polygons._closing_chains yields, built the way it
+    built them before it placed each line's edges in angle order: every
+    closing's edges listed by line in signature order, zero edges
+    dropped, then sorted by angle with a comparison sort."""
+    from functools import cmp_to_key
+
+    from latcov._polygons import _angle_cmp, _signed_sums, _twice_area
+
+    twice_area = twice_n - 2 - sum(p + q for _, q, p in lines)
+    base = []
+    free = []
+    for (dx, dy), q, p in lines:
+        if p == q:
+            base += [(p * dx, p * dy), (-p * dx, -p * dy)]
+        else:
+            free.append(((dx, dy), q, p))
+    steps = [((p - q) * dx, (p - q) * dy) for (dx, dy), q, p in free]
+    mid = (len(steps) + 1) // 2
+    left = {}
+    first = steps[0] if steps else (0, 0)
+    for net, mask in _signed_sums(steps[1:mid], first, 1):
+        left.setdefault(net, []).append(mask)
+    for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
+        for mask in left.get((-x, -y), ()):
+            chain = list(base)
+            for i, ((dx, dy), q, p) in enumerate(free):
+                a, b = (q, p) if (mask | right) >> i & 1 else (p, q)
+                chain += [(a * dx, a * dy), (-b * dx, -b * dy)]
+            chain = [e for e in chain if e != (0, 0)]
+            chain.sort(key=cmp_to_key(_angle_cmp))
+            if _twice_area(chain) == twice_area:
+                yield chain
+
+
+def moments(K):
+    """(n Sxx - Sx^2, n Sxy - Sx Sy, n Syy - Sy^2) of a set of n points,
+    summed over the points: the moments _polygons._classes bucketed by
+    before it read them off the rows."""
+    xs, ys = zip(*K)
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    return (n * sum(x * x for x in xs) - sx * sx,
+            n * sum(x * y for x, y in zip(xs, ys)) - sx * sy,
+            n * sum(y * y for y in ys) - sy * sy)

@@ -18,6 +18,7 @@ from latcov.homometry import (
     corollary_pair_generator,
     width_one_T,
 )
+from latcov.invariants import invariants_direct
 from latcov.lattice import (
     AffineMap2,
     LatticeError,
@@ -356,15 +357,23 @@ def group_sets(groups):
     return {frozenset(group) for group in groups}
 
 
+def oracle_classes(sig, twice_n):
+    # _classes gives only classes of two or more: a lone set is no pair
+    return group_sets(group for group in
+                      helpers.classes_by_tables(sig, twice_n)
+                      if len(group) > 1)
+
+
 def test_classes_equal_table_oracle_on_search_keys():
     # moment buckets, then tables inside a bucket, give exactly the
-    # groups of tables alone, on every key the 6x5 and 5x6 searches fill
+    # groups of two or more of tables alone, on every key the 6x5 and
+    # 5x6 searches fill
     for box in [(6, 5), (5, 6)]:
         keys = search._split_keys(*box)
         assert len(keys) == 633
         for twice_n, sig in keys:
             assert group_sets(_polygons._classes(sig, twice_n)) == \
-                group_sets(helpers.classes_by_tables(sig, twice_n)), sig
+                oracle_classes(sig, twice_n), sig
 
 
 def test_classes_equal_table_oracle_on_5x4_signatures():
@@ -372,7 +381,43 @@ def test_classes_equal_table_oracle_on_5x4_signatures():
             for K in enumerate_lattice_convex(5, 4)}
     for twice_n, sig in keys:
         assert group_sets(_polygons._classes(sig, twice_n)) == \
-            group_sets(helpers.classes_by_tables(sig, twice_n)), sig
+            oracle_classes(sig, twice_n), sig
+
+
+def signatures_5x4():
+    return {_polygons._chain_key(chain)
+            for chain in _polygons.map_chains(tuple, 4, 3)}
+
+
+def test_closings_in_angle_order_match_sort_oracle():
+    # each line's edges placed in angle order give the sorted chains,
+    # in the same order: every key of 6x5, 5x6 and 7x6, and every
+    # signature of the 5x4 box
+    keys = set(signatures_5x4())
+    assert len(keys) > 1000
+    for box in [(6, 5), (5, 6), (7, 6)]:
+        keys |= search._split_keys(*box)
+    for twice_n, sig in keys:
+        assert list(_polygons._closing_chains(sig, twice_n)) == \
+            list(helpers.closing_chains_by_sort(sig, twice_n)), sig
+
+
+def test_row_moments_equal_moments_of_filled_set():
+    # every chain up to (5, 4) and (4, 5), every closing of the 6x5, 5x6
+    # and 7x6 keys and of the 5x4 signatures, and the sheared and far
+    # chains, whose negative coordinates need the exact ceiling
+    chains = [*_polygons.map_chains(tuple, 5, 4),
+              *_polygons.map_chains(tuple, 4, 5)]
+    keys = set(signatures_5x4())
+    for box in [(6, 5), (5, 6), (7, 6)]:
+        keys |= search._split_keys(*box)
+    for twice_n, sig in keys:
+        chains.extend(_polygons._closing_chains(sig, twice_n))
+    chains += [convex_hull(F).chain for F in [*sheared_sets(), *far_sets()]]
+    assert len(chains) > 2 * 53524 + 20503 + 300
+    for chain in chains:
+        assert _polygons._row_moments(chain) == \
+            helpers.moments(_polygons._lattice_points_of_chain(chain)), chain
 
 
 def test_moments_are_half_the_covariogram_second_moments():
@@ -384,7 +429,7 @@ def test_moments_are_half_the_covariogram_second_moments():
         second = [sum(c * u[i] * u[j] for u, c in g.items())
                   for i, j in [(0, 0), (0, 1), (1, 1)]]
         assert all(s % 2 == 0 for s in second), sorted(K)
-        assert _polygons._moments(K) == tuple(s // 2 for s in second), \
+        assert helpers.moments(K) == tuple(s // 2 for s in second), \
             sorted(K)
 
 
@@ -402,6 +447,53 @@ def test_search_builds_tables_only_for_moment_collisions(monkeypatch):
     rep = homometric_classes(6, 5)
     assert len(rep.classes) == 12
     assert 0 < len(built) <= 30
+
+
+def test_search_builds_points_only_for_moment_collisions(monkeypatch):
+    # moments come off the rows, so only the 30 closings whose moments
+    # collide are filled, of the 1,304 the 6x5 keys hold
+    fill = _polygons._lattice_points_of_chain
+    built = []
+
+    def counted(chain):
+        built.append(chain)
+        return fill(chain)
+
+    monkeypatch.setattr(_polygons, "_lattice_points_of_chain", counted)
+    rep = homometric_classes(6, 5)
+    assert len(rep.classes) == 12
+    assert 24 <= len(built) <= 30
+
+
+def test_found_pairs_verified_once(monkeypatch):
+    # each of the 12 pairs at 6x5 is verified by the search, and the
+    # matcher does not verify it again: two covariograms per pair
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return compute_covariogram(K)
+
+    monkeypatch.setattr(search, "compute_covariogram", counted)
+    rep = homometric_classes(6, 5, match=True)
+    pairs = [pr for c in rep.classes for pr in c.pairs]
+    assert len(pairs) == 12
+    assert all(pr.match is not None for pr in pairs)
+    assert len(calls) == 2 * 12
+
+
+@pytest.mark.parametrize("box", [(6, 5), (5, 6), (7, 6)])
+def test_found_members_have_m_two_and_no_certificate(box):
+    # the paper's certificate m >= delta^2 + delta + 1 forces
+    # determination, so no member of a found class may carry it; every
+    # member found so far has m = 2 (the hexagon family forces it)
+    members = [K for c in homometric_classes(*box, allow_large=True).classes
+               for K in c.members]
+    assert len(members) >= 24
+    for K in members:
+        inv = invariants_direct(K)
+        assert inv.m == 2, sorted(K)
+        assert inv.certified is False, sorted(K)
 
 
 def test_faces_of_hull_chain_match_hull_edges():
@@ -604,26 +696,60 @@ def test_split_keys_same_at_two_jobs(monkeypatch):
 
 
 def test_map_chains_streams_shard_by_shard(monkeypatch):
+    # shards run one at a time, in order, as the stream is consumed; the
+    # pool gets the first root's shard split by first vector and second
+    # ray, in the walk's order
     ran = []
     walk = _polygons._chains_from_root
 
-    def counted(groups, sums, lim_x, lim_y, root, *rest):
-        ran.append(root)
-        return walk(groups, sums, lim_x, lim_y, root, *rest)
+    def counted(groups, sums, lim_x, lim_y, root, parts=False, split=None):
+        ran.append((root, split))
+        return walk(groups, sums, lim_x, lim_y, root, parts, split)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
     serial = list(_polygons.map_chains(tuple, 3, 3))
-    for jobs in (1, 2):
+    roots = [(r, None) for r in range(32)]
+    splits = [(0, (i, j)) for i in range(3) for j in range(31, 0, -1)]
+    for jobs, shards in [(1, roots), (2, splits + roots[1:])]:
         ran.clear()
         chains = _polygons.map_chains(tuple, 3, 3, jobs=jobs)
         assert ran == []
         assert next(chains) == serial[0]
-        assert ran == [0]
+        assert ran and ran == shards[:len(ran)]
+        assert {root for root, _ in ran} == {0}
         assert [serial[0], *chains] == serial
-        assert ran == list(range(32))
+        assert ran == shards
+
+
+def test_pool_shards_balanced_and_stream_unchanged(monkeypatch):
+    # the first root holds from 47% (3,4) to 75% (4,3) of the chains or
+    # parts; split, no pool shard holds a sixth of them, and two jobs
+    # stream exactly what one does, through the serial pool stand-in
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
+    sizes = []
+    shard = _polygons._shard
+
+    def counted(args):
+        out = shard(args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(_polygons, "_shard", counted)
+    RecordingPool.sizes = []
+    for extent in [(4, 3), (3, 4), (5, 4), (4, 5)]:
+        for parts in (True, False):
+            serial = list(_polygons.map_chains(tuple, *extent, parts=parts))
+            sizes.clear()
+            assert list(_polygons.map_chains(tuple, *extent, jobs=2,
+                                             parts=parts)) == serial
+            assert sum(sizes) == len(serial)
+            assert max(sizes) * 6 < len(serial), (extent, parts)
+    assert RecordingPool.sizes == [2] * 8
 
 
 def test_map_chains_walk_streams_within_a_shard():
