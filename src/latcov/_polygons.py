@@ -6,22 +6,21 @@ zero, with at least three rays used; walking the vectors sorted by angle
 traverses the boundary counterclockwise.  A chain gives the polygon's
 lattice points, or its key (2|K|, edge signature) without them.
 
-map_chains walks every chain fitting a box.  It chooses an
-increasing-angle subsequence of candidate vectors: each step picks the
-next chosen ray, latest first, and one of its vectors.  A step is pruned
-when the partial vertex chain leaves the box, or when the exact set of
-displacements the later rays can sum to (clipped to the box) does not
-hold the one that closes the chain.  A chain that closes is emitted and
-not extended, since the rays after it lie in an open half-plane.  Shards
-by first (lowest-angle) ray are independent and merge in a fixed order;
-a process pool gets the first ray's shard, which holds most chains,
-split by first vector and second ray.  The same walk, with parts, takes
+walk_chains walks every chain fitting a box, in one process.  It
+chooses an increasing-angle subsequence of candidate vectors: each step
+picks the next chosen ray, latest first, and one of its vectors.  A step
+is pruned when the partial vertex chain leaves the box, or when the
+exact set of displacements the later rays can sum to (clipped to the
+box) does not hold the one that closes the chain.  A chain that closes
+is emitted and not extended, since the rays after it lie in an open
+half-plane.  The chains come root by root, the root being the first
+(lowest-angle) ray, in angle order.  The same walk, with parts, takes
 only the chains with no two parallel edges, one of each pair +-A, by
 banning the line of every chosen ray and the lines below the first; the
 prune still holds, as the reachable sums only over-approximate.  Each
 part comes with the bitmask of its lines.
 
-count_chains counts the chains map_chains would walk, by a knapsack on
+count_chains counts the chains walk_chains would walk, by a knapsack on
 their x and y extents, without walking them.
 
 The module owns the edge signature: _upper names a line {v, -v} by its
@@ -38,12 +37,9 @@ collide, and compares exact difference tables only between those.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import cmp_to_key
 from math import gcd, inf
-
-from .lattice import LatticeError
 
 
 def _upper(v) -> bool:
@@ -91,12 +87,9 @@ def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
     return sums[::-1]
 
 
-def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False,
-                      split=None):
+def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False):
     """Yield the closed convex chains whose lowest-angle ray is
     groups[root], as lists of edge vectors in angle order, one at a time.
-    With split = (i, j), only those whose first vector is groups[root][i]
-    and whose second ray is groups[j].
 
     With parts, yield instead (chain, lines) for the chains with no two
     parallel edges, one of each pair +-A, where bit i of lines is set
@@ -140,14 +133,11 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False,
                 chosen.pop()
 
     ban = (2 << root) - 1 if parts else 0
-    rays = after[root] if split is None else (split[1],)
-    for i, (dx, dy) in enumerate(groups[root]):
-        if split is not None and i != split[0]:
-            continue
+    for dx, dy in groups[root]:
         if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
             continue
         chosen.append((dx, dy))
-        yield from rec(rays, dx, dy,
+        yield from rec(after[root], dx, dy,
                        min(0, dx), max(0, dx), min(0, dy), max(0, dy), ban)
         chosen.pop()
 
@@ -384,7 +374,7 @@ def _classes(lines, twice_n: int) -> list:
 
 def count_chains(max_dx: int, max_dy: int) -> int:
     """The number of closed convex chains fitting the box extent
-    (max_dx, max_dy), as map_chains would walk them, without walking.
+    (max_dx, max_dy), as walk_chains would walk them, without walking.
 
     A closed convex chain rises in x exactly once, so its x-extent is
     the sum of its positive dx, and likewise for y: the chains are the
@@ -425,51 +415,13 @@ def count_chains(max_dx: int, max_dy: int) -> int:
     return closed - 1 - ((2 * max_dx + 1) * (2 * max_dy + 1) - 1) // 2
 
 
-def _shard(args) -> list:
-    fn, *walk = args
-    return [fn(c) for c in _chains_from_root(*walk)]
-
-
-def map_chains(fn, max_dx: int, max_dy: int, jobs: int = 1,
-               parts: bool = False):
-    """fn of every closed convex chain fitting the box extent
-    (max_dx, max_dy), one chain per translation class, streamed in shard
-    order.  With parts, fn of (chain, lines) for every such chain with no
-    two parallel edges, one of each pair +-A (see _chains_from_root).
-
-    There is a shard per root ray, in angle order.  When
-    min(jobs, shards, CPUs) is more than one, the shards run in a process
-    pool of that many workers, the first one split in the walk's order,
-    fn must be a module-level function, and results arrive a shard at a
-    time.  Otherwise fn runs in this process on one chain at a time, as
-    results are consumed.  The stream is the same for every jobs.  jobs
-    below 1 is refused here, before any shard runs.  Nothing is kept
-    between calls."""
-    if jobs < 1:
-        raise LatticeError("jobs must be at least 1")
+def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
+    """Yield every closed convex chain fitting the box extent
+    (max_dx, max_dy), one chain per translation class, root by root in
+    angle order, each as it closes.  With parts, yield (chain, lines)
+    for every such chain with no two parallel edges, one of each pair
+    +-A (see _chains_from_root).  Nothing is kept between calls."""
     groups = _ray_groups(max_dx, max_dy)
     sums = _suffix_sums(groups, max_dx, max_dy)
-    shards = [(r, None) for r in range(len(groups))]
-    workers = min(jobs, len(shards), os.cpu_count() or 1)
-    if workers > 1:
-        # The first ray (+x) roots most chains (749 of the 1,015 parts at
-        # extent (4, 3)): the pool gets its shard split by first vector
-        # and second ray, in the walk's own order.
-        shards[:1] = [(0, (i, j)) for i in range(len(groups[0]))
-                      for j in range(len(groups) - 1, 0, -1)]
-    shard_args = [(fn, groups, sums, max_dx, max_dy, r, parts, split)
-                  for r, split in shards]
-    return _stream(shard_args, workers)
-
-
-def _stream(shard_args, workers):
-    if workers > 1:
-        # Loaded here: the pool's modules cost every import of latcov.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard in pool.map(_shard, shard_args):
-                yield from shard
-    else:
-        for fn, *walk in shard_args:
-            yield from map(fn, _chains_from_root(*walk))
+    for root in range(len(groups)):
+        yield from _chains_from_root(groups, sums, max_dx, max_dy, root, parts)

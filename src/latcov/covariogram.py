@@ -30,15 +30,16 @@ class Covariogram:
     entries: dict
 
     def __post_init__(self):
-        origin = (0,) * self.dim
         e = dict(self.entries)
         object.__setattr__(self, "entries", MappingProxyType(e))
-        peak = e.get(origin)
+        # The keys are checked first, and an empty table builds no
+        # origin, so the origin is never longer than a key that was given.
+        if any(len(u) != self.dim for u in e):
+            raise LatticeError("invalid covariogram: mixed dimensions")
+        peak = e.get((0,) * self.dim) if e else None
         if peak is None:
             raise LatticeError("invalid covariogram: origin entry missing")
         for u, c in e.items():
-            if len(u) != self.dim:
-                raise LatticeError("invalid covariogram: mixed dimensions")
             if not isinstance(c, int) or c <= 0:
                 raise LatticeError("invalid covariogram: counts must be positive integers")
             if c > peak:

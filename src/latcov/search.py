@@ -28,7 +28,7 @@ from ._polygons import (
     _twice_area,
     _upper,
     count_chains,
-    map_chains,
+    walk_chains,
 )
 from .covariogram import compute_covariogram
 from .homometry import (
@@ -93,10 +93,14 @@ class SearchReport:
 def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     """Every spanning lattice-convex set whose tight bounding box fits a
     width x height point grid, once per translation class, box corner at
-    the origin.  Streamed in shard order, the same for every jobs."""
+    the origin, streamed in the walk's order.  The walk runs in this
+    process: jobs is checked, refused below 1, and otherwise ignored."""
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
-    yield from map_chains(_lattice_points_of_chain, width - 1, height - 1, jobs)
+    if jobs < 1:
+        raise LatticeError("jobs must be at least 1")
+    yield from map(_lattice_points_of_chain,
+                   walk_chains(width - 1, height - 1))
 
 
 def _sum_chain(rank: dict, chains) -> list:
@@ -131,7 +135,7 @@ def _zonotopes(rx: int, ry: int) -> list:
     return out
 
 
-def _split_keys(width: int, height: int, jobs: int = 1) -> set:
+def _split_keys(width: int, height: int) -> set:
     """The key (2|K|, edge signature) of every signature that has two
     closings of equal |K|, other than a chain and its reflection, whose
     sets fit a width x height point grid.
@@ -151,8 +155,7 @@ def _split_keys(width: int, height: int, jobs: int = 1) -> set:
     Z is added."""
     dx, dy = width - 1, height - 1
     by_extent: dict = {}
-    # tuple passes each (chain, lines) through, also from pool workers
-    for chain, lines in map_chains(tuple, dx - 1, dy - 1, jobs, parts=True):
+    for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
         extent = (sum(x for x, _ in chain if x > 0),
                   sum(y for _, y in chain if y > 0))
         by_extent.setdefault(extent, []).append((chain, lines))
@@ -202,14 +205,18 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     determines the key.  A class is interesting when it holds two or
     more distinct canonical forms, and every reported pair is
     re-verified once, before it is matched.  total_classes counts every
-    set of the box, one per translation class, by count_chains.
+    set of the box, one per translation class, by count_chains.  The
+    search runs in this process: jobs is checked, refused below 1, and
+    otherwise ignored.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    keys = _split_keys(width, height, jobs)
+    if jobs < 1:
+        raise LatticeError("jobs must be at least 1")
+    keys = _split_keys(width, height)
     total = count_chains(width - 1, height - 1)
     found = []
     for twice_n, sig in sorted(keys):

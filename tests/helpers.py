@@ -293,10 +293,10 @@ def keyed_walk_counts(extent):
     six or more free lines: the count table the search kept before it
     enumerated splits.  A key counted four or more times holds two or
     more reflection classes."""
-    from latcov._polygons import map_chains
+    from latcov._polygons import walk_chains
 
     counts = {}
-    for chain in map_chains(tuple, *extent):
+    for chain in map(tuple, walk_chains(*extent)):
         key = keyed_chain(chain)
         if key is not None:
             counts[key] = counts.get(key, 0) + 1
@@ -621,10 +621,10 @@ def split_parts_by_filter(max_dx, max_dy):
     edges, one of each pair +-A as the lesser of the two sorted edge
     tuples: the full walk, filtered and deduplicated by sign afterwards,
     that _split_keys ran before the walk took only parts."""
-    from latcov._polygons import _faces, map_chains
+    from latcov._polygons import _faces, walk_chains
 
     parts = set()
-    for chain in map_chains(tuple, max_dx, max_dy):
+    for chain in map(tuple, walk_chains(max_dx, max_dy)):
         if len(_faces(chain)) == len(chain):
             neg = tuple(sorted((-x, -y) for x, y in chain))
             parts.add(min(tuple(sorted(chain)), neg))

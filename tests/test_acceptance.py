@@ -51,14 +51,14 @@ def test_1_search_reproduction_6x5():
     single = time.monotonic() - t0
     t0 = time.monotonic()
     rep2 = homometric_classes(6, 5, jobs=8, match=True)
-    sharded = time.monotonic() - t0
+    at_jobs_8 = time.monotonic() - t0
     pairs = [pr for c in rep1.classes for pr in c.pairs]
     unmatched = [pr for pr in pairs if pr.match is None]
     ok = (len(pairs) >= 1 and not unmatched and rep1 == rep2
-          and sharded <= 120)
+          and at_jobs_8 <= 120)
     report("1 search 6x5 + corollary match", ok, single, 600,
            f"pairs={len(pairs)} matched={len(pairs) - len(unmatched)} "
-           f"shard_run={sharded:.1f}s identical={rep1 == rep2}")
+           f"jobs8_run={at_jobs_8:.1f}s identical={rep1 == rep2}")
 
 
 def test_2_certified_uniqueness():

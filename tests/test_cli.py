@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -353,10 +357,29 @@ def test_verify_thm22_refuses_slow_checks_up_front(tmp_path, capsys, points,
 
 def test_pair_limit_counts_base_times_strip():
     params = WidthOneParams(1, 0)
-    latcov.cli._check_pair_size(latcov.cli.PAIR_POINT_LIMIT // 3, params)
+    limit = latcov.cli.PAIR_POINT_LIMIT
+    latcov.cli._check_pair_size(limit // 3, params.index, limit, "--k, --l")
     with pytest.raises(FormatError, match="exceeds the limit"):
-        latcov.cli._check_pair_size(latcov.cli.PAIR_POINT_LIMIT // 3 + 1,
-                                    params)
+        latcov.cli._check_pair_size(limit // 3 + 1, params.index, limit,
+                                    "--k, --l")
+
+
+def test_product_pair_refused_up_front(tmp_path, capsys):
+    # two 60-point sets make a 3,600-point pair in 4-D, whose two
+    # covariograms took about a minute and 3.9 GB
+    rng = random.Random(60)
+    pts = set()
+    while len(pts) < 60:
+        pts.add((rng.randrange(50), rng.randrange(50)))
+    a = write(tmp_path, "a.pts", "".join(f"{x} {y}\n" for x, y in pts))
+    prefix = tmp_path / "pair"
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "product-pair", a, a, "--out", str(prefix))
+    assert (rc, out) == (2, "")
+    assert "a pair of 3600 points exceeds the limit of " \
+        f"{latcov.cli.PRODUCT_POINT_LIMIT}" in err
+    assert time.monotonic() - t0 < 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "a.pts"]
 
 
 @pytest.mark.parametrize("command", [
@@ -396,6 +419,15 @@ def test_search_records_pinned_6x5(capsys):
     # the 12 pairs at 6x5 and the first witness found for each
     rc, out, _ = run(capsys, "--format", "records", "search", "--box", "6x5",
                      "--match-corollary", "--jobs", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6fa8f302ef225d55e15f82ebdf01864797b9e1a1cff354cf49621496121efeab")
+
+
+def test_search_jobs_is_a_no_op(capsys):
+    # any jobs from 1 up prints the 6x5 records of one process
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", "6x5",
+                     "--match-corollary", "--jobs", "2147483648")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6fa8f302ef225d55e15f82ebdf01864797b9e1a1cff354cf49621496121efeab")
@@ -528,3 +560,26 @@ def test_far_covariogram_refused_in_time(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert "not realizable" in err
     assert time.monotonic() - t0 < 10
+
+
+def _cap_memory():
+    # about 1 GB of address space: building a 2^31-tuple fails here
+    # cleanly instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("command", [
+    ("reconstruct",), ("invariants", "--from-cov"), ("diffset", "--from-cov"),
+    ("edges", "--normal", "1,0"),
+], ids=["reconstruct", "invariants", "diffset", "edges"])
+def test_huge_covariogram_dim_refused(tmp_path, command):
+    # a 15-byte file holding only a dim header builds no 2^31-tuple origin
+    cov = write(tmp_path, "dim.cov", "dim 2147483648\n")
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcov.cli", *command[:1], cov, *command[1:]],
+        capture_output=True, text=True, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "invalid covariogram" in proc.stderr
+    assert time.monotonic() - t0 < 1

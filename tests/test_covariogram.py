@@ -95,6 +95,8 @@ def test_validation():
         Covariogram(2, {(0, 0): 2, (1, 0): 1, (-1, 0): 2})  # asymmetric
     with pytest.raises(LatticeError):
         Covariogram(2, {(0, 0): 0})  # nonpositive count
+    with pytest.raises(LatticeError):
+        Covariogram(2 ** 31, {})  # no entries: no 2^31-tuple origin built
 
 
 def test_convolution_oracle():

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import random
 import subprocess
@@ -278,7 +277,7 @@ def test_homometric_classes_matches_covariogram_grouping():
 
 
 def test_chain_key_read_off_covariogram_5x4():
-    chains = list(_polygons.map_chains(tuple, 4, 3))
+    chains = list(map(tuple, _polygons.walk_chains(4, 3)))
     sets = set()
     for chain in chains:
         key = _polygons._chain_key(chain)
@@ -336,8 +335,8 @@ def test_chain_fill_matches_all_edges_fill():
     # over all edges gave: every chain up to (5, 4) and (4, 5), every
     # closing the 6x5, 5x6 and 7x6 searches fill, and sheared and far
     # chains whose lower edges need the exact ceiling
-    chains = [*_polygons.map_chains(tuple, 5, 4),
-              *_polygons.map_chains(tuple, 4, 5)]
+    chains = [*map(tuple, _polygons.walk_chains(5, 4)),
+              *map(tuple, _polygons.walk_chains(4, 5))]
     assert len(chains) == 2 * 53524
     for box in [(6, 5), (5, 6), (7, 6)]:
         for twice_n, sig in search._split_keys(*box):
@@ -386,7 +385,7 @@ def test_classes_equal_table_oracle_on_5x4_signatures():
 
 def signatures_5x4():
     return {_polygons._chain_key(chain)
-            for chain in _polygons.map_chains(tuple, 4, 3)}
+            for chain in map(tuple, _polygons.walk_chains(4, 3))}
 
 
 def test_closings_in_angle_order_match_sort_oracle():
@@ -406,8 +405,8 @@ def test_row_moments_equal_moments_of_filled_set():
     # every chain up to (5, 4) and (4, 5), every closing of the 6x5, 5x6
     # and 7x6 keys and of the 5x4 signatures, and the sheared and far
     # chains, whose negative coordinates need the exact ceiling
-    chains = [*_polygons.map_chains(tuple, 5, 4),
-              *_polygons.map_chains(tuple, 4, 5)]
+    chains = [*map(tuple, _polygons.walk_chains(5, 4)),
+              *map(tuple, _polygons.walk_chains(4, 5))]
     keys = set(signatures_5x4())
     for box in [(6, 5), (5, 6), (7, 6)]:
         keys |= search._split_keys(*box)
@@ -519,7 +518,7 @@ def test_zonotopes_match_scan_of_lines():
 
 
 def test_enumeration_streams_the_search_chains_in_shard_order():
-    chains = list(_polygons.map_chains(tuple, 4, 3))
+    chains = list(map(tuple, _polygons.walk_chains(4, 3)))
     assert list(enumerate_lattice_convex(5, 4)) == \
         [_polygons._lattice_points_of_chain(chain) for chain in chains]
 
@@ -529,13 +528,13 @@ def test_walk_matches_oracle_walk():
     extents = {(dx, dy) for dx in range(6) for dy in range(5)}
     extents |= {(dy, dx) for dx, dy in extents}
     for dx, dy in sorted(extents):
-        assert list(_polygons.map_chains(tuple, dx, dy)) == \
+        assert list(map(tuple, _polygons.walk_chains(dx, dy))) == \
             helpers.oracle_chains(dx, dy), (dx, dy)
 
 
 def test_keyed_chain_drops_chains_with_fewer_than_six_free_lines():
     kept = 0
-    chains = list(_polygons.map_chains(tuple, 5, 4))
+    chains = list(map(tuple, _polygons.walk_chains(5, 4)))
     for chain in chains:
         free = sum(q != p for _, q, p in _polygons._chain_key(chain)[1])
         keyed = helpers.keyed_chain(chain)
@@ -553,7 +552,7 @@ def test_keyed_walk_meets_closing_chains_twice(extent):
     # walk holds exactly those chains and their point reflections, each
     # once, so twice as many chains
     walked = {}
-    for chain in _polygons.map_chains(tuple, *extent):
+    for chain in map(tuple, _polygons.walk_chains(*extent)):
         key = helpers.keyed_chain(chain)
         if key is not None:
             walked.setdefault(key, []).append(tuple(sorted(chain)))
@@ -590,7 +589,7 @@ def test_part_walk_matches_filtered_walk():
         line = {group[0]: i % (len(groups) // 2)
                 for i, group in enumerate(groups)}
         got = []
-        for chain, lines in _polygons.map_chains(tuple, dx, dy, parts=True):
+        for chain, lines in _polygons.walk_chains(dx, dy, parts=True):
             primitive = [(x // gcd(x, y), y // gcd(x, y)) for x, y in chain]
             assert lines == sum(1 << line[d] for d in primitive), chain
             assert lines.bit_count() == len(chain), chain
@@ -604,7 +603,7 @@ def test_chain_count_is_the_walk_count():
     extents = {(dx, dy) for dx in range(6) for dy in range(5)}
     extents |= {(dy, dx) for dx, dy in extents}
     for dx, dy in sorted(extents):
-        walked = sum(1 for _ in _polygons.map_chains(len, dx, dy))
+        walked = sum(1 for _ in map(len, _polygons.walk_chains(dx, dy)))
         assert _polygons.count_chains(dx, dy) == walked, (dx, dy)
     # the walk-measured counts of larger boxes, without walking them
     assert _polygons.count_chains(6, 5) == 508374
@@ -633,131 +632,46 @@ def test_search_walks_only_the_parts_of_splits(monkeypatch):
 
 
 def test_import_loads_no_process_pool():
-    # the pool's modules load only where a pool starts
-    code = ("import sys, latcov.cli; print(sorted(m for m in sys.modules if "
+    # no pool module loads, on import nor at jobs above 1, which the
+    # enumeration and the search check and otherwise ignore
+    code = ("import sys, latcov.cli\n"
+            "from latcov import enumerate_lattice_convex, homometric_classes\n"
+            "n = sum(1 for _ in enumerate_lattice_convex(6, 5, jobs=2))\n"
+            "rep = homometric_classes(4, 4, jobs=2)\n"
+            "print(n, sorted(m for m in sys.modules if "
             "m in ('concurrent.futures.process', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                          "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
-    assert out == "[]\n"
-
-
-class RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_jobs_clamped_to_shards_and_cpus(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    RecordingPool.sizes = []
-    def map_chains(*args, **kwargs):
-        return list(_polygons.map_chains(*args, **kwargs))
-
-    serial = map_chains(tuple, 3, 3)
-    assert len(_polygons._ray_groups(3, 3)) == 32
-    assert len(_polygons._ray_groups(1, 1)) == 8
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 6)
-    assert map_chains(tuple, 3, 3, jobs=10 ** 6) == serial
-    assert map_chains(tuple, 3, 3, jobs=4) == serial
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 100)
-    assert map_chains(tuple, 1, 1, jobs=10 ** 6) == map_chains(tuple, 1, 1)
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: None)
-    assert map_chains(tuple, 3, 3, jobs=8) == serial
-    # CPUs, jobs, shards; no pool for jobs=1 or an unknown CPU count
-    assert RecordingPool.sizes == [6, 4, 8]
-
-
-def test_split_keys_same_at_two_jobs(monkeypatch):
-    # the part walk shards by root like the full walk: the serial pool
-    # stand-in runs the two-worker path, and the keys do not change
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
-    RecordingPool.sizes = []
-    for box in [(6, 5), (5, 6)]:
-        keys = search._split_keys(*box)
-        assert len(keys) == 633
-        assert search._split_keys(*box, jobs=2) == keys
-    assert RecordingPool.sizes == [2, 2]
+    assert out == "53524 []\n"
 
 
 def test_map_chains_streams_shard_by_shard(monkeypatch):
-    # shards run one at a time, in order, as the stream is consumed; the
-    # pool gets the first root's shard split by first vector and second
-    # ray, in the walk's order
+    # roots run one at a time, in angle order, as the stream is consumed
     ran = []
     walk = _polygons._chains_from_root
 
-    def counted(groups, sums, lim_x, lim_y, root, parts=False, split=None):
-        ran.append((root, split))
-        return walk(groups, sums, lim_x, lim_y, root, parts, split)
+    def counted(groups, sums, lim_x, lim_y, root, parts=False):
+        ran.append(root)
+        return walk(groups, sums, lim_x, lim_y, root, parts)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
-    serial = list(_polygons.map_chains(tuple, 3, 3))
-    roots = [(r, None) for r in range(32)]
-    splits = [(0, (i, j)) for i in range(3) for j in range(31, 0, -1)]
-    for jobs, shards in [(1, roots), (2, splits + roots[1:])]:
-        ran.clear()
-        chains = _polygons.map_chains(tuple, 3, 3, jobs=jobs)
-        assert ran == []
-        assert next(chains) == serial[0]
-        assert ran and ran == shards[:len(ran)]
-        assert {root for root, _ in ran} == {0}
-        assert [serial[0], *chains] == serial
-        assert ran == shards
-
-
-def test_pool_shards_balanced_and_stream_unchanged(monkeypatch):
-    # the first root holds from 47% (3,4) to 75% (4,3) of the chains or
-    # parts; split, no pool shard holds a sixth of them, and two jobs
-    # stream exactly what one does, through the serial pool stand-in
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(_polygons.os, "cpu_count", lambda: 2)
-    sizes = []
-    shard = _polygons._shard
-
-    def counted(args):
-        out = shard(args)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(_polygons, "_shard", counted)
-    RecordingPool.sizes = []
-    for extent in [(4, 3), (3, 4), (5, 4), (4, 5)]:
-        for parts in (True, False):
-            serial = list(_polygons.map_chains(tuple, *extent, parts=parts))
-            sizes.clear()
-            assert list(_polygons.map_chains(tuple, *extent, jobs=2,
-                                             parts=parts)) == serial
-            assert sum(sizes) == len(serial)
-            assert max(sizes) * 6 < len(serial), (extent, parts)
-    assert RecordingPool.sizes == [2] * 8
+    serial = list(map(tuple, _polygons.walk_chains(3, 3)))
+    ran.clear()
+    chains = map(tuple, _polygons.walk_chains(3, 3))
+    assert ran == []
+    assert next(chains) == serial[0]
+    assert ran == [0]
+    assert [serial[0], *chains] == serial
+    assert ran == list(range(32))
 
 
 def test_map_chains_walk_streams_within_a_shard():
     # the walk yields each chain as it closes, so counting the chains of
-    # a box holds one chain at a time, not a shard's worth of lists
+    # a box holds one chain at a time, not a root's worth of lists
     tracemalloc.start()
     try:
-        count = sum(1 for _ in _polygons.map_chains(len, 5, 4))
+        count = sum(1 for _ in map(len, _polygons.walk_chains(5, 4)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -767,8 +681,6 @@ def test_map_chains_walk_streams_within_a_shard():
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_refused(jobs, monkeypatch):
-    with pytest.raises(LatticeError, match="jobs"):
-        _polygons.map_chains(tuple, 3, 3, jobs=jobs)
     with pytest.raises(LatticeError, match="jobs"):
         list(enumerate_lattice_convex(3, 3, jobs=jobs))
     # refused before any work, also on boxes that hold no split
