@@ -31,8 +31,10 @@ built in angle order.  All closings of one signature share its boundary
 count, so Pick's theorem tests them by area alone.  Homometric sets
 share their second moments, sum g(u) u u^T = 2 (n sum p p^T - sum p
 sum p^T), which _row_moments reads off a chain's rows (_rows) without
-building its points.  _classes fills only the chains whose moments
-collide, and compares exact difference tables only between those.
+building its points.  _classes, the search's grouping, fills only the
+chains whose moments collide, and compares exact difference tables
+(_difference_table) only between those; reconstruction compares each
+closing's table with g's own instead.
 """
 
 from __future__ import annotations
@@ -336,40 +338,32 @@ def _difference_table(K, stride: int) -> frozenset:
     return frozenset(Counter([p - q for p in packed for q in packed]).items())
 
 
-def _moment_buckets(lines, twice_n: int):
-    """The chains of _closing_chains(lines, twice_n), in lists of equal
-    _row_moments; a lone closing is its own list, with no moments.
-    Homometric sets share their moments, so no covariogram class spans
-    two lists."""
+def _classes(lines, twice_n: int) -> list:
+    """The covariogram classes of two or more sets among
+    _closing_chains(lines, twice_n), as lists of sets.
+
+    Homometric sets share their _row_moments, so the closings are
+    bucketed by them, and only a bucket of two or more is filled and
+    split by exact _difference_table: a set is built only when its
+    moments collide.  All closings share the y-extent h, the sum of
+    their rising dy, so stride 2h + 1 packs differences injectively."""
     chains = list(_closing_chains(lines, twice_n))
     if len(chains) < 2:
-        return [chains] if chains else []
+        return []
     buckets: dict = {}
     for chain in chains:
         buckets.setdefault(_row_moments(chain), []).append(chain)
-    return list(buckets.values())
-
-
-def _table_groups(chains) -> list:
-    """The sets of chains of one signature, filled, in lists by exact
-    _difference_table.  They share the y-extent h, the sum of their
-    rising dy, so stride 2h + 1 packs differences injectively."""
     stride = 2 * sum(dy for _, dy in chains[0] if dy > 0) + 1
-    tables: dict = {}
-    for chain in chains:
-        K = _lattice_points_of_chain(chain)
-        tables.setdefault(_difference_table(K, stride), []).append(K)
-    return list(tables.values())
-
-
-def _classes(lines, twice_n: int) -> list:
-    """The covariogram classes of two or more sets among
-    _closing_chains(lines, twice_n), as lists of sets.  Only a moment
-    bucket of two or more is filled and split by difference table, so a
-    set is built only when its moments collide."""
-    return [group for bucket in _moment_buckets(lines, twice_n)
-            if len(bucket) > 1
-            for group in _table_groups(bucket) if len(group) > 1]
+    classes = []
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        tables: dict = {}
+        for chain in bucket:
+            K = _lattice_points_of_chain(chain)
+            tables.setdefault(_difference_table(K, stride), []).append(K)
+        classes += [sets for sets in tables.values() if len(sets) > 1]
+    return classes
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:

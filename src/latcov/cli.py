@@ -19,7 +19,7 @@ d, before any d-tuple is built.
 
 gen-pair refuses, before building it, a pair S + T of more than
 PAIR_POINT_LIMIT points, and product-pair a pair K x L of more than
-PRODUCT_POINT_LIMIT points.  verify-thm22 refuses, before building any
+PRODUCT_COORD_LIMIT coordinates.  verify-thm22 refuses, before building any
 sum, a base S whose sum S + T has more than VERIFY_POINT_LIMIT points or
 whose checks would scan more than VERIFY_CELL_LIMIT box cells.
 
@@ -62,7 +62,7 @@ from .search import homometric_classes
 
 COORD_LIMIT = 2 ** 31
 PAIR_POINT_LIMIT = 3000
-PRODUCT_POINT_LIMIT = 900
+PRODUCT_COORD_LIMIT = 3600
 VERIFY_POINT_LIMIT = 100_000
 VERIFY_CELL_LIMIT = 1_000_000
 
@@ -324,21 +324,24 @@ def _pair_report(emit, report, out_prefix, *lead):
     return 0
 
 
-def _check_pair_size(m: int, n: int, limit: int, where: str) -> None:
-    """Refuse, before any point is built, a pair of m times n points
-    that exceeds limit.  Both commands verify their pair through two
+def _check_pair_size(m: int, n: int, limit: int, where: str,
+                     unit: str = "points") -> None:
+    """Refuse, before any point is built, a pair of m times n units that
+    exceeds limit.  Both commands verify their pair through two
     covariograms, quadratic in its size.
 
-    gen-pair (PAIR_POINT_LIMIT; |S| times |T| = k + l + 2) is planar:
-    2,403 points took 5.2 s, 2,997 points 8.9 s and 4,995 points 27 s
-    (k = 400, 499 and 832 on a three-point window).  product-pair
-    (PRODUCT_POINT_LIMIT; |K| times |L|) runs in the product dimension,
-    on the generic path: two 30-point planar sets in general position
-    (900 points in 4-D) took 2.7 s and 259 MB, two in 3-D (6-D) 3.3 s
-    and 424 MB, and two 60-point planar sets 52 s and 3.9 GB.  2 vCPUs,
-    Python 3.11.7."""
+    gen-pair (PAIR_POINT_LIMIT; |S| times |T| = k + l + 2 points) is
+    planar: 2,403 points took 5.2 s, 2,997 points 8.9 s and 4,995
+    points 27 s (k = 400, 499 and 832 on a three-point window).
+    product-pair (PRODUCT_COORD_LIMIT; |K| |L| points times d_K + d_L
+    coordinates each) runs in the product dimension, on the generic
+    path: two 30-point planar sets in general position (900 points in
+    4-D, 3,600 coordinates) took 2.7 s and 259 MB, two in 3-D (5,400
+    coordinates) 3.3 s and 424 MB, two 60-point planar sets (14,400)
+    52 s and 3.9 GB, and two 30-point sets in 10-D (18,000) 5.3 s and
+    892 MB.  2 vCPUs, Python 3.11.7."""
     if m * n > limit:
-        raise FormatError(f"{where}: a pair of {m * n} points exceeds the "
+        raise FormatError(f"{where}: a pair of {m * n} {unit} exceeds the "
                           f"limit of {limit}")
 
 
@@ -394,8 +397,9 @@ def _cmd_verify_thm22(args, emit):
 
 def _cmd_product_pair(args, emit):
     K, L = _load_points(args.first), _load_points(args.second)
-    _check_pair_size(len(K), len(L), PRODUCT_POINT_LIMIT,
-                     f"{args.first}, {args.second}")
+    dims = len(next(iter(K))) + len(next(iter(L)))
+    _check_pair_size(len(K) * len(L), dims, PRODUCT_COORD_LIMIT,
+                     f"{args.first}, {args.second}", "coordinates")
     report = product_pair(K, L)
     return _pair_report(emit, report, args.out,
                         ("dim", len(next(iter(report.first)))))

@@ -10,10 +10,8 @@ every realizing set: for each edge line of its support's hull, the
 lattice lengths of the two faces parallel to it.  What g leaves open is,
 for each line whose two faces differ, which side carries the longer
 one; the sides that close the edge chain are found meet-in-the-middle,
-in angle order.  The chains are bucketed by second moments read off
-their rows, a bucket of two or more is filled and split by exact
-difference tables, a lone chain is filled only when g is checked
-against it, and g is checked exactly once per group.
+in angle order.  Each closing is filled, and kept when its exact table
+of difference counts is g's own.
 """
 
 from __future__ import annotations
@@ -22,12 +20,12 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from ._polygons import (
+    _closing_chains,
+    _difference_table,
     _lattice_points_of_chain,
-    _moment_buckets,
-    _table_groups,
     _upper,
 )
-from .covariogram import Covariogram, compute_covariogram, support_of
+from .covariogram import Covariogram, support_of
 from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
@@ -151,11 +149,12 @@ def reconstruct_all(g: Covariogram) -> list:
     to translation and point reflection, sorted.
 
     A realizing set has total mass |K| squared and |K| at the origin.
-    It is one of the closings of the edge signature of g and |K|.  These
-    are bucketed by moments, as _classes does, and grouped by
-    covariogram; g is checked once per group, on its first member, and
-    a lone closing is filled only then.  A g whose signature cannot be
-    read, a degenerate support among them, has no realizing set.
+    It is one of the closings of the edge signature of g and |K|, and
+    those whose covariogram is g realize it.  Every closing has the
+    y-extent h, the largest y of g, so g and each filled closing are
+    compared as exact difference tables packed with stride 2h + 1, one
+    table per closing.  A g whose signature cannot be read, a degenerate
+    support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -167,13 +166,14 @@ def reconstruct_all(g: Covariogram) -> list:
         lines = _edge_lines(g)
     except LatticeError:
         return []
-    for bucket in _moment_buckets(lines, 2 * n):
-        groups = (_table_groups(bucket) if len(bucket) > 1
-                  else [[_lattice_points_of_chain(bucket[0])]])
-        for sets in groups:
-            if compute_covariogram(sets[0]).entries == g.entries:
-                return sorted({canonical_form(K) for K in sets}, key=sorted)
-    return []
+    stride = 2 * max(y for _, y in g.entries) + 1
+    table = frozenset((x * stride + y, c) for (x, y), c in g.entries.items())
+    hits = set()
+    for chain in _closing_chains(lines, 2 * n):
+        K = _lattice_points_of_chain(chain)
+        if _difference_table(K, stride) == table:
+            hits.add(canonical_form(K))
+    return sorted(hits, key=sorted)
 
 
 def determination_verdict(g: Covariogram, box_width: int | None = None,

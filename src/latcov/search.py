@@ -219,7 +219,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     keys = _split_keys(width, height)
     total = count_chains(width - 1, height - 1)
     found = []
-    for twice_n, sig in sorted(keys):
+    for twice_n, sig in keys:
         for sets in _classes(sig, twice_n):
             forms = {canonical_form(K) for K in sets}
             if len(forms) < 2:

@@ -376,8 +376,27 @@ def test_product_pair_refused_up_front(tmp_path, capsys):
     t0 = time.monotonic()
     rc, out, err = run(capsys, "product-pair", a, a, "--out", str(prefix))
     assert (rc, out) == (2, "")
-    assert "a pair of 3600 points exceeds the limit of " \
-        f"{latcov.cli.PRODUCT_POINT_LIMIT}" in err
+    assert "a pair of 14400 coordinates exceeds the limit of " \
+        f"{latcov.cli.PRODUCT_COORD_LIMIT}" in err
+    assert time.monotonic() - t0 < 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "a.pts"]
+
+
+def test_product_pair_refused_by_coordinates(tmp_path, capsys):
+    # two 30-point sets in 10-D make a pair of only 900 points, but of
+    # 18,000 coordinates, whose two covariograms took 5.3 s and 892 MB
+    rng = random.Random(10)
+    pts = set()
+    while len(pts) < 30:
+        pts.add(tuple(rng.randrange(5) for _ in range(10)))
+    a = write(tmp_path, "a.pts", "dim 10\n" + "".join(
+        " ".join(map(str, p)) + "\n" for p in pts))
+    prefix = tmp_path / "pair"
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "product-pair", a, a, "--out", str(prefix))
+    assert (rc, out) == (2, "")
+    assert "a pair of 18000 coordinates exceeds the limit of " \
+        f"{latcov.cli.PRODUCT_COORD_LIMIT}" in err
     assert time.monotonic() - t0 < 2
     assert list(tmp_path.iterdir()) == [tmp_path / "a.pts"]
 

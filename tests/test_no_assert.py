@@ -1,6 +1,6 @@
 """The library states its invariants as explicit raises, never as
-`assert` statements, which `python -O` drops, and its modules import
-only what they use."""
+`assert` statements, which `python -O` drops, its modules import only
+what they use, and every private name it defines is used in it."""
 
 import ast
 from pathlib import Path
@@ -36,4 +36,40 @@ def test_library_modules_use_every_import():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
                     found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_library_uses_every_private_definition():
+    # a private helper that only tests call belongs in tests/
+    defined, used = [], set()
+    for path, tree in _modules():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign):
+                names = [stmt.target.id] if isinstance(
+                    stmt.target, ast.Name) else []
+            else:
+                names = []
+            defined += [(path.name, stmt.lineno, n) for n in names
+                        if _private(n)]
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            used |= refs - set(names)       # a recursive call is not a use
+    found = [f"{path}:{line}: {name}" for path, line, name in defined
+             if name not in used]
     assert found == []

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import helpers
+from latcov import _polygons, reconstruct
 from latcov.covariogram import Covariogram, compute_covariogram, support_of
 from latcov.homometry import HexagonParams, WidthOneParams, corollary_pair_generator
 from latcov.invariants import invariants_direct
@@ -218,6 +219,34 @@ def test_reconstruct_6x5_pairs_give_two_classes():
             assert hits == helpers.reconstruct_by_enumeration(g)
             assert hits == sorted({canonical_form(pr.first),
                                    canonical_form(pr.second)}, key=sorted)
+
+
+def test_reconstruct_builds_one_table_per_closing(monkeypatch):
+    # reconstruction reads no moments: each closing of g's signature is
+    # filled once and its difference table compared with g's own
+    def no_moments(chain):
+        raise AssertionError("reconstruction read row moments")
+
+    table = _polygons._difference_table
+    built = []
+
+    def counted(K, stride):
+        built.append(K)
+        return table(K, stride)
+
+    pairs = [pr for c in homometric_classes(6, 5).classes for pr in c.pairs]
+    assert len(pairs) == 12
+    sets = [K for pr in pairs for K in (pr.first, pr.second)]
+    sets += list(enumerate_lattice_convex(4, 4))
+    monkeypatch.setattr(_polygons, "_row_moments", no_moments)
+    monkeypatch.setattr(reconstruct, "_difference_table", counted)
+    for K in sets:
+        g = compute_covariogram(K)
+        closings = list(_polygons._closing_chains(reconstruct._edge_lines(g),
+                                                  2 * len(K)))
+        built.clear()
+        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
+        assert len(built) == len(closings), sorted(K)
 
 
 def test_reconstruct_set_missing_a_point_is_unrealizable():
