@@ -213,27 +213,17 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-class Emitter:
-    """key=value output; human mode adds a blank line between sections."""
-
-    def __init__(self, records: bool):
-        self.records = records
-
-    def field(self, key, value):
-        print(f"{key}={value}")
-
-    def section(self, title):
-        if not self.records:
-            print(f"# {title}")
+def _field(key, value):
+    print(f"{key}={value}")
 
 
-def _cmd_compute_cov(args, emit):
+def _cmd_compute_cov(args):
     K = _load_points(args.points)
     sys.stdout.write(serialize_covariogram(compute_covariogram(K)))
     return 0
 
 
-def _cmd_diffset(args, emit):
+def _cmd_diffset(args):
     if args.from_cov:
         d = support_of(_load_cov(args.points))
     else:
@@ -242,67 +232,67 @@ def _cmd_diffset(args, emit):
     return 0
 
 
-def _cmd_invariants(args, emit):
+def _cmd_invariants(args):
     if args.from_cov:
         rec = invariants_from_covariogram(_load_cov(args.points))
     else:
         rec = invariants_direct(_load_points(args.points))
-    emit.field("normals", _fmt_set(rec.normals))
-    emit.field("m_prime", _fmt_scalar(rec.m_prime))
-    emit.field("m_doubleprime", _fmt_scalar(rec.m_doubleprime))
-    emit.field("m", _fmt_scalar(rec.m))
-    emit.field("delta", f"{rec.delta.numerator}/{rec.delta.denominator}")
-    emit.field("det_set", ",".join(str(d) for d in sorted(rec.det_set)))
-    emit.field("certified", _fmt_scalar(rec.certified))
+    _field("normals", _fmt_set(rec.normals))
+    _field("m_prime", _fmt_scalar(rec.m_prime))
+    _field("m_doubleprime", _fmt_scalar(rec.m_doubleprime))
+    _field("m", _fmt_scalar(rec.m))
+    _field("delta", f"{rec.delta.numerator}/{rec.delta.denominator}")
+    _field("det_set", ",".join(str(d) for d in sorted(rec.det_set)))
+    _field("certified", _fmt_scalar(rec.certified))
     return 0
 
 
-def _cmd_edges(args, emit):
+def _cmd_edges(args):
     g = _load_cov(args.covariogram)
     sketch = edge_pair_from_covariogram(g, _ints(args.normal, ",", 2, "--normal"))
-    emit.field("normal", _fmt_point(sketch.normal))
-    emit.field("long_row", _fmt_set(sketch.long_row))
-    emit.field("short_row", _fmt_set(sketch.short_row))
+    _field("normal", _fmt_point(sketch.normal))
+    _field("long_row", _fmt_set(sketch.long_row))
+    _field("short_row", _fmt_set(sketch.short_row))
     return 0
 
 
-def _cmd_reconstruct(args, emit):
+def _cmd_reconstruct(args):
     g = _load_cov(args.covariogram)
     box = _parse_box(args.box) if args.box else (None, None)
     hits = reconstruct_all(g)
     verdict = verdict_of(hits, *box)
     if verdict == "out-of-box":
         hits = []
-    emit.field("verdict", verdict)
-    emit.field("class_count", len(hits))
+    _field("verdict", verdict)
+    _field("class_count", len(hits))
     for i, K in enumerate(hits):
-        emit.field(f"class.{i}", _fmt_set(K))
+        _field(f"class.{i}", _fmt_set(K))
     return 0
 
 
-def _cmd_check_convex(args, emit):
+def _cmd_check_convex(args):
     verdict = is_lattice_convex(_load_points(args.points))
-    emit.field("lattice_convex", _fmt_scalar(verdict))
+    _field("lattice_convex", _fmt_scalar(verdict))
     return 0 if verdict else 1
 
 
-def _cmd_canonical(args, emit):
+def _cmd_canonical(args):
     sys.stdout.write(serialize_points(canonical_form(_load_points(args.points))))
     return 0
 
 
-def _cmd_affine_equiv(args, emit):
+def _cmd_affine_equiv(args):
     fn = affine_equivalent(_load_points(args.first), _load_points(args.second))
     if fn is None:
-        emit.field("equivalent", "false")
+        _field("equivalent", "false")
         return 1
-    emit.field("equivalent", "true")
-    emit.field("matrix", _fmt_matrix(fn.matrix))
-    emit.field("shift", _fmt_point(fn.shift))
+    _field("equivalent", "true")
+    _field("matrix", _fmt_matrix(fn.matrix))
+    _field("shift", _fmt_point(fn.shift))
     return 0
 
 
-def _pair_report(emit, report, out_prefix, *lead):
+def _pair_report(report, out_prefix, *lead):
     """Print the lead fields, then the pair, or with out_prefix the files
     it was written to; the files are written first, so that a write that
     fails prints nothing."""
@@ -320,7 +310,7 @@ def _pair_report(emit, report, out_prefix, *lead):
             tail.append((f"wrote_{tag}", path))
     for key, value in (*lead, ("homometric", _fmt_scalar(report.homometric)),
                        ("nontrivial", _fmt_scalar(report.nontrivial)), *tail):
-        emit.field(key, value)
+        _field(key, value)
     return 0
 
 
@@ -345,13 +335,13 @@ def _check_pair_size(m: int, n: int, limit: int, where: str,
                           f"limit of {limit}")
 
 
-def _cmd_gen_pair(args, emit):
+def _cmd_gen_pair(args):
     params = WidthOneParams(args.k, args.l)
     hexagon = HexagonParams(*_ints(args.hex, ",", 6, "--hex"))
     _check_pair_size(hexagon.size(), params.index, PAIR_POINT_LIMIT,
                      "--k, --l")
     report = corollary_pair_generator(params, hexagon)
-    return _pair_report(emit, report, args.out, ("k", params.k),
+    return _pair_report(report, args.out, ("k", params.k),
                         ("l", params.ell), ("base", _fmt_set(report.base)))
 
 
@@ -383,73 +373,74 @@ def _check_verify_size(S, params: WidthOneParams, path: str) -> None:
                           f"exceeds the limit of {VERIFY_CELL_LIMIT}")
 
 
-def _cmd_verify_thm22(args, emit):
+def _cmd_verify_thm22(args):
     params = WidthOneParams(args.k, args.l)
     S = _load_points(args.points)
     _check_verify_size(S, params, args.points)
     ci = condition_i(S, params)
     cii = condition_ii(S, params)
-    emit.field("condition_i", _fmt_scalar(ci))
-    emit.field("condition_ii", _fmt_scalar(cii))
-    emit.field("agree", _fmt_scalar(ci == cii))
+    _field("condition_i", _fmt_scalar(ci))
+    _field("condition_ii", _fmt_scalar(cii))
+    _field("agree", _fmt_scalar(ci == cii))
     return 0 if ci == cii else 1
 
 
-def _cmd_product_pair(args, emit):
+def _cmd_product_pair(args):
     K, L = _load_points(args.first), _load_points(args.second)
     dims = len(next(iter(K))) + len(next(iter(L)))
     _check_pair_size(len(K) * len(L), dims, PRODUCT_COORD_LIMIT,
                      f"{args.first}, {args.second}", "coordinates")
     report = product_pair(K, L)
-    return _pair_report(emit, report, args.out,
+    return _pair_report(report, args.out,
                         ("dim", len(next(iter(report.first)))))
 
 
-def _cmd_search(args, emit):
+def _cmd_search(args):
     w, h = _parse_box(args.box)
     report = homometric_classes(w, h, jobs=args.jobs,
                                 match=args.match_corollary,
                                 allow_large=args.allow_large)
-    emit.field("box_width", report.width)
-    emit.field("box_height", report.height)
-    emit.field("total_sets", report.total_classes)
-    emit.field("class_count", len(report.classes))
+    _field("box_width", report.width)
+    _field("box_height", report.height)
+    _field("total_sets", report.total_classes)
+    _field("class_count", len(report.classes))
     for ci, cls in enumerate(report.classes):
-        emit.section(f"class {ci}")
-        emit.field(f"class.{ci}.size", len(cls.members))
+        if args.format == "human":
+            print(f"# class {ci}")
+        _field(f"class.{ci}.size", len(cls.members))
         for mi, member in enumerate(cls.members):
-            emit.field(f"class.{ci}.member.{mi}", _fmt_set(member))
+            _field(f"class.{ci}.member.{mi}", _fmt_set(member))
         for pi, pair in enumerate(cls.pairs):
             prefix = f"class.{ci}.pair.{pi}"
             a = cls.members.index(pair.first)
             b = cls.members.index(pair.second)
-            emit.field(f"{prefix}.members", f"{a},{b}")
+            _field(f"{prefix}.members", f"{a},{b}")
             if not args.match_corollary:
                 continue
             if pair.match is None:
-                emit.field(f"{prefix}.verdict", "unmatched")
+                _field(f"{prefix}.verdict", "unmatched")
                 print("warning: unmatched homometric pair "
                       "(candidate new example)", file=sys.stderr)
             else:
                 m = pair.match
-                emit.field(f"{prefix}.verdict", "matched")
-                emit.field(f"{prefix}.k", m.params.k)
-                emit.field(f"{prefix}.l", m.params.ell)
-                emit.field(f"{prefix}.hex",
-                           f"{m.hexagon.a1},{m.hexagon.a2},{m.hexagon.b1},"
-                           f"{m.hexagon.b2},{m.hexagon.g1},{m.hexagon.g2}")
-                emit.field(f"{prefix}.matrix", _fmt_matrix(m.first_map.matrix))
-                emit.field(f"{prefix}.shift", _fmt_point(m.first_map.shift))
-                emit.field(f"{prefix}.shift2", _fmt_point(m.second_map.shift))
-                emit.field(f"{prefix}.swapped", _fmt_scalar(m.swapped))
+                _field(f"{prefix}.verdict", "matched")
+                _field(f"{prefix}.k", m.params.k)
+                _field(f"{prefix}.l", m.params.ell)
+                _field(f"{prefix}.hex",
+                       f"{m.hexagon.a1},{m.hexagon.a2},{m.hexagon.b1},"
+                       f"{m.hexagon.b2},{m.hexagon.g1},{m.hexagon.g2}")
+                _field(f"{prefix}.matrix", _fmt_matrix(m.first_map.matrix))
+                _field(f"{prefix}.shift", _fmt_point(m.first_map.shift))
+                _field(f"{prefix}.shift2", _fmt_point(m.second_map.shift))
+                _field(f"{prefix}.swapped", _fmt_scalar(m.swapped))
     return 0
 
 
-def _cmd_decompose(args, emit):
+def _cmd_decompose(args):
     params = WidthOneParams(args.k, args.l)
     lam, t = decompose_plane(_ints(args.point, ",", 2, "--point"), params)
-    emit.field("sublattice_part", _fmt_point(lam))
-    emit.field("strip_part", _fmt_point(t))
+    _field("sublattice_part", _fmt_point(lam))
+    _field("strip_part", _fmt_point(t))
     return 0
 
 
@@ -551,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args, Emitter(records=(args.format == "records")))
+        return args.fn(args)
     except (FormatError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

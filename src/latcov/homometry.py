@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._polygons import _faces
 from .covariogram import compute_covariogram
 from .lattice import (
     LatticeError,
+    _fills,
     canonical_form,
     convex_hull,
-    hull_lattice_points,
     is_centrally_symmetric,
     is_lattice_convex,
     point_set,
@@ -249,11 +250,11 @@ def condition_ii(S, params: WidthOneParams) -> bool:
     if coords is None:
         return False
     hull = convex_hull(coords)
-    if hull_lattice_points(hull) != coords:
+    if not _fills(hull, coords):
         return False
-    # Hull2 edge directions are primitive already
+    # both direction sets name each line by its _upper side, as _faces does
     allowed = _HEX_DIRS if params.k == params.ell + 1 else _AXIS_DIRS
-    return all(d in allowed or vneg(d) in allowed for _, d, _ in hull.edges)
+    return _faces(hull.chain).keys() <= allowed
 
 
 def gs_graph_connected(S, params: WidthOneParams) -> bool:

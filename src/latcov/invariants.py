@@ -27,10 +27,11 @@ from ._polygons import _chain_key
 from .lattice import (
     Hull2,
     LatticeError,
+    _fills,
     convex_hull,
     det2,
-    hull_lattice_points,
     point_set,
+    primitive,
 )
 
 
@@ -59,16 +60,16 @@ def _lattice_convex_hull(K) -> Hull2:
     hull = convex_hull(pts)
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
-    if hull_lattice_points(hull) != pts:
+    if not _fills(hull, pts):
         raise LatticeError("set is not lattice-convex")
     return hull
 
 
 def edge_normals(K) -> frozenset:
     """Primitive outward normals of the hull edges of K."""
-    # CCW edge direction (dx, dy) has outward normal (dy, -dx); directions
-    # from Hull2 are already primitive.
-    return frozenset((d[1], -d[0]) for _, d, _ in _lattice_convex_hull(K).edges)
+    # CCW edge vector (dx, dy) has outward normal (dy, -dx)
+    return frozenset(primitive((dy, -dx))
+                     for dx, dy in _lattice_convex_hull(K).chain)
 
 
 def discrepancy(normals) -> tuple[frozenset, Fraction]:

@@ -7,6 +7,11 @@ point anywhere in the package, so results are exact at any coordinate size.
 Most operations live in the plane (d = 2).  The few that make sense in any
 dimension (difference sets, central symmetry, canonical forms) accept
 tuples of arbitrary equal length.
+
+Lattice convexity, K = Z^2 cap conv K, is decided in one place, _fills:
+a point or a segment by its lattice length, any other hull by the
+bounding-box scan of hull_lattice_points.  Hull edges are read through
+Hull2.chain.
 """
 
 from __future__ import annotations
@@ -115,14 +120,6 @@ class Hull2:
         return [(b[0] - a[0], b[1] - a[1])
                 for a, b in zip(vs, vs[1:] + vs[:1])]
 
-    @property
-    def edges(self) -> list[tuple[Point, Point, int]]:
-        """Directed boundary edges as (start vertex, primitive direction,
-        lattice point count on the closed edge)."""
-        return [(a, (dx // g, dy // g), g + 1)
-                for a, (dx, dy) in zip(self.vertices, self.chain)
-                for g in (gcd(dx, dy),)]
-
 
 def convex_hull(K) -> Hull2:
     """Monotone chain hull, counterclockwise, strict (collinear points dropped)."""
@@ -146,23 +143,16 @@ def convex_hull(K) -> Hull2:
     return Hull2(tuple(lower[:-1] + upper[:-1]))
 
 
-def segment_lattice_points(a: Point, b: Point) -> list[Point]:
-    """All lattice points on the closed segment from a to b, in order."""
-    if a == b:
-        return [tuple(a)]
-    d = vsub(b, a)
-    g = gcd(*(abs(c) for c in d))
-    step = tuple(c // g for c in d)
-    return [tuple(x + i * s for x, s in zip(a, step)) for i in range(g + 1)]
-
-
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
     """Every lattice point inside or on the hull."""
     vs = hull.vertices
     if len(vs) == 1:
         return frozenset(vs)
     if len(vs) == 2:
-        return frozenset(segment_lattice_points(vs[0], vs[1]))
+        (ax, ay), (dx, dy) = vs[0], hull.chain[0]
+        g = gcd(dx, dy)
+        return frozenset((ax + i * dx // g, ay + i * dy // g)
+                         for i in range(g + 1))
     # Half-plane form of each edge: A*x + B*y + C >= 0 inside.
     halves = []
     for i, (ax, ay) in enumerate(vs):
@@ -178,12 +168,22 @@ def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
     return frozenset(out)
 
 
+def _fills(hull: Hull2, pts: frozenset[Point]) -> bool:
+    """pts, whose convex hull is hull, is every lattice point of it.  A
+    segment holds gcd(edge) + 1 lattice points and pts lies on it, so a
+    point or a segment is decided by that count, whatever its coordinates."""
+    if hull.is_degenerate:
+        chain = hull.chain
+        return len(pts) == (gcd(*chain[0]) if chain else 0) + 1
+    return hull_lattice_points(hull) == pts
+
+
 def is_lattice_convex(K) -> bool:
     """True iff K equals the set of lattice points of its own convex hull."""
     pts = point_set(K)
     if dim_of(pts) != 2:
         raise LatticeError("lattice convexity test requires dimension 2")
-    return hull_lattice_points(convex_hull(pts)) == pts
+    return _fills(convex_hull(pts), pts)
 
 
 def support_set(K, u) -> frozenset[Point]:

@@ -98,10 +98,12 @@ def _edge_lines(g: Covariogram) -> tuple:
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
     lines = []
-    for a, d, count in hull.edges:
-        if _upper(d):
-            q, p = _face_run(g, a, d, count)
-            if p + q != count - 1:
+    for a, (dx, dy) in zip(hull.vertices, hull.chain):
+        if _upper((dx, dy)):
+            n = gcd(dx, dy)
+            d = (dx // n, dy // n)
+            q, p = _face_run(g, a, d, n + 1)
+            if p + q != n:
                 raise LatticeError("not realizable")
             lines.append((d, q, p))
     return tuple(sorted(lines))

@@ -230,9 +230,6 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
                 if compute_covariogram(a) != compute_covariogram(b):
                     raise AssertionError(
                         "covariogram grouping failed re-verification")
-                if canonical_form(a) == canonical_form(b):
-                    raise AssertionError(
-                        "distinct members share a canonical form")
                 verdict = _match(a, b) if match else None
                 pairs.append(PairVerdict(a, b, verdict))
             found.append(HomometricClass(members, tuple(pairs)))

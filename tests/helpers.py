@@ -335,11 +335,12 @@ def covariogram_key(g):
     """(2|K|, edge signature) read off a covariogram alone: the origin
     entry gives |K|, and for each edge line of the support's hull the
     boundary row pair gives the two face lengths (points minus one)."""
-    from latcov.lattice import convex_hull
+    from latcov.lattice import convex_hull, primitive
     from latcov.reconstruct import edge_pair_from_covariogram
 
     sig = set()
-    for _, d, _ in convex_hull(g.entries).edges:
+    for v in convex_hull(g.entries).chain:
+        d = primitive(v)
         sketch = edge_pair_from_covariogram(g, (d[1], -d[0]))
         sig.add((edge_line(d), len(sketch.short_row) - 1,
                  len(sketch.long_row) - 1))
@@ -579,15 +580,20 @@ def match_corollary_by_windows(K, L):
 def faces_by_hull(K):
     """Lattice lengths [along +d, along -d] of the hull's two faces
     across each edge line d, d in the upper half-plane (or +x), read off
-    Hull2.edges: the reader match_corollary used before _polygons._faces."""
+    the hull's edge vectors one at a time: an edge's lattice length is
+    the gcd of its vector."""
+    from math import gcd
+
     from latcov.lattice import convex_hull
 
     faces = {}
-    for _, (dx, dy), count in convex_hull(K).edges:
+    for dx, dy in convex_hull(K).chain:
+        n = gcd(dx, dy)
+        dx, dy = dx // n, dy // n
         if dy > 0 or (dy == 0 and dx > 0):
-            faces.setdefault((dx, dy), [0, 0])[0] = count - 1
+            faces.setdefault((dx, dy), [0, 0])[0] = n
         else:
-            faces.setdefault((-dx, -dy), [0, 0])[1] = count - 1
+            faces.setdefault((-dx, -dy), [0, 0])[1] = n
     return faces
 
 

@@ -470,6 +470,15 @@ def test_search_records_pinned_7x6(capsys):
         "eee9cae8ba1eb0cfaebd5852f3e4bcd51fc1717841080e26e06e754bf33e0896")
 
 
+def test_search_human_output_pinned_6x5(capsys):
+    # human mode heads each class with a "# class i" line
+    rc, out, _ = run(capsys, "search", "--box", "6x5")
+    assert rc == 0
+    assert sum(line.startswith("# class ") for line in out.splitlines()) == 12
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7af452be4e693a8da8b61d566ae74b1d9c9aa9b8a1f603a49cf448ba369167de")
+
+
 def test_search_box_guard(capsys):
     rc, _, err = run(capsys, "search", "--box", "9x9")
     assert rc == 2
@@ -602,3 +611,21 @@ def test_huge_covariogram_dim_refused(tmp_path, command):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert "invalid covariogram" in proc.stderr
     assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("points, code, verdict", [
+    ("0 0\n2147483647 0\n", 1, "false"),
+    ("0 0\n1 1\n2 2\n", 0, "true"),
+], ids=["far-gapped", "diagonal"])
+def test_check_convex_segment_in_time(tmp_path, points, code, verdict):
+    # a segment is decided by its lattice length: none of the far
+    # segment's 2^31 lattice points is listed
+    path = write(tmp_path, "segment.pts", points)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcov.cli", "check-convex", path],
+        capture_output=True, text=True, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (proc.returncode, proc.stdout) == \
+        (code, f"lattice_convex={verdict}\n"), proc.stderr
+    assert time.monotonic() - t0 < 2

@@ -169,6 +169,19 @@ def test_condition_i_known_cases():
     assert not condition_ii(S2, p)
 
 
+def test_condition_ii_refuses_gapped_segment():
+    # a base that is a segment with a gap in sublattice coordinates, along
+    # an allowed direction, is not sublattice-convex; the full one is
+    for k, ell in [(1, 0), (2, 0), (2, 1)]:
+        p = WidthOneParams(k, ell)
+        for di, dj in [(1, 0), (0, 1)]:
+            gapped = frozenset(p.from_coords((i * di, i * dj)) for i in (0, 2))
+            full = frozenset(p.from_coords((i * di, i * dj)) for i in range(3))
+            assert not condition_ii(gapped, p), (k, ell, di, dj)
+            assert not condition_i(gapped, p), (k, ell, di, dj)
+            assert condition_ii(full, p), (k, ell, di, dj)
+
+
 def test_condition_i_implies_connected_step_graph():
     rng = random.Random(603)
     for k, ell in [(1, 0), (2, 1), (2, 0)]:

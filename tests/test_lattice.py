@@ -46,10 +46,7 @@ def test_convex_hull_square():
     h = convex_hull(pts)
     assert h.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
     assert not h.is_degenerate
-    dirs = [e[1] for e in h.edges]
-    assert dirs == [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    counts = [e[2] for e in h.edges]
-    assert counts == [3, 3, 3, 3]
+    assert h.chain == [(2, 0), (0, 2), (-2, 0), (0, -2)]
 
 
 def test_convex_hull_segment_and_point():
@@ -58,7 +55,7 @@ def test_convex_hull_segment_and_point():
     assert set(h.vertices) == {(0, 0), (2, 4)}
     hp = convex_hull([(5, -3)])
     assert hp.vertices == ((5, -3),)
-    assert hp.edges == []
+    assert hp.chain == []
 
 
 def test_hull_ccw_random():
@@ -119,6 +116,16 @@ def test_lattice_convex_segment():
     assert is_lattice_convex({(0, 0), (1, 0), (2, 0)})
     assert not is_lattice_convex({(0, 0), (2, 0)})
     assert is_lattice_convex({(3, 7)})
+    assert is_lattice_convex({(2 ** 31, -2 ** 31)})
+    # a point or a segment is decided by its lattice length: every
+    # nonempty subset of a few collinear rows, against the box scan
+    rows = [[(i, 2 * i) for i in range(5)], [(3 * i, i) for i in range(5)],
+            [(i, 0) for i in range(5)], [(-i, i) for i in range(5)]]
+    for row in rows:
+        for mask in range(1, 2 ** len(row)):
+            K = frozenset(p for b, p in enumerate(row) if mask >> b & 1)
+            assert is_lattice_convex(K) == helpers.brute_lattice_convex(K), \
+                sorted(K)
 
 
 def test_spans_plane():

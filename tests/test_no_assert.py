@@ -1,6 +1,7 @@
 """The library states its invariants as explicit raises, never as
 `assert` statements, which `python -O` drops, its modules import only
-what they use, and every private name it defines is used in it."""
+what they use, every private name it defines is used in it, and only
+`lattice` names its bounding-box scan."""
 
 import ast
 from pathlib import Path
@@ -72,4 +73,19 @@ def test_library_uses_every_private_definition():
             used |= refs - set(names)       # a recursive call is not a use
     found = [f"{path}:{line}: {name}" for path, line, name in defined
              if name not in used]
+    assert found == []
+
+
+def test_only_lattice_names_the_box_scan():
+    # hull_lattice_points is reached through lattice._fills alone, so
+    # replacing the scan is a change to one module
+    name = "hull_lattice_points"
+    found = []
+    for path, tree in _modules():
+        if path.name in ("lattice.py", "__init__.py"):
+            continue
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name)
+                  or (isinstance(node, ast.alias) and node.name == name)]
     assert found == []

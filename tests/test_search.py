@@ -496,8 +496,8 @@ def test_found_members_have_m_two_and_no_certificate(box):
 
 
 def test_faces_of_hull_chain_match_hull_edges():
-    # the one face reader, on a hull's edge vectors, against the reader
-    # on Hull2.edges that match_corollary used before
+    # the one face reader, on a hull's edge vectors, against a reader
+    # that takes each edge's lattice length by itself
     sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(),
             {(0, 0), (1, 0), FAR}]
     assert len(sets) == 5024 + 200 + 1
