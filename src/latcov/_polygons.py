@@ -347,17 +347,14 @@ def _classes(lines, twice_n: int) -> list:
     split by exact _difference_table: a set is built only when its
     moments collide.  All closings share the y-extent h, the sum of
     their rising dy, so stride 2h + 1 packs differences injectively."""
-    chains = list(_closing_chains(lines, twice_n))
-    if len(chains) < 2:
-        return []
     buckets: dict = {}
-    for chain in chains:
+    for chain in _closing_chains(lines, twice_n):
         buckets.setdefault(_row_moments(chain), []).append(chain)
-    stride = 2 * sum(dy for _, dy in chains[0] if dy > 0) + 1
     classes = []
     for bucket in buckets.values():
         if len(bucket) < 2:
             continue
+        stride = 2 * sum(dy for _, dy in bucket[0] if dy > 0) + 1
         tables: dict = {}
         for chain in bucket:
             K = _lattice_points_of_chain(chain)

@@ -24,13 +24,14 @@ sum, a base S whose sum S + T has more than VERIFY_POINT_LIMIT points or
 whose checks would scan more than VERIFY_CELL_LIMIT box cells.
 
 Exit codes: 0 success or affirmative verdict, 1 negative verdict
-(check-convex false, affine-equiv none, verify-thm22 mismatch),
-2 usage or input error.
+(check-convex false, affine-equiv none, verify-thm22 mismatch) or output
+cut short by a reader that closed stdout, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .covariogram import Covariogram, compute_covariogram, support_of
@@ -542,10 +543,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (FormatError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: the flush at exit writes to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

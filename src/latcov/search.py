@@ -2,13 +2,14 @@
 
 The search never walks the box.  Its set count is a knapsack count
 (count_chains), and the only signatures that can hold two sets up to
-reflection are enumerated as splits Z + A +- B: two lattice polygons A
+reflection are enumerated as splits Z + A +- B (two lattice polygons A
 and B with no two parallel edges, on disjoint lines, and a centrally
-symmetric Z.  Each such signature's sets are rebuilt from its edge
-lines, grouped by covariogram, and every class with two or more
-members up to translation and point reflection is reported.  Each found
-pair can be matched, up to unimodular affine maps of the lattice,
-against the hexagon-family mirror pairs of width-one strips.
+symmetric Z) whose two sets share their second moments.  Their sets
+are rebuilt from edge lines, grouped by covariogram, and every class
+with two or more members up to translation and point reflection is
+reported.  Each found pair can be matched, up to unimodular affine maps
+of the lattice, against the hexagon-family mirror pairs of width-one
+strips.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ._polygons import (
     _faces,
     _lattice_points_of_chain,
     _ray_groups,
+    _row_moments,
     _twice_area,
     _upper,
     count_chains,
@@ -137,8 +139,8 @@ def _zonotopes(rx: int, ry: int) -> list:
 
 def _split_keys(width: int, height: int) -> set:
     """The key (2|K|, edge signature) of every signature that has two
-    closings of equal |K|, other than a chain and its reflection, whose
-    sets fit a width x height point grid.
+    closings of equal |K| and equal second moments, other than a chain
+    and its reflection, whose sets fit a width x height point grid.
 
     Two such closings agree on some free lines (faces of unequal length)
     and differ on the others, and the steps (p - q) * d of each part sum
@@ -152,7 +154,8 @@ def _split_keys(width: int, height: int) -> set:
     box's.  Z + A + B and Z + A - B share their boundary count, and
     their areas differ only by the mixed areas of A with B and with -B,
     so the Pick test runs once per pair, on A + B and A - B, before any
-    Z is added."""
+    Z is added.  Only a key where some split's two sets share _row_moments,
+    which covariograms fix, is kept: a homometric pair is one split's sets."""
     dx, dy = width - 1, height - 1
     by_extent: dict = {}
     for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
@@ -162,9 +165,6 @@ def _split_keys(width: int, height: int) -> set:
     rank = {group[0]: i for i, group in enumerate(_ray_groups(dx, dy))}
     extents = sorted(by_extent)
     zonotopes: dict = {}
-    # The keys share one copy of each (line, q, p): there are 196 of
-    # them at 8x8, against 396,014 keys of about a dozen lines each.
-    faces: dict = {}
     keys = set()
     for i, (ax, ay) in enumerate(extents):
         for bx, by in extents[i:]:
@@ -184,9 +184,10 @@ def _split_keys(width: int, height: int) -> set:
                     if (rx, ry) not in zonotopes:
                         zonotopes[rx, ry] = _zonotopes(rx, ry)
                     for z in zonotopes[rx, ry]:
-                        twice_n, sig = _chain_key(_sum_chain(rank, (plus, z)))
-                        keys.add((twice_n, tuple([faces.setdefault(f, f)
-                                                  for f in sig])))
+                        chain = _sum_chain(rank, (plus, z))
+                        if _row_moments(chain) == \
+                                _row_moments(_sum_chain(rank, (minus, z))):
+                            keys.add(_chain_key(chain))
     return keys
 
 
@@ -195,19 +196,15 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
                        allow_large: bool = False) -> SearchReport:
     """Group the sets of a box by covariogram and report collisions.
 
-    Homometric sets share |K| and the edge signature: for each edge line
-    {u, -u}, the unordered lattice lengths of the two faces across it.
-    Only a signature with two side assignments of equal |K|, other than
-    a chain and its reflection, can hold a homometric pair, and those
-    keys are enumerated directly as splits Z + A +- B (_split_keys); the
-    box is never walked.  _classes gives each key's covariogram classes
-    of two or more sets, one per reflection class; the covariogram
-    determines the key.  A class is interesting when it holds two or
-    more distinct canonical forms, and every reported pair is
-    re-verified once, before it is matched.  total_classes counts every
-    set of the box, one per translation class, by count_chains.  The
-    search runs in this process: jobs is checked, refused below 1, and
-    otherwise ignored.
+    Homometric sets share |K|, the edge signature (_chain_key) and second
+    moments, so only the keys of _split_keys can hold a pair; the box is
+    never walked.  _classes gives each key's covariogram classes of two
+    or more sets, one per reflection class.  A class is interesting when
+    it holds two or more distinct canonical forms, and every reported
+    pair is re-verified once, before it is matched.  total_classes counts
+    every set of the box, one per translation class, by count_chains.
+    The search runs in this process: jobs is checked, refused below 1,
+    and otherwise ignored.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -216,10 +213,9 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             "box exceeds the desk-scale limit; pass allow_large=True to override")
     if jobs < 1:
         raise LatticeError("jobs must be at least 1")
-    keys = _split_keys(width, height)
     total = count_chains(width - 1, height - 1)
     found = []
-    for twice_n, sig in keys:
+    for twice_n, sig in _split_keys(width, height):
         for sets in _classes(sig, twice_n):
             forms = {canonical_form(K) for K in sets}
             if len(forms) < 2:

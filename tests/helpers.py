@@ -720,3 +720,70 @@ def moments(K):
     return (n * sum(x * x for x in xs) - sx * sx,
             n * sum(x * y for x, y in zip(xs, ys)) - sx * sy,
             n * sum(y * y for y in ys) - sy * sy)
+
+
+def split_keys(width: int, height: int) -> set:
+    """The key (2|K|, edge signature) of every signature that has two
+    closings of equal |K|, other than a chain and its reflection, whose
+    sets fit a width x height point grid.
+
+    Two such closings agree on some free lines (faces of unequal length)
+    and differ on the others, and the steps (p - q) * d of each part sum
+    to zero, so each part is a closed chain A or B with no two parallel
+    edges, and the two sets are Z + A + B and Z + A - B for a centrally
+    symmetric Z.  Nonzero steps on distinct lines need three to sum to
+    zero, so A and B are lattice polygons of extent at least (1, 1), and
+    the parts are walked at one less than the box, one of each pair +-A
+    (replacing A by -A reflects both sets), each with the mask of its
+    lines.  A pair fits when its extents and Z's add up to at most the
+    box's.  Z + A + B and Z + A - B share their boundary count, and
+    their areas differ only by the mixed areas of A with B and with -B,
+    so the Pick test runs once per pair, on A + B and A - B, before any
+    Z is added.
+
+    This is search._split_keys as it was before it tested the two sets'
+    second moments: every split key, not only those whose sets collide,
+    kept as a corpus of closings and as the oracle of the search's keys."""
+    from latcov._polygons import (
+        _chain_key,
+        _ray_groups,
+        _twice_area,
+        walk_chains,
+    )
+    from latcov.search import _sum_chain, _zonotopes
+
+    dx, dy = width - 1, height - 1
+    by_extent: dict = {}
+    for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
+        extent = (sum(x for x, _ in chain if x > 0),
+                  sum(y for _, y in chain if y > 0))
+        by_extent.setdefault(extent, []).append((chain, lines))
+    rank = {group[0]: i for i, group in enumerate(_ray_groups(dx, dy))}
+    extents = sorted(by_extent)
+    zonotopes: dict = {}
+    # The keys share one copy of each (line, q, p): there are 196 of
+    # them at 8x8, against 396,014 keys of about a dozen lines each.
+    faces: dict = {}
+    keys = set()
+    for i, (ax, ay) in enumerate(extents):
+        for bx, by in extents[i:]:
+            rx, ry = dx - ax - bx, dy - ay - by
+            if rx < 0 or ry < 0:
+                continue
+            group_a, group_b = by_extent[ax, ay], by_extent[bx, by]
+            for j, (a, lines_a) in enumerate(group_a):
+                for b, lines_b in (group_b if group_b is not group_a
+                                   else group_a[j + 1:]):
+                    if lines_a & lines_b:
+                        continue
+                    plus = _sum_chain(rank, (a, b))
+                    minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
+                    if _twice_area(plus) != _twice_area(minus):
+                        continue
+                    if (rx, ry) not in zonotopes:
+                        zonotopes[rx, ry] = _zonotopes(rx, ry)
+                    for z in zonotopes[rx, ry]:
+                        twice_n, sig = _chain_key(_sum_chain(rank, (plus, z)))
+                        keys.add((twice_n, tuple([faces.setdefault(f, f)
+                                                  for f in sig])))
+    return keys

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import os
 import random
@@ -629,3 +630,21 @@ def test_check_convex_segment_in_time(tmp_path, points, code, verdict):
     assert (proc.returncode, proc.stdout) == \
         (code, f"lattice_convex={verdict}\n"), proc.stderr
     assert time.monotonic() - t0 < 2
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe: the search's 4.8 kB
+    # of records cannot fit a one-page pipe, so a later write meets the
+    # closed pipe whatever the buffering, and main exits without a trace
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latcov.cli", "--format", "records",
+         "search", "--box", "6x5", "--match-corollary"],
+        stdout=w, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    os.close(w)
+    with os.fdopen(r, "rb", buffering=0) as out:
+        line = out.readline()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, line, err) == (1, b"box_width=6\n", "")

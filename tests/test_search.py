@@ -339,7 +339,7 @@ def test_chain_fill_matches_all_edges_fill():
               *map(tuple, _polygons.walk_chains(4, 5))]
     assert len(chains) == 2 * 53524
     for box in [(6, 5), (5, 6), (7, 6)]:
-        for twice_n, sig in search._split_keys(*box):
+        for twice_n, sig in helpers.split_keys(*box):
             chains.extend(_polygons._closing_chains(sig, twice_n))
     assert len(chains) > 2 * 53524 + 2 * 1304
     for chain in chains:
@@ -368,7 +368,7 @@ def test_classes_equal_table_oracle_on_search_keys():
     # groups of two or more of tables alone, on every key the 6x5 and
     # 5x6 searches fill
     for box in [(6, 5), (5, 6)]:
-        keys = search._split_keys(*box)
+        keys = helpers.split_keys(*box)
         assert len(keys) == 633
         for twice_n, sig in keys:
             assert group_sets(_polygons._classes(sig, twice_n)) == \
@@ -395,7 +395,7 @@ def test_closings_in_angle_order_match_sort_oracle():
     keys = set(signatures_5x4())
     assert len(keys) > 1000
     for box in [(6, 5), (5, 6), (7, 6)]:
-        keys |= search._split_keys(*box)
+        keys |= helpers.split_keys(*box)
     for twice_n, sig in keys:
         assert list(_polygons._closing_chains(sig, twice_n)) == \
             list(helpers.closing_chains_by_sort(sig, twice_n)), sig
@@ -409,7 +409,7 @@ def test_row_moments_equal_moments_of_filled_set():
               *map(tuple, _polygons.walk_chains(4, 5))]
     keys = set(signatures_5x4())
     for box in [(6, 5), (5, 6), (7, 6)]:
-        keys |= search._split_keys(*box)
+        keys |= helpers.split_keys(*box)
     for twice_n, sig in keys:
         chains.extend(_polygons._closing_chains(sig, twice_n))
     chains += [convex_hull(F).chain for F in [*sheared_sets(), *far_sets()]]
@@ -574,8 +574,46 @@ def test_split_keys_are_the_walk_keys_with_two_classes():
     for dx, dy in sorted(extents):
         counts = helpers.keyed_walk_counts((dx, dy))
         want = {key for key, count in counts.items() if count >= 4}
-        assert search._split_keys(dx + 1, dy + 1) == want, (dx, dy)
-    assert len(search._split_keys(6, 5)) == len(search._split_keys(5, 6)) == 633
+        assert helpers.split_keys(dx + 1, dy + 1) == want, (dx, dy)
+    assert len(helpers.split_keys(6, 5)) == len(helpers.split_keys(5, 6)) == 633
+
+
+def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
+    # every box up to 6x5 and 5x6, and 7x6: the search keeps exactly the
+    # split keys with two closings of equal second moments, and so every
+    # split key that holds a covariogram class
+    boxes = {(dx + 1, dy + 1) for dx in range(6) for dy in range(5)}
+    boxes |= {(h, w) for w, h in boxes} | {(7, 6)}
+    counts = {}
+    for box in sorted(boxes):
+        oracle = helpers.split_keys(*box)
+        want = set()
+        for twice_n, sig in oracle:
+            moments = [_polygons._row_moments(chain)
+                       for chain in _polygons._closing_chains(sig, twice_n)]
+            if len(set(moments)) < len(moments):
+                want.add((twice_n, sig))
+        keys = search._split_keys(*box)
+        assert keys == want, box
+        assert {(twice_n, sig) for twice_n, sig in oracle
+                if _polygons._classes(sig, twice_n)} <= keys, box
+        counts[box] = len(keys)
+    assert (counts[6, 5], counts[5, 6], counts[7, 6]) == (15, 15, 53)
+
+
+def test_search_closes_only_the_colliding_keys(monkeypatch):
+    # the 6x5 search rebuilds the closings of its 15 colliding keys only,
+    # not of all 633 split keys
+    calls = []
+    closing_chains = _polygons._closing_chains
+
+    def counted(lines, twice_n):
+        calls.append(twice_n)
+        return closing_chains(lines, twice_n)
+
+    monkeypatch.setattr(_polygons, "_closing_chains", counted)
+    assert len(homometric_classes(6, 5).classes) == 12
+    assert len(calls) <= 15
 
 
 def test_part_walk_matches_filtered_walk():
