@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd
 
 from ._polygons import (
     _angle_cmp,
@@ -54,6 +53,8 @@ from .lattice import (
 
 DESK_SCALE_LIMIT = 42
 _STRIP_TRIANGLE = ((0, 0), (1, 0), (0, 1))
+_MIRROR = ((-1, 0), (0, 1))
+_TRANSPOSE = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,11 @@ def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
 
 def _sum_chain(rank: dict, chains) -> list:
     """Edge chain of the Minkowski sum of closed convex chains: edges on
-    one ray add up, and rank orders the primitive rays by angle."""
+    one ray add up, and rank maps each edge vector to its ray's rank."""
     edges: dict = {}
     for chain in chains:
         for dx, dy in chain:
-            g = gcd(dx, dy)
-            r = rank[dx // g, dy // g]
+            r = rank[dx, dy]
             ex, ey = edges.get(r, (0, 0))
             edges[r] = (ex + dx, ey + dy)
     return [edges[r] for r in sorted(edges)]
@@ -137,6 +137,29 @@ def _zonotopes(rx: int, ry: int) -> list:
     return out
 
 
+def _key_image(key, matrix) -> tuple:
+    """The key of a set's image under a unimodular matrix: each line goes
+    to its image's line, with the same face lengths."""
+    (a, b), (c, d) = matrix
+    lines = [(a * x + b * y, c * x + d * y, q, p) for (x, y), q, p in key[1]]
+    return key[0], tuple(sorted(((x, y) if _upper((x, y)) else (-x, -y), q, p)
+                                for x, y, q, p in lines))
+
+
+def _pairs(group_a: dict, group_b: dict):
+    """The line-disjoint pairs of parts, one of each group and each pair
+    once, whose skews (the groups' keys) and tilts add up to at least 0."""
+    for sa, parts_a in group_a.items():
+        for sb, parts_b in group_b.items():
+            if sa + sb < 0 or group_a is group_b and sb < sa:
+                continue
+            for j, (a, lines_a, ta) in enumerate(parts_a):
+                for b, lines_b, tb in (parts_b if parts_b is not parts_a
+                                       else parts_a[j + 1:]):
+                    if not lines_a & lines_b and ta + tb >= 0:
+                        yield a, b
+
+
 def _split_keys(width: int, height: int) -> set:
     """The key (2|K|, edge signature) of every signature that has two
     closings of equal |K| and equal second moments, other than a chain
@@ -155,14 +178,28 @@ def _split_keys(width: int, height: int) -> set:
     their areas differ only by the mixed areas of A with B and with -B,
     so the Pick test runs once per pair, on A + B and A - B, before any
     Z is added.  Only a key where some split's two sets share _row_moments,
-    which covariograms fix, is kept: a homometric pair is one split's sets."""
+    which covariograms fix, is kept: a homometric pair is one split's sets.
+
+    The mirror x -> -x, and the transpose x <-> y of a square box, map
+    the box onto itself and splits onto splits of the same extents that
+    pass the same tests; Z runs over a set closed under both, and keys
+    are unchanged by point reflection, so the keys of a split's image are
+    the images of its keys (_key_image).  skew = sum x y and tilt = sum
+    x^2 - y^2 over the edges are even under A -> -A, skew is odd under
+    the mirror and tilt under the transpose, so a pair is tried only when
+    its skews (and on a square box its tilts) add up to at least 0: one
+    of each orbit.  The keys found are then closed under the maps."""
     dx, dy = width - 1, height - 1
+    square = dx == dy
+    # Parts by extent, then by skew, each with its tilt (0 off the square).
     by_extent: dict = {}
     for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
         extent = (sum(x for x, _ in chain if x > 0),
                   sum(y for _, y in chain if y > 0))
-        by_extent.setdefault(extent, []).append((chain, lines))
-    rank = {group[0]: i for i, group in enumerate(_ray_groups(dx, dy))}
+        tilt = sum(x * x - y * y for x, y in chain) if square else 0
+        by_extent.setdefault(extent, {}).setdefault(
+            sum(x * y for x, y in chain), []).append((chain, lines, tilt))
+    rank = {v: i for i, group in enumerate(_ray_groups(dx, dy)) for v in group}
     extents = sorted(by_extent)
     zonotopes: dict = {}
     keys = set()
@@ -171,23 +208,21 @@ def _split_keys(width: int, height: int) -> set:
             rx, ry = dx - ax - bx, dy - ay - by
             if rx < 0 or ry < 0:
                 continue
-            group_a, group_b = by_extent[ax, ay], by_extent[bx, by]
-            for j, (a, lines_a) in enumerate(group_a):
-                for b, lines_b in (group_b if group_b is not group_a
-                                   else group_a[j + 1:]):
-                    if lines_a & lines_b:
-                        continue
-                    plus = _sum_chain(rank, (a, b))
-                    minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
-                    if _twice_area(plus) != _twice_area(minus):
-                        continue
-                    if (rx, ry) not in zonotopes:
-                        zonotopes[rx, ry] = _zonotopes(rx, ry)
-                    for z in zonotopes[rx, ry]:
-                        chain = _sum_chain(rank, (plus, z))
-                        if _row_moments(chain) == \
-                                _row_moments(_sum_chain(rank, (minus, z))):
-                            keys.add(_chain_key(chain))
+            for a, b in _pairs(by_extent[ax, ay], by_extent[bx, by]):
+                plus = _sum_chain(rank, (a, b))
+                minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
+                if _twice_area(plus) != _twice_area(minus):
+                    continue
+                if (rx, ry) not in zonotopes:
+                    zonotopes[rx, ry] = _zonotopes(rx, ry)
+                for z in zonotopes[rx, ry]:
+                    chain = _sum_chain(rank, (plus, z)) if z else plus
+                    other = _sum_chain(rank, (minus, z)) if z else minus
+                    if _row_moments(chain) == _row_moments(other):
+                        keys.add(_chain_key(chain))
+    keys |= {_key_image(key, _MIRROR) for key in keys}
+    if square:
+        keys |= {_key_image(key, _TRANSPOSE) for key in keys}
     return keys
 
 
@@ -255,9 +290,10 @@ def _strip_windows(K, L):
     P whose (1, 0) line has faces (k, k - 1).  S is the points of P in
     the sublattice coset of min P whose strip tile lies in P; the tight
     windows of S and of -S are proposed."""
+    chain = convex_hull(K).chain
     faces_l = _faces(convex_hull(L).chain)
     groups = ([], [])
-    for d, (p, q) in _faces(convex_hull(K).chain).items():
+    for d, (p, q) in _faces(chain).items():
         if p != q:
             groups[faces_l[d] == [p, q]].append(((p - q) * d[0],
                                                  (p - q) * d[1]))
@@ -267,16 +303,19 @@ def _strip_windows(K, L):
         s1, s2, _ = sorted(steps, key=cmp_to_key(_angle_cmp))
         for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
                                    _STRIP_TRIANGLE):
-            P = fn.apply_set(K)
-            k, ell = _faces(convex_hull(P).chain).get((1, 0), (0, 0))
+            # P's hull chain is fn of K's, negated when det < 0 flips it.
+            ((a, b), (c, e)), s = fn.matrix, fn.det
+            image = [(s * (a * x + b * y), s * (c * x + e * y)) for x, y in chain]
+            k, ell = _faces(image).get((1, 0), (0, 0))
             if k != ell + 1:
                 continue
+            P = fn.apply_set(K)
             params = WidthOneParams(k, ell)
             T = width_one_T(params)
-            o = min(P)
-            ij = [params.coords(vsub(p, o)) for p in P
-                  if params.contains(vsub(p, o))
-                  and all(vadd(p, t) in P for t in T)]
+            ox, oy = min(P)
+            ij = [params.coords((x - ox, y - oy)) for x, y in P
+                  if params.contains((x - ox, y - oy))
+                  and all((x + tx, y + ty) in P for tx, ty in T)]
             if not ij:
                 continue
             a1, b1 = min(i for i, _ in ij), min(j for _, j in ij)

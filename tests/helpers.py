@@ -742,15 +742,30 @@ def split_keys(width: int, height: int) -> set:
     Z is added.
 
     This is search._split_keys as it was before it tested the two sets'
-    second moments: every split key, not only those whose sets collide,
-    kept as a corpus of closings and as the oracle of the search's keys."""
+    second moments, tried one pair of each orbit of the box's symmetries
+    and looked edges up by vector: every split key, not only those whose
+    sets collide, kept as a corpus of closings and as the oracle of the
+    search's keys."""
+    from math import gcd
+
     from latcov._polygons import (
         _chain_key,
         _ray_groups,
         _twice_area,
         walk_chains,
     )
-    from latcov.search import _sum_chain, _zonotopes
+    from latcov.search import _zonotopes
+
+    def _sum_chain(rank, chains):
+        # edges on one ray add up, each ray found by its primitive vector
+        edges = {}
+        for chain in chains:
+            for x, y in chain:
+                g = gcd(x, y)
+                r = rank[x // g, y // g]
+                ex, ey = edges.get(r, (0, 0))
+                edges[r] = (ex + x, ey + y)
+        return [edges[r] for r in sorted(edges)]
 
     dx, dy = width - 1, height - 1
     by_extent: dict = {}
@@ -787,3 +802,46 @@ def split_keys(width: int, height: int) -> set:
                         keys.add((twice_n, tuple([faces.setdefault(f, f)
                                                   for f in sig])))
     return keys
+
+
+def strip_windows_by_hulls(K, L):
+    """(k, a2, b2, g1, g2) of each hexagon window that the edge chains of
+    the homometric pair K, L allow, in the order search._strip_windows
+    yields them: the reader as it was before it mapped K's hull chain,
+    building the hull of every image P of K under a triangle map."""
+    from functools import cmp_to_key
+
+    from latcov._polygons import _angle_cmp, _faces
+    from latcov.homometry import WidthOneParams, width_one_T
+    from latcov.lattice import affine_witnesses, convex_hull, vadd, vsub
+
+    faces_l = _faces(convex_hull(L).chain)
+    groups = ([], [])
+    for d, (p, q) in _faces(convex_hull(K).chain).items():
+        if p != q:
+            groups[faces_l[d] == [p, q]].append(((p - q) * d[0],
+                                                 (p - q) * d[1]))
+    for steps in groups:
+        if len(steps) != 3:
+            continue
+        s1, s2, _ = sorted(steps, key=cmp_to_key(_angle_cmp))
+        for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
+                                   ((0, 0), (1, 0), (0, 1))):
+            P = fn.apply_set(K)
+            k, ell = _faces(convex_hull(P).chain).get((1, 0), (0, 0))
+            if k != ell + 1:
+                continue
+            params = WidthOneParams(k, ell)
+            T = width_one_T(params)
+            o = min(P)
+            ij = [params.coords(vsub(p, o)) for p in P
+                  if params.contains(vsub(p, o))
+                  and all(vadd(p, t) in P for t in T)]
+            if not ij:
+                continue
+            a1, b1 = min(i for i, _ in ij), min(j for _, j in ij)
+            a2, b2 = max(i for i, _ in ij) - a1, max(j for _, j in ij) - b1
+            g1 = min(i - j for i, j in ij) - a1 + b1
+            g2 = max(i - j for i, j in ij) - a1 + b1
+            yield k, a2, b2, g1, g2
+            yield k, a2, b2, a2 - b2 - g2, a2 - b2 - g1

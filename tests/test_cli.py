@@ -471,6 +471,19 @@ def test_search_records_pinned_7x6(capsys):
         "eee9cae8ba1eb0cfaebd5852f3e4bcd51fc1717841080e26e06e754bf33e0896")
 
 
+@pytest.mark.parametrize("box, digest", [
+    ("6x6", "92ef384370935511b580098c32fbe967b51bc6b38d9011e0cb0bf0e5cbfd62a1"),
+    ("6x7", "9780ea46ff5aa78e7124cc3f6f396000a0c46697e84cd273d06dd434246842e8"),
+])
+def test_search_records_pinned_square_and_transposed(capsys, box, digest):
+    # a square box, where the search also maps keys by x <-> y, and the
+    # transpose of 7x6
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", box,
+                     "--match-corollary", "--jobs", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_human_output_pinned_6x5(capsys):
     # human mode heads each class with a "# class i" line
     rc, out, _ = run(capsys, "search", "--box", "6x5")

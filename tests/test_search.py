@@ -579,11 +579,12 @@ def test_split_keys_are_the_walk_keys_with_two_classes():
 
 
 def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
-    # every box up to 6x5 and 5x6, and 7x6: the search keeps exactly the
-    # split keys with two closings of equal second moments, and so every
-    # split key that holds a covariogram class
+    # every box up to 6x5 and 5x6, 6x6 (the transpose too) and 7x6: the
+    # search keeps exactly the split keys with two closings of equal
+    # second moments, and so every split key that holds a covariogram
+    # class, though it tries one pair of each orbit of the box's symmetries
     boxes = {(dx + 1, dy + 1) for dx in range(6) for dy in range(5)}
-    boxes |= {(h, w) for w, h in boxes} | {(7, 6)}
+    boxes |= {(h, w) for w, h in boxes} | {(6, 6), (7, 6)}
     counts = {}
     for box in sorted(boxes):
         oracle = helpers.split_keys(*box)
@@ -598,7 +599,33 @@ def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
         assert {(twice_n, sig) for twice_n, sig in oracle
                 if _polygons._classes(sig, twice_n)} <= keys, box
         counts[box] = len(keys)
-    assert (counts[6, 5], counts[5, 6], counts[7, 6]) == (15, 15, 53)
+    assert (counts[6, 5], counts[5, 6], counts[6, 6], counts[7, 6]) == \
+        (15, 15, 38, 53)
+
+
+def test_key_image_is_the_key_of_the_mirror_and_the_transpose():
+    # every chain up to extent (5, 4): the key of its image under
+    # x -> -x and under x <-> y is its own key mapped line by line
+    for chain in _polygons.walk_chains(5, 4):
+        key = _polygons._chain_key(chain)
+        for matrix in (search._MIRROR, search._TRANSPOSE):
+            (a, b), (c, d) = matrix
+            image = [(a * x + b * y, c * x + d * y) for x, y in chain[::-1]]
+            assert _polygons._chain_key(image) == \
+                search._key_image(key, matrix), (chain, matrix)
+
+
+@pytest.mark.parametrize("box", [(6, 5), (5, 6), (7, 6)])
+def test_strip_windows_equal_hull_rebuilding_oracle(box):
+    # every found pair, in both member orders: reading the faces of each
+    # triangle map's image off K's mapped hull chain proposes the same
+    # windows, in the same order, as rebuilding the image's hull
+    report = homometric_classes(*box, allow_large=True)
+    pairs = [(p.first, p.second) for c in report.classes for p in c.pairs]
+    assert len(pairs) == {(7, 6): 36}.get(box, 12)
+    for K, L in pairs + [(L, K) for K, L in pairs]:
+        assert list(search._strip_windows(K, L)) == \
+            list(helpers.strip_windows_by_hulls(K, L))
 
 
 def test_search_closes_only_the_colliding_keys(monkeypatch):
