@@ -26,15 +26,14 @@ their x and y extents, without walking them.
 The module owns the edge signature: _upper names a line {v, -v} by its
 side in the open upper half-plane or on the +x ray, _faces reads a
 chain's two face lengths per line, _chain_key packs them with 2|K| into
-the key, and _closing_chains goes back from a key to its chains, each
-built in angle order.  All closings of one signature share its boundary
+the key, and _closing_chains, for reconstruction, goes back from a key
+to its chains, each built in angle order.  All closings of one signature share its boundary
 count, so Pick's theorem tests them by area alone.  Homometric sets
 share their second moments, sum g(u) u u^T = 2 (n sum p p^T - sum p
 sum p^T), which _row_moments reads off a chain's rows (_rows) without
-building its points.  _classes, the search's grouping, fills only the
-chains whose moments collide, and compares exact difference tables
-(_difference_table) only between those; reconstruction compares each
-closing's table with g's own instead.
+building its points.  Sets are told apart by their exact difference
+tables (_difference_table): the search groups the sets of its splits
+by them, and reconstruction compares each closing's table with g's own.
 """
 
 from __future__ import annotations
@@ -336,31 +335,6 @@ def _difference_table(K, stride: int) -> frozenset:
     """K's exact table of difference counts, (x, y) packed as x stride + y."""
     packed = [x * stride + y for x, y in K]
     return frozenset(Counter([p - q for p in packed for q in packed]).items())
-
-
-def _classes(lines, twice_n: int) -> list:
-    """The covariogram classes of two or more sets among
-    _closing_chains(lines, twice_n), as lists of sets.
-
-    Homometric sets share their _row_moments, so the closings are
-    bucketed by them, and only a bucket of two or more is filled and
-    split by exact _difference_table: a set is built only when its
-    moments collide.  All closings share the y-extent h, the sum of
-    their rising dy, so stride 2h + 1 packs differences injectively."""
-    buckets: dict = {}
-    for chain in _closing_chains(lines, twice_n):
-        buckets.setdefault(_row_moments(chain), []).append(chain)
-    classes = []
-    for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
-        stride = 2 * sum(dy for _, dy in bucket[0] if dy > 0) + 1
-        tables: dict = {}
-        for chain in bucket:
-            K = _lattice_points_of_chain(chain)
-            tables.setdefault(_difference_table(K, stride), []).append(K)
-        classes += [sets for sets in tables.values() if len(sets) > 1]
-    return classes
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:

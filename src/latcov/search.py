@@ -1,13 +1,13 @@
 """Exhaustive search for homometric pairs among planar lattice-convex sets.
 
 The search never walks the box.  Its set count is a knapsack count
-(count_chains), and the only signatures that can hold two sets up to
-reflection are enumerated as splits Z + A +- B (two lattice polygons A
-and B with no two parallel edges, on disjoint lines, and a centrally
-symmetric Z) whose two sets share their second moments.  Their sets
-are rebuilt from edge lines, grouped by covariogram, and every class
-with two or more members up to translation and point reflection is
-reported.  Each found pair can be matched, up to unimodular affine maps
+(count_chains), and the only pairs of sets that can share a covariogram
+without being reflections of each other are enumerated as splits
+Z + A +- B (two lattice polygons A and B with no two parallel edges, on
+disjoint lines, and a centrally symmetric Z) whose two sets share their
+second moments.  Those sets, and their images under the box's
+symmetries, are grouped by covariogram, and every class with two or
+more members up to translation and point reflection is reported.  Each found pair can be matched, up to unimodular affine maps
 of the lattice, against the hexagon-family mirror pairs of width-one
 strips.
 """
@@ -20,8 +20,7 @@ from itertools import combinations
 
 from ._polygons import (
     _angle_cmp,
-    _chain_key,
-    _classes,
+    _difference_table,
     _faces,
     _lattice_points_of_chain,
     _ray_groups,
@@ -137,15 +136,6 @@ def _zonotopes(rx: int, ry: int) -> list:
     return out
 
 
-def _key_image(key, matrix) -> tuple:
-    """The key of a set's image under a unimodular matrix: each line goes
-    to its image's line, with the same face lengths."""
-    (a, b), (c, d) = matrix
-    lines = [(a * x + b * y, c * x + d * y, q, p) for (x, y), q, p in key[1]]
-    return key[0], tuple(sorted(((x, y) if _upper((x, y)) else (-x, -y), q, p)
-                                for x, y, q, p in lines))
-
-
 def _pairs(group_a: dict, group_b: dict):
     """The line-disjoint pairs of parts, one of each group and each pair
     once, whose skews (the groups' keys) and tilts add up to at least 0."""
@@ -160,35 +150,33 @@ def _pairs(group_a: dict, group_b: dict):
                         yield a, b
 
 
-def _split_keys(width: int, height: int) -> set:
-    """The key (2|K|, edge signature) of every signature that has two
-    closings of equal |K| and equal second moments, other than a chain
-    and its reflection, whose sets fit a width x height point grid.
+def _splits(width: int, height: int):
+    """Yield (chain, other) for every tried split whose two sets,
+    Z + A + B and Z + A - B, fit a width x height point grid and share
+    their _row_moments, which covariograms fix.
 
-    Two such closings agree on some free lines (faces of unequal length)
-    and differ on the others, and the steps (p - q) * d of each part sum
-    to zero, so each part is a closed chain A or B with no two parallel
-    edges, and the two sets are Z + A + B and Z + A - B for a centrally
-    symmetric Z.  Nonzero steps on distinct lines need three to sum to
-    zero, so A and B are lattice polygons of extent at least (1, 1), and
-    the parts are walked at one less than the box, one of each pair +-A
-    (replacing A by -A reflects both sets), each with the mask of its
-    lines.  A pair fits when its extents and Z's add up to at most the
-    box's.  Z + A + B and Z + A - B share their boundary count, and
-    their areas differ only by the mixed areas of A with B and with -B,
-    so the Pick test runs once per pair, on A + B and A - B, before any
-    Z is added.  Only a key where some split's two sets share _row_moments,
-    which covariograms fix, is kept: a homometric pair is one split's sets.
+    Two homometric sets that are not reflections of each other agree on
+    some free lines (faces of unequal length) and differ on the others,
+    and the steps (p - q) * d of each part sum to zero, so each part is a
+    closed chain A or B with no two parallel edges, and the two sets are
+    Z + A + B and Z + A - B for a centrally symmetric Z.  Nonzero steps
+    on distinct lines need three to sum to zero, so A and B are lattice
+    polygons of extent at least (1, 1), and the parts are walked at one
+    less than the box, one of each pair +-A (replacing A by -A reflects
+    both sets), each with the mask of its lines.  A pair fits when its
+    extents and Z's add up to at most the box's.  Z + A + B and Z + A - B
+    share their boundary count, and their areas differ only by the mixed
+    areas of A with B and with -B, so the Pick test runs once per pair,
+    on A + B and A - B, before any Z is added.
 
     The mirror x -> -x, and the transpose x <-> y of a square box, map
     the box onto itself and splits onto splits of the same extents that
-    pass the same tests; Z runs over a set closed under both, and keys
-    are unchanged by point reflection, so the keys of a split's image are
-    the images of its keys (_key_image).  skew = sum x y and tilt = sum
-    x^2 - y^2 over the edges are even under A -> -A, skew is odd under
-    the mirror and tilt under the transpose, so a pair is tried only when
-    its skews (and on a square box its tilts) add up to at least 0: one
-    of each orbit.  The keys found are then closed under the maps."""
+    pass the same tests, and Z runs over a set closed under both.
+    skew = sum x y and tilt = sum x^2 - y^2 over the edges are even under
+    A -> -A, skew is odd under the mirror and tilt under the transpose,
+    so a pair is tried only when its skews (and on a square box its
+    tilts) add up to at least 0: one of each orbit, whose images the
+    caller takes."""
     dx, dy = width - 1, height - 1
     square = dx == dy
     # Parts by extent, then by skew, each with its tilt (0 off the square).
@@ -202,7 +190,6 @@ def _split_keys(width: int, height: int) -> set:
     rank = {v: i for i, group in enumerate(_ray_groups(dx, dy)) for v in group}
     extents = sorted(by_extent)
     zonotopes: dict = {}
-    keys = set()
     for i, (ax, ay) in enumerate(extents):
         for bx, by in extents[i:]:
             rx, ry = dx - ax - bx, dy - ay - by
@@ -219,11 +206,7 @@ def _split_keys(width: int, height: int) -> set:
                     chain = _sum_chain(rank, (plus, z)) if z else plus
                     other = _sum_chain(rank, (minus, z)) if z else minus
                     if _row_moments(chain) == _row_moments(other):
-                        keys.add(_chain_key(chain))
-    keys |= {_key_image(key, _MIRROR) for key in keys}
-    if square:
-        keys |= {_key_image(key, _TRANSPOSE) for key in keys}
-    return keys
+                        yield chain, other
 
 
 def homometric_classes(width: int, height: int, jobs: int = 1,
@@ -231,15 +214,19 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
                        allow_large: bool = False) -> SearchReport:
     """Group the sets of a box by covariogram and report collisions.
 
-    Homometric sets share |K|, the edge signature (_chain_key) and second
-    moments, so only the keys of _split_keys can hold a pair; the box is
-    never walked.  _classes gives each key's covariogram classes of two
-    or more sets, one per reflection class.  A class is interesting when
-    it holds two or more distinct canonical forms, and every reported
-    pair is re-verified once, before it is matched.  total_classes counts
-    every set of the box, one per translation class, by count_chains.
-    The search runs in this process: jobs is checked, refused below 1,
-    and otherwise ignored.
+    Any two homometric sets that are not reflections of each other are
+    the two sets of a split, so the box is never walked: the sets of
+    _splits, and their images under the box's maps (the mirror, and on a
+    square box the transpose), are the only ones that can be in a pair.
+    Their canonical forms are grouped by exact _difference_table.
+    Homometric sets share their extents, so one class shares the stride
+    2 m + 1, m the largest coordinate of a form, which packs every
+    difference injectively.  A class is interesting when it holds two or
+    more distinct canonical forms, and every reported pair is re-verified
+    once, before it is matched.  total_classes counts every set of the
+    box, one per translation class, by count_chains; a box with a side
+    of 1 holds none.  The search runs in this process: jobs is checked,
+    refused below 1, and otherwise ignored.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -248,22 +235,36 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             "box exceeds the desk-scale limit; pass allow_large=True to override")
     if jobs < 1:
         raise LatticeError("jobs must be at least 1")
+    if width == 1 or height == 1:
+        return SearchReport(width, height, 0, ())
     total = count_chains(width - 1, height - 1)
+    maps = [((1, 0), (0, 1)), _MIRROR]
+    if width == height:
+        # the transpose, and the mirror after it
+        maps += [_TRANSPOSE, ((0, -1), (1, 0))]
+    forms = set()
+    for pair in _splits(width, height):
+        for K in map(_lattice_points_of_chain, pair):
+            forms.update(canonical_form({(a * x + b * y, c * x + d * y)
+                                         for x, y in K})
+                         for (a, b), (c, d) in maps)
+    tables: dict = {}
+    for F in forms:
+        stride = 2 * max(map(max, F)) + 1
+        tables.setdefault((stride, _difference_table(F, stride)), []).append(F)
     found = []
-    for twice_n, sig in _split_keys(width, height):
-        for sets in _classes(sig, twice_n):
-            forms = {canonical_form(K) for K in sets}
-            if len(forms) < 2:
-                continue
-            members = tuple(sorted(forms, key=sorted))
-            pairs = []
-            for a, b in combinations(members, 2):
-                if compute_covariogram(a) != compute_covariogram(b):
-                    raise AssertionError(
-                        "covariogram grouping failed re-verification")
-                verdict = _match(a, b) if match else None
-                pairs.append(PairVerdict(a, b, verdict))
-            found.append(HomometricClass(members, tuple(pairs)))
+    for group in tables.values():
+        if len(group) < 2:
+            continue
+        members = tuple(sorted(group, key=sorted))
+        pairs = []
+        for a, b in combinations(members, 2):
+            if compute_covariogram(a) != compute_covariogram(b):
+                raise AssertionError(
+                    "covariogram grouping failed re-verification")
+            verdict = _match(a, b) if match else None
+            pairs.append(PairVerdict(a, b, verdict))
+        found.append(HomometricClass(members, tuple(pairs)))
     found.sort(key=lambda c: sorted(c.members[0]))
     return SearchReport(width, height, total, tuple(found))
 

@@ -303,27 +303,15 @@ def keyed_walk_counts(extent):
     return counts
 
 
-def classes_by_tables(lines, twice_n):
-    """The sets of _closing_chains(lines, twice_n), in lists grouped by
-    their exact tables of difference counts alone, with no moment
-    buckets: the grouping _polygons._classes made before it bucketed by
-    second moments.  Every closing has the y-extent h = sum (p + q) dy / 2
-    over the lines, so a difference (x, y) packs injectively as
-    x (2h + 1) + y."""
-    from collections import Counter
+def key_image(key, matrix) -> tuple:
+    """The key of a set's image under a unimodular matrix: each line goes
+    to its image's line, with the same face lengths."""
+    from latcov._polygons import _upper
 
-    from latcov._polygons import _closing_chains, _lattice_points_of_chain
-
-    sets = [_lattice_points_of_chain(chain)
-            for chain in _closing_chains(lines, twice_n)]
-    stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
-    groups = {}
-    for K in sets:
-        packed = [x * stride + y for x, y in K]
-        table = frozenset(
-            Counter([p - q for p in packed for q in packed]).items())
-        groups.setdefault(table, []).append(K)
-    return list(groups.values())
+    (a, b), (c, d) = matrix
+    lines = [(a * x + b * y, c * x + d * y, q, p) for (x, y), q, p in key[1]]
+    return key[0], tuple(sorted(((x, y) if _upper((x, y)) else (-x, -y), q, p)
+                                for x, y, q, p in lines))
 
 
 def edge_line(d):
@@ -626,7 +614,7 @@ def split_parts_by_filter(max_dx, max_dy):
     """Every closed convex chain of the box extent with no two parallel
     edges, one of each pair +-A as the lesser of the two sorted edge
     tuples: the full walk, filtered and deduplicated by sign afterwards,
-    that _split_keys ran before the walk took only parts."""
+    that the split search ran before the walk took only parts."""
     from latcov._polygons import _faces, walk_chains
 
     parts = set()
@@ -713,8 +701,8 @@ def closing_chains_by_sort(lines, twice_n):
 
 def moments(K):
     """(n Sxx - Sx^2, n Sxy - Sx Sy, n Syy - Sy^2) of a set of n points,
-    summed over the points: the moments _polygons._classes bucketed by
-    before it read them off the rows."""
+    summed over the points: the moments the search compared before it
+    read them off the rows (_polygons._row_moments)."""
     xs, ys = zip(*K)
     n, sx, sy = len(xs), sum(xs), sum(ys)
     return (n * sum(x * x for x in xs) - sx * sx,
@@ -741,11 +729,11 @@ def split_keys(width: int, height: int) -> set:
     so the Pick test runs once per pair, on A + B and A - B, before any
     Z is added.
 
-    This is search._split_keys as it was before it tested the two sets'
-    second moments, tried one pair of each orbit of the box's symmetries
-    and looked edges up by vector: every split key, not only those whose
-    sets collide, kept as a corpus of closings and as the oracle of the
-    search's keys."""
+    This is the split search as it was before it tested the two sets'
+    second moments, tried one pair of each orbit of the box's symmetries,
+    looked edges up by vector and yielded splits instead of keys: every
+    split key, not only those whose sets collide, kept as a corpus of
+    closings and as the oracle of the keys of search._splits."""
     from math import gcd
 
     from latcov._polygons import (

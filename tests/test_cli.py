@@ -610,20 +610,71 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-@pytest.mark.parametrize("command", [
-    ("reconstruct",), ("invariants", "--from-cov"), ("diffset", "--from-cov"),
-    ("edges", "--normal", "1,0"),
-], ids=["reconstruct", "invariants", "diffset", "edges"])
-def test_huge_covariogram_dim_refused(tmp_path, command):
+HUGE_DIM = "dim 2147483648\n"
+SPANS_NO_SET = "total_sets=0\nclass_count=0\n"
+
+# Hostile inputs, one or more per subcommand: argv with {} for the input
+# file, the file's contents (None for no file), the exit code, and a part
+# of stderr for a refusal or of stdout for an answer.  Each is answered
+# or refused at once under about 1 GB.
+HOSTILE = {
     # a 15-byte file holding only a dim header builds no 2^31-tuple origin
-    cov = write(tmp_path, "dim.cov", "dim 2147483648\n")
+    "reconstruct": (["reconstruct", "{}"], HUGE_DIM, 2, "invalid covariogram"),
+    "invariants": (["invariants", "{}", "--from-cov"], HUGE_DIM, 2,
+                   "invalid covariogram"),
+    "diffset": (["diffset", "{}", "--from-cov"], HUGE_DIM, 2,
+                "invalid covariogram"),
+    "edges": (["edges", "{}", "--normal", "1,0"], HUGE_DIM, 2,
+              "invalid covariogram"),
+    "compute-cov-empty": (["compute-cov", "{}"], "", 2, "no points"),
+    "diffset-empty": (["diffset", "{}"], "", 2, "no points"),
+    "canonical-empty": (["canonical", "{}"], "", 2, "no points"),
+    "check-convex-empty": (["check-convex", "{}"], "", 2, "no points"),
+    "affine-equiv-empty": (["affine-equiv", "{}", "{}"], "", 2, "no points"),
+    "invariants-one-point": (["invariants", "{}"], "0 0\n", 2,
+                             "degenerate set"),
+    "product-pair-one-point": (["product-pair", "{}", "{}"], "0 0\n", 0,
+                               "homometric=true"),
+    "gen-pair-huge-k": (["gen-pair", "--k", "2147483648", "--l", "0",
+                         "--hex", "0,1,0,1,0,1"], None, 2, "exceeds the limit"),
+    "verify-thm22-huge-k": (["verify-thm22", "{}", "--k", "2147483648",
+                             "--l", "0"], "0 0\n1 0\n0 1\n", 2, "exceeds the limit"),
+    "decompose-far": (["decompose", "--k", "2147483648", "--l", "0",
+                       "--point", "2147483648,-2147483648"], None, 0,
+                      "strip_part=2147483646,0"),
+    "edges-huge-normal": (["edges", "{}", "--normal", "2147483648,0"],
+                          "dim 2\n0 0 1\n", 2, "must be primitive"),
+    "reconstruct-lone-origin": (["reconstruct", "{}"], "dim 2\n0 0 1\n", 0,
+                                "verdict=unrealizable"),
+    "search-huge-box": (["search", "--box", "2147483648x2147483648"], None, 2,
+                        "desk-scale limit"),
+    # a box with a side of 1 spans no set, whatever its other side
+    "search-wide-segment": (["search", "--box", "2147483648x1",
+                             "--allow-large"], None, 0, SPANS_NO_SET),
+    "search-tall-segment": (["search", "--box", "1x2147483648",
+                             "--allow-large"], None, 0, SPANS_NO_SET),
+}
+
+
+@pytest.mark.parametrize("command", list(HOSTILE))
+def test_huge_covariogram_dim_refused(tmp_path, command):
+    # named for its first rows, covariograms of a huge dim: every row
+    # exits with its code in under a second, with no traceback
+    argv, contents, code, message = HOSTILE[command]
+    path = write(tmp_path, "input", contents) if contents is not None else ""
     t0 = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "latcov.cli", *command[:1], cov, *command[1:]],
+        [sys.executable, "-m", "latcov.cli",
+         *(arg.replace("{}", path) for arg in argv)],
         capture_output=True, text=True, preexec_fn=_cap_memory,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert "invalid covariogram" in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert message in proc.stderr
+    else:
+        assert message in proc.stdout
     assert time.monotonic() - t0 < 1
 
 

@@ -352,37 +352,6 @@ def test_chain_fill_matches_all_edges_fill():
         assert K == helpers.min_normalize(F), sorted(F)
 
 
-def group_sets(groups):
-    return {frozenset(group) for group in groups}
-
-
-def oracle_classes(sig, twice_n):
-    # _classes gives only classes of two or more: a lone set is no pair
-    return group_sets(group for group in
-                      helpers.classes_by_tables(sig, twice_n)
-                      if len(group) > 1)
-
-
-def test_classes_equal_table_oracle_on_search_keys():
-    # moment buckets, then tables inside a bucket, give exactly the
-    # groups of two or more of tables alone, on every key the 6x5 and
-    # 5x6 searches fill
-    for box in [(6, 5), (5, 6)]:
-        keys = helpers.split_keys(*box)
-        assert len(keys) == 633
-        for twice_n, sig in keys:
-            assert group_sets(_polygons._classes(sig, twice_n)) == \
-                oracle_classes(sig, twice_n), sig
-
-
-def test_classes_equal_table_oracle_on_5x4_signatures():
-    keys = {(2 * len(K), reconstruct._edge_lines(compute_covariogram(K)))
-            for K in enumerate_lattice_convex(5, 4)}
-    for twice_n, sig in keys:
-        assert group_sets(_polygons._classes(sig, twice_n)) == \
-            oracle_classes(sig, twice_n), sig
-
-
 def signatures_5x4():
     return {_polygons._chain_key(chain)
             for chain in map(tuple, _polygons.walk_chains(4, 3))}
@@ -433,35 +402,37 @@ def test_moments_are_half_the_covariogram_second_moments():
 
 
 def test_search_builds_tables_only_for_moment_collisions(monkeypatch):
-    # 30 of the 1,304 closings at 6x5 share their moments with another
-    # closing of the same key; only those get a difference table
-    table = _polygons._difference_table
+    # only the 16 sets of the 8 equal-moment splits at 6x5 and their
+    # mirror images get a difference table, once per canonical form:
+    # 30 forms, of which the 12 classes hold 24
+    table = search._difference_table
     built = []
 
     def counted(K, stride):
         built.append(K)
         return table(K, stride)
 
-    monkeypatch.setattr(_polygons, "_difference_table", counted)
+    monkeypatch.setattr(search, "_difference_table", counted)
     rep = homometric_classes(6, 5)
     assert len(rep.classes) == 12
-    assert 0 < len(built) <= 30
+    assert len(built) == len(set(built)) == 30
 
 
 def test_search_builds_points_only_for_moment_collisions(monkeypatch):
-    # moments come off the rows, so only the 30 closings whose moments
-    # collide are filled, of the 1,304 the 6x5 keys hold
-    fill = _polygons._lattice_points_of_chain
+    # moments come off the rows, so only the two sets of each of the 8
+    # splits at 6x5 whose moments agree are filled
+    assert len(list(search._splits(6, 5))) == 8
+    fill = search._lattice_points_of_chain
     built = []
 
     def counted(chain):
         built.append(chain)
         return fill(chain)
 
-    monkeypatch.setattr(_polygons, "_lattice_points_of_chain", counted)
+    monkeypatch.setattr(search, "_lattice_points_of_chain", counted)
     rep = homometric_classes(6, 5)
     assert len(rep.classes) == 12
-    assert 24 <= len(built) <= 30
+    assert len(built) == 16
 
 
 def test_found_pairs_verified_once(monkeypatch):
@@ -580,9 +551,9 @@ def test_split_keys_are_the_walk_keys_with_two_classes():
 
 def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
     # every box up to 6x5 and 5x6, 6x6 (the transpose too) and 7x6: the
-    # search keeps exactly the split keys with two closings of equal
-    # second moments, and so every split key that holds a covariogram
-    # class, though it tries one pair of each orbit of the box's symmetries
+    # keys of the splits' sets, closed under the box's maps, are exactly
+    # the split keys with two closings of equal second moments, though
+    # the search tries one pair of each orbit of the box's symmetries
     boxes = {(dx + 1, dy + 1) for dx in range(6) for dy in range(5)}
     boxes |= {(h, w) for w, h in boxes} | {(6, 6), (7, 6)}
     counts = {}
@@ -594,10 +565,13 @@ def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
                        for chain in _polygons._closing_chains(sig, twice_n)]
             if len(set(moments)) < len(moments):
                 want.add((twice_n, sig))
-        keys = search._split_keys(*box)
+        keys = {_polygons._chain_key(chain)
+                for pair in search._splits(*box) for chain in pair}
+        keys |= {helpers.key_image(key, search._MIRROR) for key in keys}
+        if box[0] == box[1]:
+            keys |= {helpers.key_image(key, search._TRANSPOSE)
+                     for key in keys}
         assert keys == want, box
-        assert {(twice_n, sig) for twice_n, sig in oracle
-                if _polygons._classes(sig, twice_n)} <= keys, box
         counts[box] = len(keys)
     assert (counts[6, 5], counts[5, 6], counts[6, 6], counts[7, 6]) == \
         (15, 15, 38, 53)
@@ -612,7 +586,7 @@ def test_key_image_is_the_key_of_the_mirror_and_the_transpose():
             (a, b), (c, d) = matrix
             image = [(a * x + b * y, c * x + d * y) for x, y in chain[::-1]]
             assert _polygons._chain_key(image) == \
-                search._key_image(key, matrix), (chain, matrix)
+                helpers.key_image(key, matrix), (chain, matrix)
 
 
 @pytest.mark.parametrize("box", [(6, 5), (5, 6), (7, 6)])
@@ -629,8 +603,8 @@ def test_strip_windows_equal_hull_rebuilding_oracle(box):
 
 
 def test_search_closes_only_the_colliding_keys(monkeypatch):
-    # the 6x5 search rebuilds the closings of its 15 colliding keys only,
-    # not of all 633 split keys
+    # the 6x5 search groups the sets of its splits as they are: it
+    # rebuilds no key's closings, not even of its 15 colliding keys
     calls = []
     closing_chains = _polygons._closing_chains
 
@@ -639,8 +613,9 @@ def test_search_closes_only_the_colliding_keys(monkeypatch):
         return closing_chains(lines, twice_n)
 
     monkeypatch.setattr(_polygons, "_closing_chains", counted)
+    monkeypatch.setattr(search, "_closing_chains", counted, raising=False)
     assert len(homometric_classes(6, 5).classes) == 12
-    assert len(calls) <= 15
+    assert calls == []
 
 
 def test_part_walk_matches_filtered_walk():
