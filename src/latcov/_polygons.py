@@ -4,7 +4,7 @@ A strictly convex lattice polygon, up to translation, is exactly a set of
 nonzero integer edge vectors, at most one per direction ray, summing to
 zero, with at least three rays used; walking the vectors sorted by angle
 traverses the boundary counterclockwise.  A chain gives the polygon's
-lattice points, or its key (2|K|, edge signature) without them.
+lattice points, or its edge signature without them.
 
 walk_chains walks every chain fitting a box, in one process.  It
 chooses an increasing-angle subsequence of candidate vectors: each step
@@ -21,19 +21,21 @@ prune still holds, as the reachable sums only over-approximate.  Each
 part comes with the bitmask of its lines.
 
 count_chains counts the chains walk_chains would walk, by a knapsack on
-their x and y extents, without walking them.
+their x and y extents, without walking them.  A chain has three rays, so
+both answer a box with an extent below 1 before listing any ray.
 
 The module owns the edge signature: _upper names a line {v, -v} by its
 side in the open upper half-plane or on the +x ray, _faces reads a
-chain's two face lengths per line, _chain_key packs them with 2|K| into
-the key, and _closing_chains, for reconstruction, goes back from a key
-to its chains, each built in angle order.  All closings of one signature share its boundary
-count, so Pick's theorem tests them by area alone.  Homometric sets
-share their second moments, sum g(u) u u^T = 2 (n sum p p^T - sum p
-sum p^T), which _row_moments reads off a chain's rows (_rows) without
-building its points.  Sets are told apart by their exact difference
-tables (_difference_table): the search groups the sets of its splits
-by them, and reconstruction compares each closing's table with g's own.
+chain's two face lengths per line, _signature sorts them into (line, q,
+p), and _closing_chains, for reconstruction, goes back from a signature
+and 2|K| to its chains, each built in angle order.  All closings of one
+signature share its boundary count, so Pick's theorem tests them by
+area alone.  Homometric sets share their second moments, sum g(u) u u^T
+= 2 (n sum p p^T - sum p sum p^T), which _row_moments reads off a
+chain's rows (_rows) without building its points.  Sets are told apart
+by their exact difference tables (_difference_table): the search groups
+the sets of its splits by them, and reconstruction compares each
+closing's table with g's own.
 """
 
 from __future__ import annotations
@@ -255,19 +257,14 @@ def _twice_area(chain) -> int:
     return twice_area
 
 
-def _chain_key(chain) -> tuple:
-    """(2|K|, edge signature) of the polygon traced by a closed convex
-    chain, in O(edges) and without building any points.
-
-    2|K| is Pick's theorem: twice the shoelace area plus the boundary
-    point count plus 2.  The signature lists (line, q, p) for each line
-    of _faces, with q <= p its two face lengths.  The covariogram of the
-    set determines both parts.
+def _signature(chain) -> tuple:
+    """The edge signature of the polygon traced by a closed convex chain,
+    in O(edges) and without building any points: (line, q, p) for each
+    line of _faces, sorted, with q <= p its two face lengths.  The
+    covariogram of the set determines it.
     """
-    faces = _faces(chain)
-    boundary = sum(p + q for p, q in faces.values())
-    sig = tuple(sorted((line, min(f), max(f)) for line, f in faces.items()))
-    return _twice_area(chain) + boundary + 2, sig
+    return tuple(sorted((line, min(f), max(f))
+                        for line, f in _faces(chain).items()))
 
 
 def _signed_sums(steps: list, start, first_bit: int) -> list:
@@ -348,7 +345,7 @@ def count_chains(max_dx: int, max_dy: int) -> int:
     Each half-open quadrant of rays feeds two of the four positive
     parts, so a knapsack per quadrant counts its choices by those two
     sums, and the quadrants are joined where the sums close."""
-    if max_dx < 0 or max_dy < 0:
+    if max_dx < 1 or max_dy < 1:
         return 0
     nx, ny = max_dx + 1, max_dy + 1
     # Quadrant q of (dx, dy) adds (|dx|, |dy|) to the parts
@@ -386,6 +383,8 @@ def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
     angle order, each as it closes.  With parts, yield (chain, lines)
     for every such chain with no two parallel edges, one of each pair
     +-A (see _chains_from_root).  Nothing is kept between calls."""
+    if max_dx < 1 or max_dy < 1:
+        return
     groups = _ray_groups(max_dx, max_dy)
     sums = _suffix_sums(groups, max_dx, max_dy)
     for root in range(len(groups)):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from ._polygons import _chain_key
+from ._polygons import _signature
 from .lattice import (
     Hull2,
     LatticeError,
@@ -85,7 +85,7 @@ def discrepancy(normals) -> tuple[frozenset, Fraction]:
 
 def _record(sig) -> InvariantRecord:
     """The invariant record of a set with edge signature sig, as
-    _polygons._chain_key gives it: (line, q, p) for each edge line, with
+    _polygons._signature gives it: (line, q, p) for each edge line, with
     q <= p the lattice lengths of the two faces parallel to it (0 for a
     face that is a vertex).  A face of length f carries f + 1 points.
     """
@@ -109,7 +109,7 @@ def _record(sig) -> InvariantRecord:
 def invariants_direct(K) -> InvariantRecord:
     """Invariants computed from the set itself, through the edge
     signature of its hull."""
-    return _record(_chain_key(_lattice_convex_hull(K).chain)[1])
+    return _record(_signature(_lattice_convex_hull(K).chain))
 
 
 def delta_bound_check(normals, n: int) -> bool:

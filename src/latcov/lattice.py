@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import sub
 
 Point = tuple[int, ...]
 
@@ -89,11 +90,6 @@ def extent(points) -> Point:
     """Componentwise width of the tight bounding box."""
     cols = list(zip(*points))
     return tuple(max(c) - min(c) for c in cols)
-
-
-def _min_normalized(pts: frozenset[Point]) -> frozenset[Point]:
-    lo = min_corner(pts)
-    return frozenset(vsub(p, lo) for p in pts)
 
 
 @dataclass(frozen=True)
@@ -204,23 +200,27 @@ def difference_set(K) -> frozenset[Point]:
     return frozenset(vsub(a, b) for a in pts for b in pts)
 
 
+def _normal_pair(K) -> tuple[list[Point], list[Point]]:
+    """K and -K, each translated so its componentwise minimum is the
+    origin, as sorted point lists: p - lo and hi - p over K, with lo and
+    hi the corners of K's bounding box, taken in one pass."""
+    pts = point_set(K)
+    cols = list(zip(*pts))
+    lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
+    return (sorted(tuple(map(sub, p, lo)) for p in pts),
+            sorted(tuple(map(sub, hi, p)) for p in pts))
+
+
 def is_centrally_symmetric(K) -> bool:
     """True iff -K is a translate of K."""
-    pts = point_set(K)
-    return _min_normalized(pts) == _min_normalized(frozenset(vneg(p) for p in pts))
+    a, b = _normal_pair(K)
+    return a == b
 
 
 def canonical_form(K) -> frozenset[Point]:
     """Distinguished representative of K's class under translations and
-    point reflections.
-
-    K and -K are each translated so their componentwise minimum is the
-    origin; the representative is whichever has the lexicographically
-    smaller sorted point list.
-    """
-    pts = point_set(K)
-    a = sorted(_min_normalized(pts))
-    b = sorted(_min_normalized(frozenset(vneg(p) for p in pts)))
+    point reflections: the smaller of the two lists of _normal_pair."""
+    a, b = _normal_pair(K)
     return frozenset(a if a <= b else b)
 
 

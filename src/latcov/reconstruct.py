@@ -84,7 +84,7 @@ def _face_run(g: Covariogram, start, d, count: int) -> tuple[int, int]:
 
 
 def _edge_lines(g: Covariogram) -> tuple:
-    """The edge signature of g, in the form _polygons._chain_key gives
+    """The edge signature of g, in the form _polygons._signature gives
     it for a realizing set: (line, q, p) for each edge line of the
     support's hull, sorted, with line its _upper primitive direction
     and q <= p the lattice lengths of the two faces of a realizing set

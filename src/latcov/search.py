@@ -187,6 +187,8 @@ def _splits(width: int, height: int):
         tilt = sum(x * x - y * y for x, y in chain) if square else 0
         by_extent.setdefault(extent, {}).setdefault(
             sum(x * y for x, y in chain), []).append((chain, lines, tilt))
+    if not by_extent:
+        return
     rank = {v: i for i, group in enumerate(_ray_groups(dx, dy)) for v in group}
     extents = sorted(by_extent)
     zonotopes: dict = {}
@@ -224,9 +226,9 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     difference injectively.  A class is interesting when it holds two or
     more distinct canonical forms, and every reported pair is re-verified
     once, before it is matched.  total_classes counts every set of the
-    box, one per translation class, by count_chains; a box with a side
-    of 1 holds none.  The search runs in this process: jobs is checked,
-    refused below 1, and otherwise ignored.
+    box, one per translation class, by count_chains, which answers a box
+    with a side of 1 at once, as _splits does.  The search runs in this
+    process: jobs is checked, refused below 1, and otherwise ignored.
     """
     if width < 1 or height < 1:
         raise LatticeError("box dimensions must be positive")
@@ -235,8 +237,6 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             "box exceeds the desk-scale limit; pass allow_large=True to override")
     if jobs < 1:
         raise LatticeError("jobs must be at least 1")
-    if width == 1 or height == 1:
-        return SearchReport(width, height, 0, ())
     total = count_chains(width - 1, height - 1)
     maps = [((1, 0), (0, 1)), _MIRROR]
     if width == height:

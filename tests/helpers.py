@@ -115,9 +115,24 @@ def spanning_convex_subsets(width, height):
 
 
 def min_normalize(pts):
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return frozenset((p[0] - min(xs), p[1] - min(ys)) for p in pts)
+    """pts translated so its componentwise minimum is the origin, in any
+    dimension."""
+    lo = [min(c) for c in zip(*pts)]
+    return frozenset(tuple(x - m for x, m in zip(p, lo)) for p in pts)
+
+
+def canonical_form_by_two_passes(K):
+    """The canonical form as it was computed before K and -K shared one
+    pass: each moved to the origin on its own, the smaller sorted point
+    list kept."""
+    a = sorted(min_normalize(K))
+    b = sorted(min_normalize([tuple(-x for x in p) for p in K]))
+    return frozenset(a if a <= b else b)
+
+
+def is_centrally_symmetric_by_two_passes(K):
+    """-K is a translate of K, by moving each to the origin on its own."""
+    return min_normalize(K) == min_normalize([tuple(-x for x in p) for p in K])
 
 
 def translation_classes(sets):
@@ -275,14 +290,23 @@ def covariogram_grouping(width, height):
     return total, classes
 
 
+def chain_key(chain):
+    """(2|K|, edge signature) of the polygon traced by a closed convex
+    chain, without building its points.  2|K| is Pick's theorem: twice
+    the shoelace area plus the boundary point count plus 2.  The
+    covariogram of the set determines both parts."""
+    from latcov._polygons import _signature, _twice_area
+
+    sig = _signature(chain)
+    return _twice_area(chain) + sum(p + q for _, q, p in sig) + 2, sig
+
+
 def keyed_chain(chain):
     """The (2|K|, edge signature) key of a chain, or None when fewer than
     six of its edge lines are free (faces of unequal length)."""
-    from latcov._polygons import _chain_key
-
     if len(chain) < 6:
         return None
-    key = _chain_key(chain)
+    key = chain_key(chain)
     if sum(q != p for _, q, p in key[1]) < 6:
         return None
     return key
@@ -736,12 +760,7 @@ def split_keys(width: int, height: int) -> set:
     closings and as the oracle of the keys of search._splits."""
     from math import gcd
 
-    from latcov._polygons import (
-        _chain_key,
-        _ray_groups,
-        _twice_area,
-        walk_chains,
-    )
+    from latcov._polygons import _ray_groups, _twice_area, walk_chains
     from latcov.search import _zonotopes
 
     def _sum_chain(rank, chains):
@@ -786,7 +805,7 @@ def split_keys(width: int, height: int) -> set:
                     if (rx, ry) not in zonotopes:
                         zonotopes[rx, ry] = _zonotopes(rx, ry)
                     for z in zonotopes[rx, ry]:
-                        twice_n, sig = _chain_key(_sum_chain(rank, (plus, z)))
+                        twice_n, sig = chain_key(_sum_chain(rank, (plus, z)))
                         keys.add((twice_n, tuple([faces.setdefault(f, f)
                                                   for f in sig])))
     return keys

@@ -612,6 +612,10 @@ def _cap_memory():
 
 HUGE_DIM = "dim 2147483648\n"
 SPANS_NO_SET = "total_sets=0\nclass_count=0\n"
+FAR_TRIANGLE = ("2147483648 -2147483648\n-2147483648 2147483648\n"
+                "-2147483647 2147483648\n")
+FAR_3D = ("dim 3\n2147483648 -2147483648 0\n-2147483648 2147483648 1\n"
+          "0 0 -2147483648\n")
 
 # Hostile inputs, one or more per subcommand: argv with {} for the input
 # file, the file's contents (None for no file), the exit code, and a part
@@ -653,6 +657,16 @@ HOSTILE = {
                              "--allow-large"], None, 0, SPANS_NO_SET),
     "search-tall-segment": (["search", "--box", "1x2147483648",
                              "--allow-large"], None, 0, SPANS_NO_SET),
+    # points files: one point, and coordinates near 2^31 in 2 and 3 dims
+    "canonical-one-point": (["canonical", "{}"], "5 7\n", 0, "dim 2\n0 0\n"),
+    "canonical-far": (["canonical", "{}"], FAR_TRIANGLE, 0,
+                      "dim 2\n0 4294967296\n1 4294967296\n4294967296 0\n"),
+    "compute-cov-far": (["compute-cov", "{}"], FAR_TRIANGLE, 0,
+                        "-4294967296 4294967296 1\n"),
+    "canonical-far-3d": (["canonical", "{}"], FAR_3D, 0,
+                         "2147483648 2147483648 2147483649\n"),
+    "diffset-far-3d": (["diffset", "{}"], FAR_3D, 0,
+                       "4294967296 -4294967296 -1\n"),
 }
 
 

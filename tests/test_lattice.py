@@ -180,6 +180,40 @@ def test_canonical_form_class_invariance():
         assert min(p[0] for p in c) == 0 and min(p[1] for p in c) == 0
 
 
+def test_normal_form_equals_two_pass_oracle():
+    # K and -K moved to the origin in one pass give the forms and the
+    # symmetry verdicts of moving each on its own: every set of the 4x4
+    # box and each of those minus one point, the same sheared out to
+    # +-2^31, seeded 1-D and 3-D sets, and single points
+    sets = []
+    for K in enumerate_lattice_convex(4, 4):
+        sets.append(K)
+        sets.extend(K - {p} for p in K)
+    far = 2 ** 31
+    box = list(sets)
+    sets += [frozenset((x + (far // 3) * y - far, far - y) for x, y in K)
+             for K in box[::7]]
+    sets += [frozenset((x - far, far - 3 * x - y) for x, y in K)
+             for K in box[::11]]
+    assert max(abs(c) for K in sets for p in K for c in p) == far
+    rng = random.Random(24)
+    for d in (1, 3):
+        for _ in range(300):
+            sets.append(frozenset(
+                tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(rng.randint(1, 9))))
+    sets += [frozenset({p}) for p in [(0,), (5, 7), (-far, far), (1, 2, 3)]]
+    sym = 0
+    for K in sets:
+        assert canonical_form(K) == helpers.canonical_form_by_two_passes(K), \
+            sorted(K)
+        verdict = is_centrally_symmetric(K)
+        assert verdict == helpers.is_centrally_symmetric_by_two_passes(K), \
+            sorted(K)
+        sym += verdict
+    assert 0 < sym < len(sets)
+
+
 def test_canonical_form_separates():
     a = {(0, 0), (1, 0), (0, 1)}
     b = {(0, 0), (1, 0), (1, 1)}

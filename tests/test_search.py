@@ -53,6 +53,22 @@ def test_enumerate_degenerate_boxes_empty():
     assert list(enumerate_lattice_convex(4, 1)) == []
 
 
+def test_empty_extents_answered_before_any_ray(monkeypatch):
+    # a chain needs both extents at least 1: a box with a side of 1 is
+    # answered before any ray table is built, however long its other side
+    def refuse(*args):
+        raise AssertionError("ray table built for an empty box")
+
+    monkeypatch.setattr(_polygons, "_ray_groups", refuse)
+    monkeypatch.setattr(search, "_ray_groups", refuse)
+    assert list(enumerate_lattice_convex(1, 2 ** 31)) == []
+    assert list(enumerate_lattice_convex(2 ** 31, 1)) == []
+    assert _polygons.count_chains(0, 2 ** 31) == 0
+    for box in [(1, 2 ** 31), (2 ** 31, 1)]:
+        rep = homometric_classes(*box, allow_large=True)
+        assert (rep.total_classes, rep.classes) == (0, ())
+
+
 def test_enumerate_rejects_bad_box():
     with pytest.raises(LatticeError):
         list(enumerate_lattice_convex(0, 3))
@@ -280,12 +296,13 @@ def test_chain_key_read_off_covariogram_5x4():
     chains = list(map(tuple, _polygons.walk_chains(4, 3)))
     sets = set()
     for chain in chains:
-        key = _polygons._chain_key(chain)
+        sig = _polygons._signature(chain)
         K = _polygons._lattice_points_of_chain(chain)
         sets.add(K)
         g = compute_covariogram(K)
-        assert key == helpers.covariogram_key(g), sorted(K)
-        assert reconstruct._edge_lines(g) == key[1], sorted(K)
+        assert helpers.chain_key(chain) == helpers.covariogram_key(g), \
+            sorted(K)
+        assert reconstruct._edge_lines(g) == sig, sorted(K)
     assert len(chains) == len(sets) == 5024
     assert sets == set(enumerate_lattice_convex(5, 4))
 
@@ -353,7 +370,7 @@ def test_chain_fill_matches_all_edges_fill():
 
 
 def signatures_5x4():
-    return {_polygons._chain_key(chain)
+    return {helpers.chain_key(chain)
             for chain in map(tuple, _polygons.walk_chains(4, 3))}
 
 
@@ -507,11 +524,11 @@ def test_keyed_chain_drops_chains_with_fewer_than_six_free_lines():
     kept = 0
     chains = list(map(tuple, _polygons.walk_chains(5, 4)))
     for chain in chains:
-        free = sum(q != p for _, q, p in _polygons._chain_key(chain)[1])
+        free = sum(q != p for _, q, p in helpers.chain_key(chain)[1])
         keyed = helpers.keyed_chain(chain)
         assert (keyed is None) == (free < 6), chain
         if keyed is not None:
-            assert keyed == _polygons._chain_key(chain)
+            assert keyed == helpers.chain_key(chain)
             kept += 1
     assert (kept, len(chains)) == (8466, 53524)
     assert sum(helpers.keyed_walk_counts((5, 4)).values()) == kept
@@ -565,7 +582,7 @@ def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
                        for chain in _polygons._closing_chains(sig, twice_n)]
             if len(set(moments)) < len(moments):
                 want.add((twice_n, sig))
-        keys = {_polygons._chain_key(chain)
+        keys = {helpers.chain_key(chain)
                 for pair in search._splits(*box) for chain in pair}
         keys |= {helpers.key_image(key, search._MIRROR) for key in keys}
         if box[0] == box[1]:
@@ -581,11 +598,11 @@ def test_key_image_is_the_key_of_the_mirror_and_the_transpose():
     # every chain up to extent (5, 4): the key of its image under
     # x -> -x and under x <-> y is its own key mapped line by line
     for chain in _polygons.walk_chains(5, 4):
-        key = _polygons._chain_key(chain)
+        key = helpers.chain_key(chain)
         for matrix in (search._MIRROR, search._TRANSPOSE):
             (a, b), (c, d) = matrix
             image = [(a * x + b * y, c * x + d * y) for x, y in chain[::-1]]
-            assert _polygons._chain_key(image) == \
+            assert helpers.chain_key(image) == \
                 helpers.key_image(key, matrix), (chain, matrix)
 
 
