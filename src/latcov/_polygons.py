@@ -18,7 +18,10 @@ half-plane.  The chains come root by root, the root being the first
 only the chains with no two parallel edges, one of each pair +-A, by
 banning the line of every chosen ray and the lines below the first; the
 prune still holds, as the reachable sums only over-approximate.  Each
-part comes with the bitmask of its lines.
+part comes with the bitmask of its lines, and is walked only while it
+can pair with a line-disjoint part beside it in the box one larger
+(_partner_test): a partial chain's extent and lines only grow, so once
+no partner fits, none fits any chain that completes it.
 
 count_chains counts the chains walk_chains would walk, by a knapsack on
 their x and y extents, without walking them.  A chain has three rays, so
@@ -41,8 +44,9 @@ closing's table with g's own.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from math import gcd, inf
+from operator import or_
 
 
 def _upper(v) -> bool:
@@ -90,20 +94,25 @@ def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
     return sums[::-1]
 
 
-def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False):
+def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
     """Yield the closed convex chains whose lowest-angle ray is
     groups[root], as lists of edge vectors in angle order, one at a time.
 
-    With parts, yield instead (chain, lines) for the chains with no two
-    parallel edges, one of each pair +-A, where bit i of lines is set
+    With can_pair, yield instead (chain, lines) for the chains with no
+    two parallel edges, one of each pair +-A, where bit i of lines is set
     when the chain has an edge on the line of groups[i].  The rays come
     as the U rays of the upper side, then their negatives in the same
     order, so groups[i] and groups[i + U] share line i.  A chosen ray
     bans its line, and the root r also bans the lines below it: only the
-    sign whose lowest line is used on its upper side is walked."""
+    sign whose lowest line is used on its upper side is walked.  A
+    partial chain's extent and lines only grow as the walk goes on, so
+    one whose extent (ex, ey) and lines fail can_pair(ex, ey, lines) is
+    dropped with every chain that completes it."""
     last = len(groups) - 1
     half = len(groups) // 2
-    bits = [1 << (j % half) if parts else 0 for j in range(len(groups))]
+    bits = [1 << (j % half) if can_pair else 0 for j in range(len(groups))]
+    # The lines of a part: its used bits, less the banned ones below root.
+    keep = -1 << root
     # The rays after ray j, latest first: the walk's next choices.
     after = [range(last, j, -1) for j in range(len(groups))]
     chosen: list = []
@@ -126,16 +135,20 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False):
                 nmxy = ny if ny > mxy else mxy
                 if nmxy - nmny > lim_y:
                     continue
+                nused = used | bits[j]
+                if can_pair and not can_pair(nmxx - nmnx, nmxy - nmny,
+                                             nused & keep):
+                    continue
                 chosen.append((dx, dy))
                 if nx or ny:
                     yield from rec(after[j], nx, ny, nmnx, nmxx, nmny, nmxy,
-                                   used | bits[j])
+                                   nused)
                 elif len(chosen) >= 3:
-                    yield ((chosen.copy(), (used | bits[j]) >> root << root)
-                           if parts else chosen.copy())
+                    yield ((chosen.copy(), nused & keep)
+                           if can_pair else chosen.copy())
                 chosen.pop()
 
-    ban = (2 << root) - 1 if parts else 0
+    ban = (2 << root) - 1 if can_pair else 0
     for dx, dy in groups[root]:
         if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
             continue
@@ -143,6 +156,55 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, parts=False):
         yield from rec(after[root], dx, dy,
                        min(0, dx), max(0, dx), min(0, dy), max(0, dy), ban)
         chosen.pop()
+
+
+def _partner_test(groups, dx: int, dy: int):
+    """can_pair(ex, ey, lines) for the part walk on groups, at
+    (dx - 1, dy - 1), of a box of extent (dx, dy): False only when no
+    part of extent at most the leftover (dx - ex, dy - ey) avoids every
+    line of lines, so that no part of extent at least (ex, ey) on those
+    lines can pair in the box.
+
+    The table holds the parts of extent at most (dx // 2, dy // 2), one
+    of each pair +-B (both have B's extent and lines), their masks
+    renumbered into groups' lines.  It answers exactly when the leftover
+    lies within that bound, as it does for every chain at least half the
+    box wide and tall; any other query passes.  Answers are kept per
+    leftover and the lines that its parts use, for the one walk."""
+    half = len(groups) // 2
+    line = {v: i % half for i, group in enumerate(groups) for v in group}
+    hx, hy = dx // 2, dy // 2
+    small = _ray_groups(hx, hy)
+    sums = _suffix_sums(small, hx, hy)
+    # masks[lx, ly]: the line masks of the table's parts that fit (lx, ly)
+    masks: dict = {(lx, ly): set() for lx in range(1, hx + 1)
+                   for ly in range(1, hy + 1)}
+    for root in range(len(small) // 2):
+        for chain, _ in _chains_from_root(small, sums, hx, hy, root,
+                                          lambda ex, ey, lines: True):
+            ex = sum(x for x, _ in chain if x > 0)
+            ey = sum(y for _, y in chain if y > 0)
+            mask = sum(1 << line[v] for v in chain)
+            for (lx, ly), fitting in masks.items():
+                if ex <= lx and ey <= ly:
+                    fitting.add(mask)
+    # Only the lines that some fitting part uses can block one.
+    seen = {leftover: reduce(or_, fitting, 0)
+            for leftover, fitting in masks.items()}
+    answers: dict = {}
+
+    def can_pair(ex, ey, lines):
+        lx, ly = dx - ex, dy - ey
+        if lx > hx or ly > hy:
+            return True
+        lines &= seen[lx, ly]
+        key = (lx, ly, lines)
+        ok = answers.get(key)
+        if ok is None:
+            ok = answers[key] = any(not m & lines for m in masks[lx, ly])
+        return ok
+
+    return can_pair
 
 
 def _rows(chain) -> tuple:
@@ -381,11 +443,15 @@ def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
     """Yield every closed convex chain fitting the box extent
     (max_dx, max_dy), one chain per translation class, root by root in
     angle order, each as it closes.  With parts, yield (chain, lines)
-    for every such chain with no two parallel edges, one of each pair
-    +-A (see _chains_from_root).  Nothing is kept between calls."""
+    for such chains with no two parallel edges, one of each pair +-A
+    (see _chains_from_root): each one that has a line-disjoint partner
+    beside it in the box (max_dx + 1, max_dy + 1), and some others (see
+    _partner_test).  Nothing is kept between calls."""
     if max_dx < 1 or max_dy < 1:
         return
     groups = _ray_groups(max_dx, max_dy)
     sums = _suffix_sums(groups, max_dx, max_dy)
-    for root in range(len(groups)):
-        yield from _chains_from_root(groups, sums, max_dx, max_dy, root, parts)
+    can_pair = _partner_test(groups, max_dx + 1, max_dy + 1) if parts else None
+    for root in range(len(groups) // 2 if parts else len(groups)):
+        yield from _chains_from_root(groups, sums, max_dx, max_dy, root,
+                                     can_pair)

@@ -39,12 +39,14 @@ class Covariogram:
         peak = e.get((0,) * self.dim) if e else None
         if peak is None:
             raise LatticeError("invalid covariogram: origin entry missing")
-        for u, c in e.items():
+        # In the plane -u is built directly, not by vneg's generic tuple.
+        negs = ([(-x, -y) for x, y in e] if self.dim == 2 else map(vneg, e))
+        for (u, c), neg in zip(e.items(), negs):
             if not isinstance(c, int) or c <= 0:
                 raise LatticeError("invalid covariogram: counts must be positive integers")
             if c > peak:
                 raise LatticeError("invalid covariogram: origin entry is not maximal")
-            if e.get(vneg(u)) != c:
+            if e.get(neg) != c:
                 raise LatticeError("invalid covariogram: not symmetric under negation")
 
     @property

@@ -164,7 +164,10 @@ def _splits(width: int, height: int):
     polygons of extent at least (1, 1), and the parts are walked at one
     less than the box, one of each pair +-A (replacing A by -A reflects
     both sets), each with the mask of its lines.  A pair fits when its
-    extents and Z's add up to at most the box's.  Z + A + B and Z + A - B
+    extents and Z's add up to at most the box's.  The walk drops parts
+    with no line-disjoint partner that fits beside them, which are in no
+    pair, and keeps the others in their order, so the splits come as
+    from every part.  Z + A + B and Z + A - B
     share their boundary count, and their areas differ only by the mixed
     areas of A with B and with -B, so the Pick test runs once per pair,
     on A + B and A - B, before any Z is added.
@@ -225,7 +228,8 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     2 m + 1, m the largest coordinate of a form, which packs every
     difference injectively.  A class is interesting when it holds two or
     more distinct canonical forms, and every reported pair is re-verified
-    once, before it is matched.  total_classes counts every set of the
+    once, before it is matched; each hexagon-family pair the matcher
+    tries is built and verified once per search.  total_classes counts every set of the
     box, one per translation class, by count_chains, which answers a box
     with a side of 1 at once, as _splits does.  The search runs in this
     process: jobs is checked, refused below 1, and otherwise ignored.
@@ -253,6 +257,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
         stride = 2 * max(map(max, F)) + 1
         tables.setdefault((stride, _difference_table(F, stride)), []).append(F)
     found = []
+    built: dict = {}
     for group in tables.values():
         if len(group) < 2:
             continue
@@ -262,7 +267,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
             if compute_covariogram(a) != compute_covariogram(b):
                 raise AssertionError(
                     "covariogram grouping failed re-verification")
-            verdict = _match(a, b) if match else None
+            verdict = _match(a, b, built) if match else None
             pairs.append(PairVerdict(a, b, verdict))
         found.append(HomometricClass(members, tuple(pairs)))
     found.sort(key=lambda c: sorted(c.members[0]))
@@ -353,18 +358,21 @@ def match_corollary(K, L) -> CorollaryMatch | None:
         raise LatticeError("pair is not homometric")
     if canonical_form(Kp) == canonical_form(Lp):
         raise LatticeError("pair is trivial")
-    return _match(Kp, Lp)
+    return _match(Kp, Lp, {})
 
 
-def _match(Kp, Lp) -> CorollaryMatch | None:
+def _match(Kp, Lp, built: dict) -> CorollaryMatch | None:
     """match_corollary on a planar pair of frozensets already checked to
-    be homometric and nontrivial."""
+    be homometric and nontrivial.  built maps (params, hexagon) to the
+    pair corollary_pair_generator built for it, so each is built once."""
     for k, a2, b2, g1, g2 in sorted(set(_strip_windows(Kp, Lp))):
         params = WidthOneParams(k, k - 1)
         hx = HexagonParams(0, a2, 0, b2, g1, g2)
         if hx.size() * params.index != len(Kp):
             continue
-        pair = corollary_pair_generator(params, hx)
+        pair = built.get((params, hx))
+        if pair is None:
+            pair = built[params, hx] = corollary_pair_generator(params, hx)
         if not pair.nontrivial:
             continue
         for swapped, (P, Q) in enumerate(

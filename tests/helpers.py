@@ -649,6 +649,91 @@ def split_parts_by_filter(max_dx, max_dy):
     return parts
 
 
+def split_parts_with_partner(max_dx, max_dy):
+    """The parts of split_parts_by_filter(max_dx, max_dy) that have a
+    line-disjoint partner among them whose extent, added to their own,
+    fits the box one larger, (max_dx + 1, max_dy + 1): every part that
+    can be in a split of that box, found by trying every partner of a
+    fitting extent, with lines named by their primitive directions."""
+    from math import gcd
+
+    def lines(part):
+        return frozenset(edge_line((x // gcd(x, y), y // gcd(x, y)))
+                         for x, y in part)
+
+    by_extent = {}
+    for part in split_parts_by_filter(max_dx, max_dy):
+        extent = (sum(x for x, _ in part if x > 0),
+                  sum(y for _, y in part if y > 0))
+        by_extent.setdefault(extent, []).append((part, lines(part)))
+    kept = set()
+    for (ax, ay), group in by_extent.items():
+        partners = [lb for (bx, by), other in by_extent.items()
+                    if ax + bx <= max_dx + 1 and ay + by <= max_dy + 1
+                    for _, lb in other]
+        kept.update(a for a, la in group
+                    if any(not la & lb for lb in partners))
+    return kept
+
+
+def part_walk_by_filter(max_dx, max_dy):
+    """(chain, lines) for every chain of the full walk with no two
+    parallel edges whose first edge is on the upper side of its lowest
+    line, in the walk's order, bit i of lines set for an edge on the line
+    of the i-th upper ray: the part walk before it dropped the parts that
+    cannot pair."""
+    from math import gcd
+
+    from latcov._polygons import _faces, _ray_groups, walk_chains
+
+    groups = _ray_groups(max_dx, max_dy)
+    half = len(groups) // 2
+    ray = {group[0]: i for i, group in enumerate(groups)}
+    for chain in walk_chains(max_dx, max_dy):
+        rays = [ray[x // gcd(x, y), y // gcd(x, y)] for x, y in chain]
+        lines = sum(1 << r % half for r in rays)
+        if len(_faces(chain)) == len(chain) and lines & -lines == 1 << rays[0]:
+            yield chain, lines
+
+
+def splits_by_unpruned_walk(width, height):
+    """search._splits as it was before the part walk dropped the parts
+    that cannot pair: the same pairs, Pick test and moment test, over
+    every part of part_walk_by_filter."""
+    from latcov._polygons import _ray_groups, _row_moments, _twice_area
+    from latcov.search import _pairs, _sum_chain, _zonotopes
+
+    dx, dy = width - 1, height - 1
+    square = dx == dy
+    by_extent = {}
+    for chain, lines in part_walk_by_filter(dx - 1, dy - 1):
+        extent = (sum(x for x, _ in chain if x > 0),
+                  sum(y for _, y in chain if y > 0))
+        tilt = sum(x * x - y * y for x, y in chain) if square else 0
+        by_extent.setdefault(extent, {}).setdefault(
+            sum(x * y for x, y in chain), []).append((chain, lines, tilt))
+    rank = {v: i for i, group in enumerate(_ray_groups(dx, dy)) for v in group}
+    extents = sorted(by_extent)
+    zonotopes = {}
+    for i, (ax, ay) in enumerate(extents):
+        for bx, by in extents[i:]:
+            rx, ry = dx - ax - bx, dy - ay - by
+            if rx < 0 or ry < 0:
+                continue
+            for a, b in _pairs(by_extent[ax, ay], by_extent[bx, by]):
+                plus = _sum_chain(rank, (a, b))
+                minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
+                if _twice_area(plus) != _twice_area(minus):
+                    continue
+                if (rx, ry) not in zonotopes:
+                    zonotopes[rx, ry] = _zonotopes(rx, ry)
+                for z in zonotopes[rx, ry]:
+                    chain = _sum_chain(rank, (plus, z)) if z else plus
+                    other = _sum_chain(rank, (minus, z)) if z else minus
+                    if _row_moments(chain) == _row_moments(other):
+                        yield chain, other
+
+
 def lattice_points_by_all_edges(chain):
     """Lattice points of the polygon traced by a closed convex chain,
     box corner at the origin, by rows parallel to the longest edge with

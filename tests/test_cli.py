@@ -646,6 +646,17 @@ HOSTILE = {
     "decompose-far": (["decompose", "--k", "2147483648", "--l", "0",
                        "--point", "2147483648,-2147483648"], None, 0,
                       "strip_part=2147483646,0"),
+    # a huge l on its own: answered when k > l, refused by size or order
+    "decompose-huge-l": (["decompose", "--k", "2147483648", "--l",
+                          "2147483647", "--point", "5,-7"], None, 0,
+                         "strip_part=1,1"),
+    "gen-pair-huge-l": (["gen-pair", "--k", "2147483648", "--l", "2147483647",
+                         "--hex", "0,1,0,1,0,1"], None, 2, "exceeds the limit"),
+    "verify-thm22-huge-l": (["verify-thm22", "{}", "--k", "2147483648",
+                             "--l", "2147483647"], "0 0\n1 0\n0 1\n", 2,
+                            "exceeds the limit"),
+    "decompose-l-above-k": (["decompose", "--k", "3", "--l", "2147483648",
+                             "--point", "5,-7"], None, 2, "k > l >= 0"),
     "edges-huge-normal": (["edges", "{}", "--normal", "2147483648,0"],
                           "dim 2\n0 0 1\n", 2, "must be primitive"),
     "reconstruct-lone-origin": (["reconstruct", "{}"], "dim 2\n0 0 1\n", 0,

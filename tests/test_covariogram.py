@@ -99,6 +99,46 @@ def test_validation():
         Covariogram(2 ** 31, {})  # no entries: no 2^31-tuple origin built
 
 
+def _unit(dim, sign=1):
+    return (sign,) + (0,) * (dim - 1)
+
+
+# message -> (a table of dimension d that raises it, whether the CLI
+# parser hands such a table to the constructor; it refuses the others
+# itself, by coordinate count or by count sign)
+INVALID = {
+    "mixed dimensions": lambda d: ({(0,) * d: 2, (1,) * (d + 1): 1}, False),
+    "origin entry missing": lambda d: ({_unit(d): 1, _unit(d, -1): 1}, True),
+    "counts must be positive integers":
+        lambda d: ({(0,) * d: 2, _unit(d): 1.5, _unit(d, -1): 1.5}, False),
+    "origin entry is not maximal":
+        lambda d: ({(0,) * d: 1, _unit(d): 2, _unit(d, -1): 2}, True),
+    "not symmetric under negation":
+        lambda d: ({(0,) * d: 2, _unit(d): 1, _unit(d, -1): 2}, True),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("message", list(INVALID))
+def test_each_invalid_table_names_its_fault(message, dim):
+    # the plane's own negation and the generic one raise the same
+    # messages, through the constructor and through the CLI parser
+    from latcov.cli import FormatError, parse_covariogram
+
+    entries, parsed = INVALID[message](dim)
+    with pytest.raises(LatticeError, match=f"^invalid covariogram: {message}$"):
+        Covariogram(dim, entries)
+    if parsed:
+        text = f"dim {dim}\n" + "".join(
+            " ".join(map(str, u)) + f" {c}\n" for u, c in entries.items())
+        with pytest.raises(FormatError, match=f"invalid covariogram: {message}$"):
+            parse_covariogram(text)
+    # a missing mirror entry is an asymmetry too
+    if message.startswith("not symmetric"):
+        with pytest.raises(LatticeError, match=message):
+            Covariogram(dim, {(0,) * dim: 2, _unit(dim): 1})
+
+
 def test_convolution_oracle():
     rng = random.Random(44)
     for _ in range(80):

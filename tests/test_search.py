@@ -619,6 +619,29 @@ def test_strip_windows_equal_hull_rebuilding_oracle(box):
             list(helpers.strip_windows_by_hulls(K, L))
 
 
+@pytest.mark.parametrize("box, builds", [((6, 5), 3), ((7, 6), 8)])
+def test_search_builds_each_family_pair_once(box, builds, monkeypatch):
+    # the matcher builds each (params, hexagon) pair once per search,
+    # not once per found pair that proposes it (12 and 36 of them), and
+    # every verdict is the one match_corollary gives alone
+    calls = []
+    generator = search.corollary_pair_generator
+
+    def counted(params, hexagon):
+        calls.append((params, hexagon))
+        return generator(params, hexagon)
+
+    monkeypatch.setattr(search, "corollary_pair_generator", counted)
+    report = homometric_classes(*box, match=True, allow_large=True)
+    assert len(calls) == len(set(calls)) == builds
+    verdicts = [p for c in report.classes for p in c.pairs]
+    assert len(verdicts) == {(7, 6): 36}.get(box, 12)
+    monkeypatch.setattr(search, "corollary_pair_generator", generator)
+    for p in verdicts:
+        assert p.match is not None
+        assert p.match == match_corollary(p.first, p.second)
+
+
 def test_search_closes_only_the_colliding_keys(monkeypatch):
     # the 6x5 search groups the sets of its splits as they are: it
     # rebuilds no key's closings, not even of its 15 colliding keys
@@ -636,9 +659,11 @@ def test_search_closes_only_the_colliding_keys(monkeypatch):
 
 
 def test_part_walk_matches_filtered_walk():
-    # every extent up to (5, 4) and (4, 5): the part walk gives each
-    # parallel-free chain of the full walk once up to sign, with the
-    # mask of its lines
+    # every extent up to (5, 4) and (4, 5), so every box up to 6x6 and
+    # 7x6 and 6x7: the part walk gives parallel-free chains of the full
+    # walk once up to sign, with the mask of its lines, and among them
+    # every one with a line-disjoint partner that fits beside it in the
+    # box one larger
     extents = {(dx, dy) for dx in range(6) for dy in range(5)}
     extents |= {(dy, dx) for dx, dy in extents}
     for dx, dy in sorted(extents):
@@ -653,7 +678,20 @@ def test_part_walk_matches_filtered_walk():
             neg = tuple(sorted((-x, -y) for x, y in chain))
             got.append(min(tuple(sorted(chain)), neg))
         assert len(got) == len(set(got)), (dx, dy)
-        assert set(got) == helpers.split_parts_by_filter(dx, dy), (dx, dy)
+        assert helpers.split_parts_with_partner(dx, dy) <= set(got) <= \
+            helpers.split_parts_by_filter(dx, dy), (dx, dy)
+    # the walk drops most parts that cannot pair: at (4, 3), 249 can
+    assert len(helpers.split_parts_by_filter(4, 3)) == 1015
+    assert len(helpers.split_parts_with_partner(4, 3)) == 249
+    assert sum(1 for _ in _polygons.walk_chains(4, 3, parts=True)) == 288
+
+
+@pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7)])
+def test_splits_equal_the_unpruned_walk_in_order(box):
+    # dropping the parts that cannot pair keeps every tried pair, and
+    # the kept parts keep their walk order, so the splits come the same
+    assert list(search._splits(*box)) == \
+        list(helpers.splits_by_unpruned_walk(*box))
 
 
 def test_chain_count_is_the_walk_count():
@@ -670,9 +708,10 @@ def test_chain_count_is_the_walk_count():
 
 
 def test_search_walks_only_the_parts_of_splits(monkeypatch):
-    # the search walks the 1,015 split parts at extent (4, 3), one of
-    # each pair +-A, not the 5,024 chains there nor the 53,524 of the
-    # box, and counts the box without walking it
+    # the search walks 288 split parts at extent (4, 3), one of each
+    # pair +-A, not all 1,015 of them, the 5,024 chains there nor the
+    # 53,524 of the box, plus the 32 parts at (2, 2) of its partner
+    # table, and counts the box without walking it
     walk = _polygons._chains_from_root
     leaves = []
 
@@ -685,7 +724,7 @@ def test_search_walks_only_the_parts_of_splits(monkeypatch):
     rep = homometric_classes(6, 5)
     assert rep.total_classes == 53524
     assert len(rep.classes) == 12
-    assert len(leaves) == 1015
+    assert len(leaves) == 288 + 32
 
 
 def test_import_loads_no_process_pool():
@@ -708,9 +747,9 @@ def test_map_chains_streams_shard_by_shard(monkeypatch):
     ran = []
     walk = _polygons._chains_from_root
 
-    def counted(groups, sums, lim_x, lim_y, root, parts=False):
+    def counted(groups, sums, lim_x, lim_y, root, can_pair=None):
         ran.append(root)
-        return walk(groups, sums, lim_x, lim_y, root, parts)
+        return walk(groups, sums, lim_x, lim_y, root, can_pair)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
     serial = list(map(tuple, _polygons.walk_chains(3, 3)))
