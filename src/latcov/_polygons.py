@@ -18,14 +18,14 @@ half-plane.  The chains come root by root, the root being the first
 only the chains with no two parallel edges, one of each pair +-A, by
 banning the line of every chosen ray and the lines below the first; the
 prune still holds, as the reachable sums only over-approximate.  Each
-part comes with the bitmask of its lines, and is walked only while it
-can pair with a line-disjoint part beside it in the box one larger
-(_partner_test): a partial chain's extent and lines only grow, so once
-no partner fits, none fits any chain that completes it.
+part comes with the bitmask of its lines and its extent, and is walked
+only while it can pair with a line-disjoint part beside it in the box
+one larger (_partner_test): a partial chain's extent and lines only
+grow, so once no partner fits, none fits any chain that completes it.
 
-count_chains counts the chains walk_chains would walk, by a knapsack on
-their x and y extents, without walking them.  A chain has three rays, so
-both answer a box with an extent below 1 before listing any ray.
+count_chains counts walk_chains' chains without walking them, by a
+knapsack on their x and y extents (in closed form at an extent of 1).
+A chain has three rays, so both answer an extent below 1 at once.
 
 The module owns the edge signature: _upper names a line {v, -v} by its
 side in the open upper half-plane or on the +x ray, _faces reads a
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cmp_to_key, reduce
-from math import gcd, inf
+from math import gcd
 from operator import or_
 
 
@@ -98,23 +98,23 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
     """Yield the closed convex chains whose lowest-angle ray is
     groups[root], as lists of edge vectors in angle order, one at a time.
 
-    With can_pair, yield instead (chain, lines) for the chains with no
-    two parallel edges, one of each pair +-A, where bit i of lines is set
-    when the chain has an edge on the line of groups[i].  The rays come
-    as the U rays of the upper side, then their negatives in the same
-    order, so groups[i] and groups[i + U] share line i.  A chosen ray
-    bans its line, and the root r also bans the lines below it: only the
-    sign whose lowest line is used on its upper side is walked.  A
-    partial chain's extent and lines only grow as the walk goes on, so
-    one whose extent (ex, ey) and lines fail can_pair(ex, ey, lines) is
-    dropped with every chain that completes it."""
-    last = len(groups) - 1
+    With can_pair, yield instead (chain, lines, (ex, ey)) for the chains
+    with no two parallel edges, one of each pair +-A: bit i of lines is
+    set when the chain has an edge on the line of groups[i], and (ex, ey)
+    is its extent.  The rays come as the U rays of the upper side, then
+    their negatives in the same order, so groups[i] and groups[i + U]
+    share line i.  A chosen ray bans its line, and the walk starts with
+    the lines below the root banned: only the sign whose lowest line is
+    used on its upper side is walked.  A partial chain's extent and
+    lines only grow at each step, the root's too, so one whose extent
+    and lines fail can_pair(ex, ey, lines) is dropped with every chain
+    that completes it."""
     half = len(groups) // 2
     bits = [1 << (j % half) if can_pair else 0 for j in range(len(groups))]
     # The lines of a part: its used bits, less the banned ones below root.
     keep = -1 << root
     # The rays after ray j, latest first: the walk's next choices.
-    after = [range(last, j, -1) for j in range(len(groups))]
+    after = [range(len(groups) - 1, j, -1) for j in range(len(groups))]
     chosen: list = []
 
     def rec(rays, x, y, mnx, mxx, mny, mxy, used):
@@ -144,18 +144,12 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
                     yield from rec(after[j], nx, ny, nmnx, nmxx, nmny, nmxy,
                                    nused)
                 elif len(chosen) >= 3:
-                    yield ((chosen.copy(), nused & keep)
+                    yield ((chosen.copy(), nused & keep,
+                            (nmxx - nmnx, nmxy - nmny))
                            if can_pair else chosen.copy())
                 chosen.pop()
 
-    ban = (2 << root) - 1 if can_pair else 0
-    for dx, dy in groups[root]:
-        if (-dx, -dy) not in sums[root + 1]:   # also keeps it in the box
-            continue
-        chosen.append((dx, dy))
-        yield from rec(after[root], dx, dy,
-                       min(0, dx), max(0, dx), min(0, dy), max(0, dy), ban)
-        chosen.pop()
+    yield from rec((root,), 0, 0, 0, 0, 0, 0, ~keep if can_pair else 0)
 
 
 def _partner_test(groups, dx: int, dy: int):
@@ -166,25 +160,19 @@ def _partner_test(groups, dx: int, dy: int):
     lines can pair in the box.
 
     The table holds the parts of extent at most (dx // 2, dy // 2), one
-    of each pair +-B (both have B's extent and lines), their masks
-    renumbered into groups' lines.  It answers exactly when the leftover
-    lies within that bound, as it does for every chain at least half the
-    box wide and tall; any other query passes.  Answers are kept per
-    leftover and the lines that its parts use, for the one walk."""
-    half = len(groups) // 2
-    line = {v: i % half for i, group in enumerate(groups) for v in group}
+    of each pair +-B (both have B's extent and lines), walked on groups'
+    own rays and lines.  It answers exactly when the leftover lies within
+    that bound, as it does for every chain at least half the box wide and
+    tall; any other query passes.  Answers are kept per leftover and the
+    lines that its parts use, for the one walk."""
     hx, hy = dx // 2, dy // 2
-    small = _ray_groups(hx, hy)
-    sums = _suffix_sums(small, hx, hy)
+    sums = _suffix_sums(groups, hx, hy)
     # masks[lx, ly]: the line masks of the table's parts that fit (lx, ly)
     masks: dict = {(lx, ly): set() for lx in range(1, hx + 1)
                    for ly in range(1, hy + 1)}
-    for root in range(len(small) // 2):
-        for chain, _ in _chains_from_root(small, sums, hx, hy, root,
-                                          lambda ex, ey, lines: True):
-            ex = sum(x for x, _ in chain if x > 0)
-            ey = sum(y for _, y in chain if y > 0)
-            mask = sum(1 << line[v] for v in chain)
+    for root in range(len(groups) // 2):
+        for _, mask, (ex, ey) in _chains_from_root(
+                groups, sums, hx, hy, root, lambda ex, ey, lines: True):
             for (lx, ly), fitting in masks.items():
                 if ex <= lx and ey <= ly:
                     fitting.add(mask)
@@ -365,17 +353,13 @@ def _closing_chains(lines, twice_n: int):
     for net, mask in _signed_sums(steps[1:mid], first, 1):
         left.setdefault(net, []).append(mask)
     bit = {d: 1 << i for i, (d, _, _) in enumerate(free)}
-    # The angle order of the _upper sides is (1, 0), then -dx/dy
-    # ascending, which floor(-dx m / dy) keeps once m exceeds every dy^2.
-    m = 1 + max(dy for (_, dy), _, _ in lines) ** 2
     # Per line in angle order: its mask bit (0 when p == q), then its
     # (upper, lower) edges kept and reversed, a face of length 0 dropped.
-    sides = []
-    for (dx, dy), q, p in sorted(lines, key=lambda line: -line[0][0] * m
-                                 // line[0][1] if line[0][1] else -inf):
-        sides.append((bit.get((dx, dy), 0),
-                      ([(p * dx, p * dy)], [(-q * dx, -q * dy)] if q else []),
-                      ([(q * dx, q * dy)] if q else [], [(-p * dx, -p * dy)])))
+    sides = [(bit.get((dx, dy), 0),
+              ([(p * dx, p * dy)], [(-q * dx, -q * dy)] if q else []),
+              ([(q * dx, q * dy)] if q else [], [(-p * dx, -p * dy)]))
+             for (dx, dy), q, p in sorted(lines, key=cmp_to_key(
+                 lambda a, b: _angle_cmp(a[0], b[0])))]
     for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
         for mask in left.get((-x, -y), ()):
             mask |= right
@@ -400,6 +384,12 @@ def count_chains(max_dx: int, max_dy: int) -> int:
     """The number of closed convex chains fitting the box extent
     (max_dx, max_dy), as walk_chains would walk them, without walking.
 
+    A chain of x-extent 1 is two vertical runs, on x = 0 and x = 1, not
+    both points.  Up to translation, the pairs of runs in rows 0..N that
+    reach row 0 are those in 0..N less those in 1..N, ((N+1)(N+2)/2)^2 -
+    (N(N+1)/2)^2 = (N+1)^3, and 2N + 1 are two points: count_chains(1, N)
+    = count_chains(N, 1) = (N+1)^3 - (2N+1), at once for any N.
+
     A closed convex chain rises in x exactly once, so its x-extent is
     the sum of its positive dx, and likewise for y: the chains are the
     choices of at most one vector per ray with sum zero and positive
@@ -409,12 +399,13 @@ def count_chains(max_dx: int, max_dy: int) -> int:
     sums, and the quadrants are joined where the sums close."""
     if max_dx < 1 or max_dy < 1:
         return 0
+    if min(max_dx, max_dy) == 1:    # N + 1 == max_dx + max_dy
+        return (max_dx + max_dy) ** 3 - 2 * (max_dx + max_dy) + 1
     nx, ny = max_dx + 1, max_dy + 1
     # Quadrant q of (dx, dy) adds (|dx|, |dy|) to the parts
     # (x+, y+), (x-, y+), (x-, y-) and (x+, y-) for q = 0, 1, 2, 3.
-    tables = [[[0] * ny for _ in range(nx)] for _ in range(4)]
-    for t in tables:
-        t[0][0] = 1
+    tables = [[[1] + [0] * max_dy] + [[0] * ny for _ in range(max_dx)]
+              for _ in range(4)]
     for group in _ray_groups(max_dx, max_dy):
         rx, ry = group[0]
         q = (0 if ry >= 0 else 3) if rx > 0 else (1 if ry > 0 else 2)
@@ -426,13 +417,12 @@ def count_chains(max_dx: int, max_dy: int) -> int:
                     a, b = u - abs(dx), v - abs(dy)
                     if a >= 0 and b >= 0:
                         row[v] += t[a][b]
-    q0, q1, q2, q3 = tables
     # right[x][y+][y-]: quadrants 0 and 3 with x+ == x; left likewise
     # with quadrants 1 and 2 and x- == x.
-    right = [[[sum(q0[a][v] * q3[x - a][w] for a in range(x + 1))
-               for w in range(ny)] for v in range(ny)] for x in range(nx)]
-    left = [[[sum(q1[a][v] * q2[x - a][w] for a in range(x + 1))
-              for w in range(ny)] for v in range(ny)] for x in range(nx)]
+    right, left = ([[[sum(qa[a][v] * qb[x - a][w] for a in range(x + 1))
+                      for w in range(ny)] for v in range(ny)]
+                    for x in range(nx)]
+                   for qa, qb in (tables[::3], tables[1:3]))
     closed = sum(right[x][v1][v4] * left[x][v2][v1 + v2 - v4]
                  for x in range(nx) for v1 in range(ny) for v4 in range(ny)
                  for v2 in range(max(0, v4 - v1), ny - v1))
@@ -442,9 +432,9 @@ def count_chains(max_dx: int, max_dy: int) -> int:
 def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
     """Yield every closed convex chain fitting the box extent
     (max_dx, max_dy), one chain per translation class, root by root in
-    angle order, each as it closes.  With parts, yield (chain, lines)
-    for such chains with no two parallel edges, one of each pair +-A
-    (see _chains_from_root): each one that has a line-disjoint partner
+    angle order, each as it closes.  With parts, yield (chain, lines,
+    extent) for such chains with no two parallel edges, one of each pair
+    +-A (see _chains_from_root): each one that has a line-disjoint partner
     beside it in the box (max_dx + 1, max_dy + 1), and some others (see
     _partner_test).  Nothing is kept between calls."""
     if max_dx < 1 or max_dy < 1:

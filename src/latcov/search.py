@@ -7,9 +7,9 @@ Z + A +- B (two lattice polygons A and B with no two parallel edges, on
 disjoint lines, and a centrally symmetric Z) whose two sets share their
 second moments.  Those sets, and their images under the box's
 symmetries, are grouped by covariogram, and every class with two or
-more members up to translation and point reflection is reported.  Each found pair can be matched, up to unimodular affine maps
-of the lattice, against the hexagon-family mirror pairs of width-one
-strips.
+more members up to translation and point reflection is reported.
+Each found pair can be matched, up to unimodular affine maps of the
+lattice, against the hexagon-family mirror pairs of width-one strips.
 """
 
 from __future__ import annotations
@@ -163,14 +163,14 @@ def _splits(width: int, height: int):
     on distinct lines need three to sum to zero, so A and B are lattice
     polygons of extent at least (1, 1), and the parts are walked at one
     less than the box, one of each pair +-A (replacing A by -A reflects
-    both sets), each with the mask of its lines.  A pair fits when its
-    extents and Z's add up to at most the box's.  The walk drops parts
-    with no line-disjoint partner that fits beside them, which are in no
-    pair, and keeps the others in their order, so the splits come as
-    from every part.  Z + A + B and Z + A - B
-    share their boundary count, and their areas differ only by the mixed
-    areas of A with B and with -B, so the Pick test runs once per pair,
-    on A + B and A - B, before any Z is added.
+    both sets), each with the mask of its lines and its extent.  A pair
+    fits when its extents and Z's add up to at most the box's.  The walk
+    drops parts with no line-disjoint partner that fits beside them,
+    which are in no pair, and keeps the others in their order, so the
+    splits come as from every part.  Z + A + B and Z + A - B share their
+    boundary count, and their areas differ only by the mixed areas of A
+    with B and with -B, so the Pick test runs once per pair, on A + B
+    and A - B, before any Z is added.
 
     The mirror x -> -x, and the transpose x <-> y of a square box, map
     the box onto itself and splits onto splits of the same extents that
@@ -184,9 +184,7 @@ def _splits(width: int, height: int):
     square = dx == dy
     # Parts by extent, then by skew, each with its tilt (0 off the square).
     by_extent: dict = {}
-    for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
-        extent = (sum(x for x, _ in chain if x > 0),
-                  sum(y for _, y in chain if y > 0))
+    for chain, lines, extent in walk_chains(dx - 1, dy - 1, parts=True):
         tilt = sum(x * x - y * y for x, y in chain) if square else 0
         by_extent.setdefault(extent, {}).setdefault(
             sum(x * y for x, y in chain), []).append((chain, lines, tilt))
@@ -227,11 +225,11 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     Homometric sets share their extents, so one class shares the stride
     2 m + 1, m the largest coordinate of a form, which packs every
     difference injectively.  A class is interesting when it holds two or
-    more distinct canonical forms, and every reported pair is re-verified
-    once, before it is matched; each hexagon-family pair the matcher
-    tries is built and verified once per search.  total_classes counts every set of the
-    box, one per translation class, by count_chains, which answers a box
-    with a side of 1 at once, as _splits does.  The search runs in this
+    more distinct canonical forms.  Each reported pair is re-verified
+    once before it is matched, and each hexagon-family pair the matcher
+    tries is built and verified once per search.  total_classes counts
+    the box's sets, one per translation class, by count_chains: at once
+    for a side of 1 or 2, as in _splits.  The search runs in this
     process: jobs is checked, refused below 1, and otherwise ignored.
     """
     if width < 1 or height < 1:

@@ -261,6 +261,36 @@ def oracle_chains(max_dx, max_dy):
             for c in _chains_from_root(groups, reach, max_dx, max_dy, root)]
 
 
+def count_chains_by_knapsack(max_dx, max_dy):
+    """_polygons.count_chains as it was before it answered a side of
+    extent 1 in closed form: a knapsack per quadrant of rays on the
+    chains' positive x and y parts, joined where the parts close."""
+    from latcov._polygons import _ray_groups
+
+    nx, ny = max_dx + 1, max_dy + 1
+    tables = [[[0] * ny for _ in range(nx)] for _ in range(4)]
+    for t in tables:
+        t[0][0] = 1
+    for group in _ray_groups(max_dx, max_dy):
+        rx, ry = group[0]
+        t = tables[(0 if ry >= 0 else 3) if rx > 0 else (1 if ry > 0 else 2)]
+        for u in range(max_dx, -1, -1):
+            for v in range(max_dy, -1, -1):
+                for dx, dy in group:
+                    a, b = u - abs(dx), v - abs(dy)
+                    if a >= 0 and b >= 0:
+                        t[u][v] += t[a][b]
+    q0, q1, q2, q3 = tables
+    right = [[[sum(q0[a][v] * q3[x - a][w] for a in range(x + 1))
+               for w in range(ny)] for v in range(ny)] for x in range(nx)]
+    left = [[[sum(q1[a][v] * q2[x - a][w] for a in range(x + 1))
+              for w in range(ny)] for v in range(ny)] for x in range(nx)]
+    closed = sum(right[x][v1][v4] * left[x][v2][v1 + v2 - v4]
+                 for x in range(nx) for v1 in range(ny) for v4 in range(ny)
+                 for v2 in range(max(0, v4 - v1), ny - v1))
+    return closed - 1 - ((2 * max_dx + 1) * (2 * max_dy + 1) - 1) // 2
+
+
 def covariogram_grouping(width, height):
     """Homometric classes of a box the exhaustive way: every set of the
     oracle walk gets a covariogram and a canonical form, and sets are
@@ -861,7 +891,7 @@ def split_keys(width: int, height: int) -> set:
 
     dx, dy = width - 1, height - 1
     by_extent: dict = {}
-    for chain, lines in walk_chains(dx - 1, dy - 1, parts=True):
+    for chain, lines, _ in walk_chains(dx - 1, dy - 1, parts=True):
         extent = (sum(x for x, _ in chain if x > 0),
                   sum(y for _, y in chain if y > 0))
         by_extent.setdefault(extent, []).append((chain, lines))

@@ -612,6 +612,7 @@ def _cap_memory():
 
 HUGE_DIM = "dim 2147483648\n"
 SPANS_NO_SET = "total_sets=0\nclass_count=0\n"
+STRIP_SETS = "total_sets=9903520314283042194898026497\nclass_count=0\n"
 FAR_TRIANGLE = ("2147483648 -2147483648\n-2147483648 2147483648\n"
                 "-2147483647 2147483648\n")
 FAR_3D = ("dim 3\n2147483648 -2147483648 0\n-2147483648 2147483648 1\n"
@@ -668,6 +669,11 @@ HOSTILE = {
                              "--allow-large"], None, 0, SPANS_NO_SET),
     "search-tall-segment": (["search", "--box", "1x2147483648",
                              "--allow-large"], None, 0, SPANS_NO_SET),
+    # a box with a side of 2 counts its sets in closed form
+    "search-wide-strip": (["search", "--box", "2147483648x2",
+                           "--allow-large"], None, 0, STRIP_SETS),
+    "search-tall-strip": (["search", "--box", "2x2147483648",
+                           "--allow-large"], None, 0, STRIP_SETS),
     # points files: one point, and coordinates near 2^31 in 2 and 3 dims
     "canonical-one-point": (["canonical", "{}"], "5 7\n", 0, "dim 2\n0 0\n"),
     "canonical-far": (["canonical", "{}"], FAR_TRIANGLE, 0,

@@ -1,7 +1,8 @@
 """The library states its invariants as explicit raises, never as
 `assert` statements, which `python -O` drops, its modules import only
-what they use, every private name it defines is used in it, and only
-`lattice` names its bounding-box scan."""
+what they use, every private name it defines is used in it, only
+`lattice` names its bounding-box scan, and only the chain walk and the
+chain count list the rays of a box."""
 
 import ast
 from pathlib import Path
@@ -88,4 +89,22 @@ def test_only_lattice_names_the_box_scan():
                   if (isinstance(node, ast.Name) and node.id == name)
                   or (isinstance(node, ast.Attribute) and node.attr == name)
                   or (isinstance(node, ast.alias) and node.name == name)]
+    assert found == []
+
+
+def test_only_the_walk_and_the_count_name_the_ray_table():
+    # inside _polygons, _ray_groups is reached through walk_chains and
+    # count_chains alone, so the partner table walks the walk's own rays
+    # and cannot grow a second ray numbering
+    name = "_ray_groups"
+    allowed = (name, "walk_chains", "count_chains")
+    found = []
+    for path, tree in _modules():
+        if path.name != "_polygons.py":
+            continue
+        found += [f"{stmt.name}:{node.lineno}" for stmt in tree.body
+                  if isinstance(stmt, ast.FunctionDef)
+                  and stmt.name not in allowed
+                  for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and node.id == name]
     assert found == []

@@ -671,10 +671,12 @@ def test_part_walk_matches_filtered_walk():
         line = {group[0]: i % (len(groups) // 2)
                 for i, group in enumerate(groups)}
         got = []
-        for chain, lines in _polygons.walk_chains(dx, dy, parts=True):
+        for chain, lines, extent in _polygons.walk_chains(dx, dy, parts=True):
             primitive = [(x // gcd(x, y), y // gcd(x, y)) for x, y in chain]
             assert lines == sum(1 << line[d] for d in primitive), chain
             assert lines.bit_count() == len(chain), chain
+            assert extent == (sum(x for x, _ in chain if x > 0),
+                              sum(y for _, y in chain if y > 0)), chain
             neg = tuple(sorted((-x, -y) for x, y in chain))
             got.append(min(tuple(sorted(chain)), neg))
         assert len(got) == len(set(got)), (dx, dy)
@@ -684,6 +686,9 @@ def test_part_walk_matches_filtered_walk():
     assert len(helpers.split_parts_by_filter(4, 3)) == 1015
     assert len(helpers.split_parts_with_partner(4, 3)) == 249
     assert sum(1 for _ in _polygons.walk_chains(4, 3, parts=True)) == 288
+    # and the partner table keeps its pruning power at the larger extents
+    assert sum(1 for _ in _polygons.walk_chains(5, 4, parts=True)) == 2367
+    assert sum(1 for _ in _polygons.walk_chains(4, 5, parts=True)) == 2367
 
 
 @pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7)])
@@ -705,6 +710,17 @@ def test_chain_count_is_the_walk_count():
     assert _polygons.count_chains(6, 6) == 1588952
     assert _polygons.count_chains(7, 6) == 4402020
     assert _polygons.count_chains(-1, 3) == _polygons.count_chains(0, 0) == 0
+
+
+def test_side_one_count_is_the_knapsack_count():
+    # an x-extent of 1 is two vertical runs: (N + 1)^3 pairs of runs up
+    # to translation, less the 2N + 1 pairs of two points
+    for n in range(1, 41):
+        closed = (n + 1) ** 3 - (2 * n + 1)
+        assert _polygons.count_chains(1, n) == closed, n
+        assert _polygons.count_chains(n, 1) == closed, n
+        assert helpers.count_chains_by_knapsack(1, n) == closed, n
+        assert helpers.count_chains_by_knapsack(n, 1) == closed, n
 
 
 def test_search_walks_only_the_parts_of_splits(monkeypatch):
