@@ -10,8 +10,9 @@ tuples of arbitrary equal length.
 
 Lattice convexity, K = Z^2 cap conv K, is decided in one place, _fills:
 a point or a segment by its lattice length, any other hull by the
-bounding-box scan of hull_lattice_points.  Hull edges are read through
-Hull2.chain.
+bounding-box scan of hull_lattice_points.  convex_hull reads a set by
+rows, since only a row's two end points can be vertices: O(n + r log r)
+for n points in r rows.  Hull edges are read through Hull2.chain.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ def dot(a: Point, b: Point) -> int:
 
 def det2(u: Point, v: Point) -> int:
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def primitive(u: Point) -> Point:
@@ -117,26 +114,47 @@ class Hull2:
                 for a, b in zip(vs, vs[1:] + vs[:1])]
 
 
+def _left_turns(points) -> list[Point]:
+    """The monotone chain through points, in order, of strict left turns."""
+    out: list[Point] = []
+    for p in points:
+        while len(out) > 1:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
 def convex_hull(K) -> Hull2:
-    """Monotone chain hull, counterclockwise, strict (collinear points dropped)."""
-    pts = sorted(set(tuple(p) for p in K))
-    if not pts:
+    """Hull, counterclockwise from its least vertex, strict (collinear
+    points dropped).  Only the least and the greatest x of a row (a y)
+    can be a vertex, so one pass keeps those two, and the monotone chain
+    runs up the row maxima and down the row minima: O(n + r log r) for
+    n points in r rows."""
+    rows: dict = {}
+    try:
+        for x, y in K:
+            r = rows.get(y)
+            if r is None:
+                rows[y] = [x, x]
+            elif x < r[0]:
+                r[0] = x
+            elif x > r[1]:
+                r[1] = x
+    except ValueError:
+        raise LatticeError("convex hull requires dimension 2") from None
+    if not rows:
         raise LatticeError("empty set")
-    if len(pts[0]) != 2:
-        raise LatticeError("convex hull requires dimension 2")
-    if len(pts) == 1:
-        return Hull2((pts[0],))
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return Hull2(tuple(lower[:-1] + upper[:-1]))
+    ys = sorted(rows)
+    right = _left_turns([(rows[y][1], y) for y in ys])
+    # a top or bottom row of one point ends one side and starts the other
+    ends = (right[0], right[-1])
+    vs = right + [p for p in _left_turns([(rows[y][0], y) for y in ys[::-1]])
+                  if p not in ends]
+    i = vs.index(min(vs))
+    return Hull2(tuple(vs[i:] + vs[:i]))
 
 
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:

@@ -25,7 +25,7 @@ from ._polygons import (
     _lattice_points_of_chain,
     _upper,
 )
-from .covariogram import Covariogram, support_of
+from .covariogram import Covariogram
 from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
@@ -33,7 +33,6 @@ from .lattice import (
     convex_hull,
     extent,
     primitive,
-    support_set,
 )
 
 
@@ -70,8 +69,8 @@ def _face_run(g: Covariogram, start, d, count: int) -> tuple[int, int]:
     """
     if count > len(g.entries):
         raise LatticeError("not realizable")
-    (ax, ay), (dx, dy) = start, d
-    vals = [g.value((ax + i * dx, ay + i * dy)) for i in range(count)]
+    (ax, ay), (dx, dy), get = start, d, g.entries.get
+    vals = [get((ax + i * dx, ay + i * dy), 0) for i in range(count)]
     if 0 in vals:
         # support not contiguous on its extreme line
         raise LatticeError("not realizable")
@@ -90,11 +89,12 @@ def _edge_lines(g: Covariogram) -> tuple:
     and q <= p the lattice lengths of the two faces of a realizing set
     parallel to it (0 for a face that is a vertex).
 
-    The support and its hull are computed once.  Raises LatticeError
-    when the support is degenerate or a profile is not that of two faces
-    whose difference is the support's edge, so p + q is its length.
+    The support's hull is read straight off g's entries.  Raises
+    LatticeError when the support is degenerate or a profile is not that
+    of two faces whose difference is the support's edge, so p + q is its
+    length.
     """
-    hull = convex_hull(support_of(g))
+    hull = convex_hull(g.entries)
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
     lines = []
@@ -112,9 +112,9 @@ def _edge_lines(g: Covariogram) -> tuple:
 def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     """Recover the boundary rows of a realizing set facing u and -u.
 
-    Reads g along the extreme line of its support in direction u.  The
-    profile there must be positive on a contiguous run and maximal on a
-    contiguous subrun; the rows are rebuilt from the run boundaries.
+    Reads g along the face of its support's hull facing u, a vertex or
+    an edge.  The profile there must be positive on a contiguous run and
+    maximal on a contiguous subrun; the rows come from the run ends.
     """
     _require_planar(g)
     u = tuple(u)
@@ -122,7 +122,9 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
         raise LatticeError("zero direction")
     if primitive(u) != u:
         raise LatticeError("direction must be primitive")
-    E = support_set(support_of(g), u)
+    (ux, uy), vs = u, convex_hull(g.entries).vertices
+    top = max(x * ux + y * uy for x, y in vs)
+    E = [(x, y) for x, y in vs if x * ux + y * uy == top]
     if len(E) == 1:
         (e,) = E
         return EdgePairSketch(frozenset({e}), frozenset({(0, 0)}), u)
@@ -154,9 +156,9 @@ def reconstruct_all(g: Covariogram) -> list:
     It is one of the closings of the edge signature of g and |K|, and
     those whose covariogram is g realize it.  Every closing has the
     y-extent h, the largest y of g, so g and each filled closing are
-    compared as exact difference tables packed with stride 2h + 1, one
-    table per closing.  A g whose signature cannot be read, a degenerate
-    support among them, has no realizing set.
+    compared as exact difference tables packed with stride 2h + 1, g's
+    only once a closing exists.  A g whose signature cannot be read, a
+    degenerate support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -168,10 +170,12 @@ def reconstruct_all(g: Covariogram) -> list:
         lines = _edge_lines(g)
     except LatticeError:
         return []
-    stride = 2 * max(y for _, y in g.entries) + 1
-    table = frozenset((x * stride + y, c) for (x, y), c in g.entries.items())
-    hits = set()
+    hits, table = set(), None
     for chain in _closing_chains(lines, 2 * n):
+        if table is None:
+            stride = 2 * max(y for _, y in g.entries) + 1
+            table = frozenset((x * stride + y, c)
+                              for (x, y), c in g.entries.items())
         K = _lattice_points_of_chain(chain)
         if _difference_table(K, stride) == table:
             hits.add(canonical_form(K))

@@ -60,6 +60,30 @@ def in_hull(p, pts):
     return False
 
 
+def convex_hull_by_all_points(K):
+    """convex_hull's Hull2 by the monotone chain over every point of K,
+    sorted: lower chain left to right, then upper chain back."""
+    from latcov.lattice import Hull2, LatticeError
+    pts = sorted(set(tuple(p) for p in K))
+    if not pts:
+        raise LatticeError("empty set")
+    if len(pts[0]) != 2:
+        raise LatticeError("convex hull requires dimension 2")
+    if len(pts) == 1:
+        return Hull2((pts[0],))
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return Hull2(tuple(lower[:-1] + upper[:-1]))
+
+
 def brute_hull_points(pts):
     """All lattice points of conv(pts), by scanning the bounding box."""
     xs = [p[0] for p in pts]

@@ -617,6 +617,10 @@ FAR_TRIANGLE = ("2147483648 -2147483648\n-2147483648 2147483648\n"
                 "-2147483647 2147483648\n")
 FAR_3D = ("dim 3\n2147483648 -2147483648 0\n-2147483648 2147483648 1\n"
           "0 0 -2147483648\n")
+# a 6-point lattice-convex set sheared by x += 2^29 y, as a covariogram
+FAR_COV = serialize_covariogram(compute_covariogram(
+    {(x + 2 ** 29 * y, y)
+     for x, y in [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2)]}))
 
 # Hostile inputs, one or more per subcommand: argv with {} for the input
 # file, the file's contents (None for no file), the exit code, and a part
@@ -684,6 +688,15 @@ HOSTILE = {
                          "2147483648 2147483648 2147483649\n"),
     "diffset-far-3d": (["diffset", "{}"], FAR_3D, 0,
                        "4294967296 -4294967296 -1\n"),
+    # the support's hull is read over its rows, whatever their width
+    "reconstruct-far-cov": (["reconstruct", "{}"], FAR_COV, 0,
+                            "verdict=unique\nclass_count=1\nclass.0=0,0;1,0;"
+                            "2,0;536870912,1;536870913,1;1073741825,2\n"),
+    "invariants-far-cov": (["invariants", "{}", "--from-cov"], FAR_COV, 0,
+                           "\nm=2\n"),
+    "edges-far-cov": (["edges", "{}", "--normal", "0,-1"], FAR_COV, 0,
+                      "long_row=-1073741825,-2;-1073741824,-2;"
+                      "-1073741823,-2\n"),
 }
 
 

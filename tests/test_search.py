@@ -305,6 +305,10 @@ def test_chain_key_read_off_covariogram_5x4():
         assert reconstruct._edge_lines(g) == sig, sorted(K)
     assert len(chains) == len(sets) == 5024
     assert sets == set(enumerate_lattice_convex(5, 4))
+    # supports with few points per row, and coordinates near 2^31
+    for F in [*sheared_sets(), *far_sets()]:
+        assert reconstruct._edge_lines(compute_covariogram(F)) == \
+            _polygons._signature(convex_hull(F).chain), sorted(F)
 
 
 FAR = (2 ** 31 - 1, 1)
@@ -345,6 +349,34 @@ def far_sets():
             yield {(x + s * y, y) for x, y in K}
         else:
             yield {(x, y + s * x) for x, y in K}
+
+
+def test_convex_hull_matches_all_points_oracle():
+    # the row-extreme hull gives the all-points chain's exact Hull2:
+    # every set of the 5x4 and 4x5 boxes, each minus one point, their
+    # covariograms' supports, sheared and far sets, collinear sets and
+    # single points, as lists, as a generator and with duplicates
+    boxes = [*enumerate_lattice_convex(5, 4), *enumerate_lattice_convex(4, 5)]
+    sets = [*boxes, *(K - {p} for K in boxes for p in K),
+            *(compute_covariogram(K).entries for K in boxes),
+            *sheared_sets(), *far_sets()]
+    for n in range(1, 6):
+        for dx, dy in [(1, 0), (0, 1), (1, 1), (1, -1), (3, -2), (FAR[0], 1)]:
+            sets.append({(7 + i * dx, -4 + i * dy) for i in range(n)})
+    assert len(sets) > 4 * 5024
+    for K in sets:
+        want = helpers.convex_hull_by_all_points(K)
+        assert convex_hull(K) == want, sorted(K)
+        assert convex_hull(list(map(list, K))) == want, sorted(K)
+        assert convex_hull(p for p in [*K, *K]) == want, sorted(K)
+    for bad in [[], [(1, 2, 3)], [(0, 0, 0), (1, 1, 1)], [(5,)]]:
+        with pytest.raises(LatticeError) as want:
+            helpers.convex_hull_by_all_points(bad)
+        for arg in [bad, iter(bad)]:
+            with pytest.raises(LatticeError) as got:
+                convex_hull(arg)
+            assert (type(got.value), str(got.value)) == \
+                (type(want.value), str(want.value)), bad
 
 
 def test_chain_fill_matches_all_edges_fill():
