@@ -452,19 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("human", "records"), default="human",
                     help="output style; records is stable key=value lines")
     sub = ap.add_subparsers(dest="command", required=True)
+    # shared arguments; a parent's come before the subcommand's own
+    points = argparse.ArgumentParser(add_help=False)
+    points.add_argument("points")
+    strip = argparse.ArgumentParser(add_help=False)
+    strip.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
+    strip.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
 
-    p = sub.add_parser("compute-cov", help="covariogram of a points file")
-    p.add_argument("points")
+    p = sub.add_parser("compute-cov", parents=[points],
+                       help="covariogram of a points file")
     p.set_defaults(fn=_cmd_compute_cov)
 
-    p = sub.add_parser("diffset", help="difference set of a points file")
-    p.add_argument("points")
+    p = sub.add_parser("diffset", parents=[points],
+                       help="difference set of a points file")
     p.add_argument("--from-cov", action="store_true",
                    help="read a covariogram file and print its support")
     p.set_defaults(fn=_cmd_diffset)
 
-    p = sub.add_parser("invariants", help="edge-normal invariant record")
-    p.add_argument("points")
+    p = sub.add_parser("invariants", parents=[points],
+                       help="edge-normal invariant record")
     p.add_argument("--from-cov", action="store_true",
                    help="read a covariogram file instead of points")
     p.set_defaults(fn=_cmd_invariants)
@@ -481,13 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="box the sets must fit (default: no limit)")
     p.set_defaults(fn=_cmd_reconstruct)
 
-    p = sub.add_parser("check-convex", help="lattice convexity predicate")
-    p.add_argument("points")
+    p = sub.add_parser("check-convex", parents=[points],
+                       help="lattice convexity predicate")
     p.set_defaults(fn=_cmd_check_convex)
 
-    p = sub.add_parser("canonical",
+    p = sub.add_parser("canonical", parents=[points],
                        help="representative up to translation and reflection")
-    p.add_argument("points")
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("affine-equiv",
@@ -496,20 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.set_defaults(fn=_cmd_affine_equiv)
 
-    p = sub.add_parser("gen-pair",
+    p = sub.add_parser("gen-pair", parents=[strip],
                        help="hexagon-family mirror pair for a width-one strip")
-    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
-    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.add_argument("--hex", required=True, metavar="A1,A2,B1,B2,G1,G2")
     p.add_argument("--out", metavar="PREFIX",
                    help="write PREFIX-plus.pts and PREFIX-minus.pts")
     p.set_defaults(fn=_cmd_gen_pair)
 
-    p = sub.add_parser("verify-thm22",
+    p = sub.add_parser("verify-thm22", parents=[points, strip],
                        help="equivalence of the direct-sum and shape conditions")
-    p.add_argument("points")
-    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
-    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.set_defaults(fn=_cmd_verify_thm22)
 
     p = sub.add_parser("product-pair",
@@ -530,10 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lift the desk-scale box limit")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("decompose",
+    p = sub.add_parser("decompose", parents=[strip],
                        help="split a point into sublattice and strip parts")
-    p.add_argument("--k", type=lambda s: _int(s, "--k"), required=True)
-    p.add_argument("--l", type=lambda s: _int(s, "--l"), required=True)
     p.add_argument("--point", required=True, metavar="X,Y")
     p.set_defaults(fn=_cmd_decompose)
 

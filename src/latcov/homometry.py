@@ -96,6 +96,8 @@ class HexagonParams:
     g2: int
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in vars(self).values()):
+            raise LatticeError("parameters must be integers")
         if self.a1 > self.a2 or self.b1 > self.b2 or self.g1 > self.g2:
             raise LatticeError("empty parameter range")
         # i - j takes every value in [a1 - b2, a2 - b1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from operator import sub
+from operator import mul, sub
 
 Point = tuple[int, ...]
 
@@ -39,10 +39,6 @@ def vsub(a: Point, b: Point) -> Point:
 
 def vneg(a: Point) -> Point:
     return tuple(-x for x in a)
-
-
-def dot(a: Point, b: Point) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def det2(u: Point, v: Point) -> int:
@@ -76,11 +72,6 @@ def dim_of(points) -> int:
 
 def translate(points, t: Point) -> frozenset[Point]:
     return frozenset(vadd(p, t) for p in points)
-
-
-def min_corner(points) -> Point:
-    """Componentwise minimum over a nonempty point set."""
-    return tuple(min(c) for c in zip(*points))
 
 
 def extent(points) -> Point:
@@ -204,10 +195,12 @@ def support_set(K, u) -> frozenset[Point]:
     """Points of K with maximal inner product against u."""
     pts = point_set(K)
     u = tuple(u)
-    if all(c == 0 for c in u):
+    if len(u) != dim_of(pts):
+        raise LatticeError("direction has the wrong dimension")
+    if not any(u):
         raise LatticeError("zero direction")
-    best = max(dot(p, u) for p in pts)
-    return frozenset(p for p in pts if dot(p, u) == best)
+    best = max(sum(map(mul, p, u)) for p in pts)
+    return frozenset(p for p in pts if sum(map(mul, p, u)) == best)
 
 
 def difference_set(K) -> frozenset[Point]:
@@ -274,10 +267,6 @@ class AffineMap2:
         tx = -(inv[0][0] * self.shift[0] + inv[0][1] * self.shift[1])
         ty = -(inv[1][0] * self.shift[0] + inv[1][1] * self.shift[1])
         return AffineMap2(inv, (tx, ty))
-
-    @classmethod
-    def identity(cls) -> "AffineMap2":
-        return cls(((1, 0), (0, 1)), (0, 0))
 
 
 def _index(vectors) -> int:

@@ -33,6 +33,7 @@ from .lattice import (
     convex_hull,
     extent,
     primitive,
+    support_set,
 )
 
 
@@ -118,16 +119,11 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     """
     _require_planar(g)
     u = tuple(u)
-    if u == (0, 0):
-        raise LatticeError("zero direction")
     if primitive(u) != u:
         raise LatticeError("direction must be primitive")
-    (ux, uy), vs = u, convex_hull(g.entries).vertices
-    top = max(x * ux + y * uy for x, y in vs)
-    E = [(x, y) for x, y in vs if x * ux + y * uy == top]
+    E = support_set(convex_hull(g.entries).vertices, u)
     if len(E) == 1:
-        (e,) = E
-        return EdgePairSketch(frozenset({e}), frozenset({(0, 0)}), u)
+        return EdgePairSketch(E, frozenset({(0, 0)}), u)
     (ax, ay), (bx, by) = min(E), max(E)
     steps = gcd(bx - ax, by - ay)
     dx, dy = (bx - ax) // steps, (by - ay) // steps

@@ -44,7 +44,6 @@ from .lattice import (
     canonical_form,
     convex_hull,
     dim_of,
-    min_corner,
     point_set,
     vadd,
     vsub,
@@ -276,7 +275,7 @@ def _translation_to(matrix, src, dst) -> tuple | None:
     """Shift t with {matrix p + t} = dst, or None."""
     img = frozenset((matrix[0][0] * p[0] + matrix[0][1] * p[1],
                      matrix[1][0] * p[0] + matrix[1][1] * p[1]) for p in src)
-    t = vsub(min_corner(dst), min_corner(img))
+    t = vsub(min(dst), min(img))
     if frozenset(vadd(p, t) for p in img) == dst:
         return t
     return None

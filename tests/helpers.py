@@ -179,6 +179,37 @@ def support_points(K, u):
     return frozenset(p for p in K if p[0] * u[0] + p[1] * u[1] == best)
 
 
+def edge_pair_by_vertex_scan(g, u):
+    """edge_pair_from_covariogram with its face read by its own scan of
+    the support hull's vertices, as it was before it read the face
+    through lattice.support_set."""
+    from math import gcd
+
+    from latcov.lattice import LatticeError, convex_hull, primitive
+    from latcov.reconstruct import EdgePairSketch, _face_run
+
+    if g.dim != 2:
+        raise LatticeError("expected a planar covariogram")
+    u = tuple(u)
+    if u == (0, 0):
+        raise LatticeError("zero direction")
+    if primitive(u) != u:
+        raise LatticeError("direction must be primitive")
+    (ux, uy), vs = u, convex_hull(g.entries).vertices
+    top = max(x * ux + y * uy for x, y in vs)
+    E = [(x, y) for x, y in vs if x * ux + y * uy == top]
+    if len(E) == 1:
+        (e,) = E
+        return EdgePairSketch(frozenset({e}), frozenset({(0, 0)}), u)
+    (ax, ay), (bx, by) = min(E), max(E)
+    steps = gcd(bx - ax, by - ay)
+    dx, dy = (bx - ax) // steps, (by - ay) // steps
+    k2, k3 = _face_run(g, (ax, ay), (dx, dy), steps + 1)
+    long_row = frozenset((ax + i * dx, ay + i * dy) for i in range(k3 + 1))
+    short_row = frozenset((i * dx, i * dy) for i in range(-k2, 1))
+    return EdgePairSketch(long_row, short_row, u)
+
+
 def primitive_directions(bound):
     """All primitive integer vectors with coordinates in [-bound, bound]."""
     from math import gcd

@@ -1,4 +1,7 @@
-"""The package's public names: every export resolves."""
+"""The package's public names: every export resolves, and every public
+name the package binds is exported."""
+
+from types import ModuleType
 
 import latcov
 
@@ -13,3 +16,9 @@ def test_star_import():
     ns: dict = {}
     exec("from latcov import *", ns)
     assert set(latcov.__all__) <= set(ns)
+
+
+def test_all_lists_every_public_binding():
+    bound = {n for n, v in vars(latcov).items()
+             if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert bound - set(latcov.__all__) == set()

@@ -36,6 +36,41 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+SHARED_ARGUMENT_USAGE = {
+    "gen-pair": ("usage: latcov gen-pair [-h] --k K --l L "
+                 "--hex A1,A2,B1,B2,G1,G2 [--out PREFIX]",
+                 "--k, --l, --hex"),
+    "verify-thm22": ("usage: latcov verify-thm22 [-h] --k K --l L points",
+                     "points, --k, --l"),
+    "decompose": ("usage: latcov decompose [-h] --k K --l L --point X,Y",
+                  "--k, --l, --point"),
+    "diffset": ("usage: latcov diffset [-h] [--from-cov] points", "points"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_ARGUMENT_USAGE))
+def test_shared_arguments_keep_usage_and_errors(capsys, command):
+    # --k, --l and points come from parent parsers; the usage lines and
+    # the missing-argument errors read as when each subcommand had its own
+    usage, missing = SHARED_ARGUMENT_USAGE[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == usage
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        usage, f"latcov {command}: error: the following arguments are "
+        f"required: {missing}"]
+    if "--k" in missing:
+        with pytest.raises(SystemExit):
+            main([command, "--k", "1", "x"])
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"latcov {command}: error: the following arguments are "
+            "required: --l")
+
+
 def test_points_parse_large_input():
     n = 100_000
     text = "".join(f"{i} {i * i % 9973}\n" for i in range(n))

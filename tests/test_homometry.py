@@ -208,6 +208,9 @@ def test_hexagon_params_validation(capsys):
         HexagonParams(1, 0, 0, 0, 0, 0)
     with pytest.raises(LatticeError):
         HexagonParams(0, 0, 0, 0, 1, 1)  # region empty
+    for bound in (1.5, "1"):
+        with pytest.raises(LatticeError, match="parameters must be integers"):
+            HexagonParams(0, 1, 0, 1, 0, bound)
     hx = HexagonParams(0, 1, 0, 1, 0, 1)
     assert set(hx.region()) == {(0, 0), (1, 0), (1, 1)}
     # region and emptiness agree with a scan of the whole box

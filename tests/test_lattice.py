@@ -140,8 +140,9 @@ def test_support_set():
     assert support_set(K, (0, -1)) == frozenset({(0, 0), (1, 0), (2, 0), (3, 0)})
     assert support_set(K, (0, 1)) == frozenset({(0, 1), (1, 1)})
     assert support_set(K, (1, 0)) == frozenset({(3, 0)})
-    with pytest.raises(LatticeError):
-        support_set(K, (0, 0))
+    for u in ((0, 0), (1, 0, 0), (1,)):
+        with pytest.raises(LatticeError):
+            support_set(K, u)
 
 
 def test_difference_set_small():

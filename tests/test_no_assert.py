@@ -1,8 +1,9 @@
 """The library states its invariants as explicit raises, never as
 `assert` statements, which `python -O` drops, its modules import only
-what they use, every private name it defines is used in it, only
-`lattice` names its bounding-box scan, and only the chain walk and the
-chain count list the rays of a box."""
+what they use, every private name and every unexported function or
+class it defines is used in it, only `lattice` names its bounding-box
+scan, and only the chain walk and the chain count list the rays of a
+box."""
 
 import ast
 from pathlib import Path
@@ -45,8 +46,11 @@ def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
-def test_library_uses_every_private_definition():
-    # a private helper that only tests call belongs in tests/
+def _definitions():
+    """(module, line, name, is_def) for each module-level name the
+    library defines, is_def true for a function or a class, and the set
+    of names it references outside each name's own definition (a
+    recursive call is not a use)."""
     defined, used = [], set()
     for path, tree in _modules():
         for stmt in tree.body:
@@ -60,8 +64,8 @@ def test_library_uses_every_private_definition():
                     stmt.target, ast.Name) else []
             else:
                 names = []
-            defined += [(path.name, stmt.lineno, n) for n in names
-                        if _private(n)]
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            defined += [(path.name, stmt.lineno, n, is_def) for n in names]
             refs = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and \
@@ -71,9 +75,25 @@ def test_library_uses_every_private_definition():
                     refs.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     refs.update(alias.name for alias in node.names)
-            used |= refs - set(names)       # a recursive call is not a use
-    found = [f"{path}:{line}: {name}" for path, line, name in defined
-             if name not in used]
+            used |= refs - set(names)
+    return defined, used
+
+
+def test_library_uses_every_private_definition():
+    # a private helper that only tests call belongs in tests/
+    defined, used = _definitions()
+    found = [f"{path}:{line}: {name}" for path, line, name, _ in defined
+             if _private(name) and name not in used]
+    assert found == []
+
+
+def test_library_uses_every_unexported_definition():
+    # a public function or class the package does not export is a
+    # helper, and a helper that only tests call belongs in tests/
+    defined, used = _definitions()
+    found = [f"{path}:{line}: {name}" for path, line, name, is_def in defined
+             if is_def and not _private(name)
+             and name not in latcov.__all__ and name not in used]
     assert found == []
 
 

@@ -22,6 +22,7 @@ from latcov.reconstruct import (
     reconstruct_all,
 )
 from latcov.search import enumerate_lattice_convex, homometric_classes
+from test_search import far_sets, sheared_sets
 
 TRAPEZOID = frozenset({(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)})
 
@@ -58,6 +59,22 @@ def test_edge_pair_errors():
         edge_pair_from_covariogram(g, (0, 0))
     with pytest.raises(LatticeError):
         edge_pair_from_covariogram(g, (0, -2))  # not primitive
+    for u in ((1, 0, 0), (1,)):                 # wrong dimension
+        with pytest.raises(LatticeError):
+            edge_pair_from_covariogram(g, u)
+
+
+def test_edge_pair_matches_vertex_scan_oracle():
+    # reading the face through support_set gives the rows the vertex
+    # scan gives, as sets: every set of the 5x4 box, sheared and far
+    # sets, every primitive u with |ux|, |uy| <= 2
+    sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(), *far_sets()]
+    directions = helpers.primitive_directions(2)
+    for K in sets:
+        g = compute_covariogram(K)
+        for u in directions:
+            assert edge_pair_from_covariogram(g, u) == \
+                helpers.edge_pair_by_vertex_scan(g, u)
 
 
 def test_edge_pair_matches_support_sets():
