@@ -36,17 +36,19 @@ signature share its boundary count, so Pick's theorem tests them by
 area alone.  Homometric sets share their second moments, sum g(u) u u^T
 = 2 (n sum p p^T - sum p sum p^T), which _row_moments reads off a
 chain's rows (_rows) without building its points.  Sets are told apart
-by their exact difference tables (_difference_table): the search groups
-the sets of its splits by them, and reconstruction compares each
-closing's table with g's own.
+by their exact difference tables (_difference_table, a Counter of packed
+differences counted in C): the search groups the sets of its splits by
+them, as frozensets, and reconstruction compares each closing's with
+g's entries packed into a dict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cmp_to_key, reduce
+from itertools import product, starmap
 from math import gcd
-from operator import or_
+from operator import or_, sub
 
 
 def _upper(v) -> bool:
@@ -374,10 +376,11 @@ def _closing_chains(lines, twice_n: int):
                 yield chain
 
 
-def _difference_table(K, stride: int) -> frozenset:
-    """K's exact table of difference counts, (x, y) packed as x stride + y."""
+def _difference_table(K, stride: int) -> Counter:
+    """K's exact table of difference counts, (x, y) packed as x stride +
+    y, counted in C over the ordered pairs."""
     packed = [x * stride + y for x, y in K]
-    return frozenset(Counter([p - q for p in packed for q in packed]).items())
+    return Counter(starmap(sub, product(packed, repeat=2)))
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:

@@ -11,8 +11,12 @@ tuples of arbitrary equal length.
 Lattice convexity, K = Z^2 cap conv K, is decided in one place, _fills:
 a point or a segment by its lattice length, any other hull by the
 bounding-box scan of hull_lattice_points.  convex_hull reads a set by
-rows, since only a row's two end points can be vertices: O(n + r log r)
-for n points in r rows.  Hull edges are read through Hull2.chain.
+rows, since only a row's two end points can be vertices: one pass
+(_row_ends) keeps them, O(n + r log r) for n points in r rows, and
+reconstruction runs the same pass on a covariogram's support.  Hull
+edges are read through Hull2.chain.  Canonical forms and central
+symmetry compare K with -K through _normal_pair, which packs each planar
+point into one integer, in the order of the tuples.
 """
 
 from __future__ import annotations
@@ -27,6 +31,15 @@ Point = tuple[int, ...]
 
 class LatticeError(ValueError):
     """Domain error: empty input, wrong dimension, degenerate set, ..."""
+
+
+def _check_box(*sides) -> None:
+    """Refuse box sides, point counts along the axes, that are not
+    positive integers."""
+    if not all(isinstance(side, int) for side in sides):
+        raise LatticeError("box dimensions must be integers")
+    if any(side < 1 for side in sides):
+        raise LatticeError("box dimensions must be positive")
 
 
 def vadd(a: Point, b: Point) -> Point:
@@ -118,12 +131,9 @@ def _left_turns(points) -> list[Point]:
     return out
 
 
-def convex_hull(K) -> Hull2:
-    """Hull, counterclockwise from its least vertex, strict (collinear
-    points dropped).  Only the least and the greatest x of a row (a y)
-    can be a vertex, so one pass keeps those two, and the monotone chain
-    runs up the row maxima and down the row minima: O(n + r log r) for
-    n points in r rows."""
+def _row_ends(K) -> dict:
+    """Each row (a y) of the planar set K with its least and greatest
+    x, as y -> [least, greatest], in one pass."""
     rows: dict = {}
     try:
         for x, y in K:
@@ -138,6 +148,16 @@ def convex_hull(K) -> Hull2:
         raise LatticeError("convex hull requires dimension 2") from None
     if not rows:
         raise LatticeError("empty set")
+    return rows
+
+
+def convex_hull(K) -> Hull2:
+    """Hull, counterclockwise from its least vertex, strict (collinear
+    points dropped).  Only the least and the greatest x of a row (a y)
+    can be a vertex, so one pass keeps those two (_row_ends), and the
+    monotone chain runs up the row maxima and down the row minima:
+    O(n + r log r) for n points in r rows."""
+    rows = _row_ends(K)
     ys = sorted(rows)
     right = _left_turns([(rows[y][1], y) for y in ys])
     # a top or bottom row of one point ends one side and starts the other
@@ -211,28 +231,43 @@ def difference_set(K) -> frozenset[Point]:
     return frozenset(vsub(a, b) for a in pts for b in pts)
 
 
-def _normal_pair(K) -> tuple[list[Point], list[Point]]:
+def _normal_pair(K) -> tuple[list, list, int | None]:
     """K and -K, each translated so its componentwise minimum is the
-    origin, as sorted point lists: p - lo and hi - p over K, with lo and
-    hi the corners of K's bounding box, taken in one pass."""
+    origin, as sorted lists, and the stride w that packs them.
+
+    A planar point p - lo is packed as the integer (x - lx) w + (y - ly),
+    w the y-extent plus one, which keeps the order of the tuples: one
+    sort gives K's list, and -K's list, hi - p over K, is that list
+    reversed and subtracted from the packed top corner hi.  In any other
+    dimension the lists hold the tuples and w is None.
+    """
     pts = point_set(K)
     cols = list(zip(*pts))
-    lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
-    return (sorted(tuple(map(sub, p, lo)) for p in pts),
-            sorted(tuple(map(sub, hi, p)) for p in pts))
+    if len(cols) != 2:
+        lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
+        return (sorted(tuple(map(sub, p, lo)) for p in pts),
+                sorted(tuple(map(sub, hi, p)) for p in pts), None)
+    xs, ys = cols
+    lx, ly = min(xs), min(ys)
+    w = max(ys) - ly + 1
+    a = sorted([(x - lx) * w + y - ly for x, y in pts])
+    top = (max(xs) - lx) * w + w - 1
+    return a, [top - v for v in reversed(a)], w
 
 
 def is_centrally_symmetric(K) -> bool:
     """True iff -K is a translate of K."""
-    a, b = _normal_pair(K)
+    a, b, _ = _normal_pair(K)
     return a == b
 
 
 def canonical_form(K) -> frozenset[Point]:
     """Distinguished representative of K's class under translations and
-    point reflections: the smaller of the two lists of _normal_pair."""
-    a, b = _normal_pair(K)
-    return frozenset(a if a <= b else b)
+    point reflections: the smaller of the two lists of _normal_pair,
+    unpacked."""
+    a, b, w = _normal_pair(K)
+    kept = a if a <= b else b
+    return frozenset(kept if w is None else (divmod(v, w) for v in kept))
 
 
 @dataclass(frozen=True)

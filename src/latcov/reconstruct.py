@@ -7,11 +7,13 @@ reflection.
 
 Reconstruction does not search a box.  g fixes the edge signature of
 every realizing set: for each edge line of its support's hull, the
-lattice lengths of the two faces parallel to it.  What g leaves open is,
-for each line whose two faces differ, which side carries the longer
-one; the sides that close the edge chain are found meet-in-the-middle,
-in angle order.  Each closing is filled, and kept when its exact table
-of difference counts is g's own.
+lattice lengths of the two faces parallel to it.  The support is
+symmetric, so each line is read once, off the hull's right chain and
+bottom edge.  What g leaves open is, for each line whose two faces
+differ, which side carries the longer one; the sides that close the
+edge chain are found meet-in-the-middle, in angle order.  Each closing
+is filled, and kept when its exact table of difference counts is g's
+own.
 """
 
 from __future__ import annotations
@@ -23,14 +25,17 @@ from ._polygons import (
     _closing_chains,
     _difference_table,
     _lattice_points_of_chain,
-    _upper,
 )
 from .covariogram import Covariogram
 from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
+    _check_box,
+    _left_turns,
+    _row_ends,
     canonical_form,
     convex_hull,
+    det2,
     extent,
     primitive,
     support_set,
@@ -90,23 +95,31 @@ def _edge_lines(g: Covariogram) -> tuple:
     and q <= p the lattice lengths of the two faces of a realizing set
     parallel to it (0 for a face that is a vertex).
 
-    The support's hull is read straight off g's entries.  Raises
-    LatticeError when the support is degenerate or a profile is not that
-    of two faces whose difference is the support's edge, so p + q is its
-    length.
+    g(u) = g(-u), so the hull is centrally symmetric and each edge line
+    is read once, on its _upper side: the edges of the hull's right
+    chain, the row maxima bottom to top, and the bottom row's edge.  The
+    support is degenerate exactly when that chain is one point, or two
+    points collinear with the origin.  Raises LatticeError then, or when
+    a profile is not that of two faces whose difference is the support's
+    edge, so p + q is its length.
     """
-    hull = convex_hull(g.entries)
-    if hull.is_degenerate:
+    rows = _row_ends(g.entries)
+    ys = sorted(rows)
+    right = _left_turns([(rows[y][1], y) for y in ys])
+    if len(right) == 1 or (len(right) == 2 and det2(*right) == 0):
         raise LatticeError("degenerate set")
+    lo = rows[ys[0]][0]
+    if lo < right[0][0]:
+        right.insert(0, (lo, ys[0]))
     lines = []
-    for a, (dx, dy) in zip(hull.vertices, hull.chain):
-        if _upper((dx, dy)):
-            n = gcd(dx, dy)
-            d = (dx // n, dy // n)
-            q, p = _face_run(g, a, d, n + 1)
-            if p + q != n:
-                raise LatticeError("not realizable")
-            lines.append((d, q, p))
+    for (ax, ay), (bx, by) in zip(right, right[1:]):
+        dx, dy = bx - ax, by - ay
+        n = gcd(dx, dy)
+        d = (dx // n, dy // n)
+        q, p = _face_run(g, (ax, ay), d, n + 1)
+        if p + q != n:
+            raise LatticeError("not realizable")
+        lines.append((d, q, p))
     return tuple(sorted(lines))
 
 
@@ -152,9 +165,10 @@ def reconstruct_all(g: Covariogram) -> list:
     It is one of the closings of the edge signature of g and |K|, and
     those whose covariogram is g realize it.  Every closing has the
     y-extent h, the largest y of g, so g and each filled closing are
-    compared as exact difference tables packed with stride 2h + 1, g's
-    only once a closing exists.  A g whose signature cannot be read, a
-    degenerate support among them, has no realizing set.
+    compared as exact difference tables packed with stride 2h + 1: g's
+    as a dict, built once a closing exists, and each closing's as the
+    Counter _difference_table returns.  A g whose signature cannot be
+    read, a degenerate support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -170,10 +184,9 @@ def reconstruct_all(g: Covariogram) -> list:
     for chain in _closing_chains(lines, 2 * n):
         if table is None:
             stride = 2 * max(y for _, y in g.entries) + 1
-            table = frozenset((x * stride + y, c)
-                              for (x, y), c in g.entries.items())
+            table = {x * stride + y: c for (x, y), c in g.entries.items()}
         K = _lattice_points_of_chain(chain)
-        if _difference_table(K, stride) == table:
+        if table == _difference_table(K, stride):
             hits.add(canonical_form(K))
     return sorted(hits, key=sorted)
 
@@ -181,7 +194,8 @@ def reconstruct_all(g: Covariogram) -> list:
 def determination_verdict(g: Covariogram, box_width: int | None = None,
                           box_height: int | None = None) -> str:
     """'unique', 'ambiguous(n)', 'out-of-box' or 'unrealizable' within
-    the box; see verdict_of."""
+    the box; see verdict_of.  The box is checked before g is read."""
+    _check_box(*(side for side in (box_width, box_height) if side is not None))
     return verdict_of(reconstruct_all(g), box_width, box_height)
 
 
@@ -195,8 +209,7 @@ def verdict_of(hits: list, box_width: int | None = None,
     every class fits or none does.
     """
     box = (box_width, box_height)
-    if any(side is not None and side < 1 for side in box):
-        raise LatticeError("box dimensions must be positive")
+    _check_box(*(side for side in box if side is not None))
     if not hits:
         return "unrealizable"
     if any(side is not None and e >= side

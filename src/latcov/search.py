@@ -40,6 +40,7 @@ from .homometry import (
 from .lattice import (
     AffineMap2,
     LatticeError,
+    _check_box,
     affine_witnesses,
     canonical_form,
     convex_hull,
@@ -91,15 +92,21 @@ class SearchReport:
     classes: tuple
 
 
+def _check_jobs(jobs) -> None:
+    """Refuse a worker count that is not an integer of at least 1."""
+    if not isinstance(jobs, int):
+        raise LatticeError("jobs must be an integer")
+    if jobs < 1:
+        raise LatticeError("jobs must be at least 1")
+
+
 def enumerate_lattice_convex(width: int, height: int, jobs: int = 1):
     """Every spanning lattice-convex set whose tight bounding box fits a
     width x height point grid, once per translation class, box corner at
     the origin, streamed in the walk's order.  The walk runs in this
     process: jobs is checked, refused below 1, and otherwise ignored."""
-    if width < 1 or height < 1:
-        raise LatticeError("box dimensions must be positive")
-    if jobs < 1:
-        raise LatticeError("jobs must be at least 1")
+    _check_box(width, height)
+    _check_jobs(jobs)
     yield from map(_lattice_points_of_chain,
                    walk_chains(width - 1, height - 1))
 
@@ -231,13 +238,11 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     for a side of 1 or 2, as in _splits.  The search runs in this
     process: jobs is checked, refused below 1, and otherwise ignored.
     """
-    if width < 1 or height < 1:
-        raise LatticeError("box dimensions must be positive")
+    _check_box(width, height)
     if width * height > DESK_SCALE_LIMIT and not allow_large:
         raise LatticeError(
             "box exceeds the desk-scale limit; pass allow_large=True to override")
-    if jobs < 1:
-        raise LatticeError("jobs must be at least 1")
+    _check_jobs(jobs)
     total = count_chains(width - 1, height - 1)
     maps = [((1, 0), (0, 1)), _MIRROR]
     if width == height:
@@ -252,7 +257,8 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     tables: dict = {}
     for F in forms:
         stride = 2 * max(map(max, F)) + 1
-        tables.setdefault((stride, _difference_table(F, stride)), []).append(F)
+        table = frozenset(_difference_table(F, stride).items())
+        tables.setdefault((stride, table), []).append(F)
     found = []
     built: dict = {}
     for group in tables.values():

@@ -1022,3 +1022,81 @@ def strip_windows_by_hulls(K, L):
             g2 = max(i - j for i, j in ij) - a1 + b1
             yield k, a2, b2, g1, g2
             yield k, a2, b2, a2 - b2 - g2, a2 - b2 - g1
+
+
+def edge_lines_by_full_hull(g):
+    """reconstruct._edge_lines as it read g before it took one side of
+    the symmetric support: the support's full convex hull, and its edges
+    on their _upper side."""
+    from math import gcd
+
+    from latcov._polygons import _upper
+    from latcov.lattice import LatticeError, convex_hull
+    from latcov.reconstruct import _face_run
+
+    hull = convex_hull(g.entries)
+    if hull.is_degenerate:
+        raise LatticeError("degenerate set")
+    lines = []
+    for a, (dx, dy) in zip(hull.vertices, hull.chain):
+        if _upper((dx, dy)):
+            n = gcd(dx, dy)
+            d = (dx // n, dy // n)
+            q, p = _face_run(g, a, d, n + 1)
+            if p + q != n:
+                raise LatticeError("not realizable")
+            lines.append((d, q, p))
+    return tuple(sorted(lines))
+
+
+def normal_pair_by_tuples(K):
+    """K and -K moved to the origin as sorted lists of point tuples, in
+    any dimension: lattice._normal_pair before it packed planar points."""
+    from operator import sub
+
+    from latcov.lattice import point_set
+
+    pts = point_set(K)
+    cols = list(zip(*pts))
+    lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
+    return (sorted(tuple(map(sub, p, lo)) for p in pts),
+            sorted(tuple(map(sub, hi, p)) for p in pts))
+
+
+def difference_table_by_pairs(K, stride):
+    """K's packed difference counts as a frozenset of (difference, count)
+    pairs, counted over a list of every ordered pair."""
+    from collections import Counter
+
+    packed = [x * stride + y for x, y in K]
+    return frozenset(Counter([p - q for p in packed for q in packed]).items())
+
+
+def box_sets_with_far_shears(width, height):
+    """Every lattice-convex set of the width x height box, each of those
+    minus one point, and all of them sheared by x += 2^29 y and moved
+    near 2^31."""
+    from latcov.search import enumerate_lattice_convex
+
+    sets = []
+    for K in enumerate_lattice_convex(width, height):
+        sets.append(K)
+        sets.extend(K - {p} for p in K)
+    far = 2 ** 31
+    return sets + [frozenset((x + 2 ** 29 * y - far, far - y) for x, y in K)
+                   for K in sets]
+
+
+def random_symmetric_table(rng: random.Random, reach: int):
+    """A seeded covariogram-shaped table: a random set of vectors within
+    reach of the origin and their negatives, each pair with one random
+    count, and the origin holding the largest."""
+    from latcov.covariogram import Covariogram
+
+    entries = {}
+    for _ in range(rng.randint(0, 2 * reach * reach)):
+        u = (rng.randint(-reach, reach), rng.randint(-reach, reach))
+        if u != (0, 0):
+            entries[u] = entries[(-u[0], -u[1])] = rng.randint(1, 4)
+    entries[(0, 0)] = rng.randint(4, 6)
+    return Covariogram(2, entries)

@@ -17,6 +17,7 @@ from latcov.lattice import (
     is_lattice_convex,
     point_set,
     _anchor_triple,
+    _normal_pair,
     primitive,
     support_set,
     translate,
@@ -183,15 +184,20 @@ def test_canonical_form_class_invariance():
 
 def test_normal_form_equals_two_pass_oracle():
     # K and -K moved to the origin in one pass give the forms and the
-    # symmetry verdicts of moving each on its own: every set of the 4x4
-    # box and each of those minus one point, the same sheared out to
-    # +-2^31, seeded 1-D and 3-D sets, and single points
-    sets = []
-    for K in enumerate_lattice_convex(4, 4):
-        sets.append(K)
-        sets.extend(K - {p} for p in K)
+    # symmetry verdicts of moving each on its own, and a planar set's
+    # packed lists, unpacked, are its tuple lists in the same order (other
+    # dimensions keep the tuple lists): every set of the 5x4 and 4x4 boxes
+    # and each of those minus one point, the same sheared out to +-2^31,
+    # the far triangle, seeded 1-D and 3-D sets, and single points
     far = 2 ** 31
-    box = list(sets)
+    sets = helpers.box_sets_with_far_shears(5, 4)
+    sets += [{(far, -far), (-far, far), (1 - far, far)},
+             {(-far, far), (far, -far), (far - 1, -far)}]
+    box = []
+    for K in enumerate_lattice_convex(4, 4):
+        box.append(K)
+        box.extend(K - {p} for p in K)
+    sets += box
     sets += [frozenset((x + (far // 3) * y - far, far - y) for x, y in K)
              for K in box[::7]]
     sets += [frozenset((x - far, far - 3 * x - y) for x, y in K)
@@ -212,6 +218,11 @@ def test_normal_form_equals_two_pass_oracle():
         assert verdict == helpers.is_centrally_symmetric_by_two_passes(K), \
             sorted(K)
         sym += verdict
+        a, b, w = _normal_pair(K)
+        if w is not None:
+            a, b = ([divmod(v, w) for v in a], [divmod(v, w) for v in b])
+        assert (a, b) == helpers.normal_pair_by_tuples(K), sorted(K)
+        assert (w is None) == (len(next(iter(K))) != 2)
     assert 0 < sym < len(sets)
 
 

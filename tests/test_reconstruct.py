@@ -20,6 +20,7 @@ from latcov.reconstruct import (
     edge_pair_from_covariogram,
     invariants_from_covariogram,
     reconstruct_all,
+    verdict_of,
 )
 from latcov.search import enumerate_lattice_convex, homometric_classes
 from test_search import far_sets, sheared_sets
@@ -191,12 +192,27 @@ def test_reconstruct_perturbed_covariograms_match_enumeration():
     assert checked > 2000
 
 
-def test_reconstruct_box_errors():
+def test_reconstruct_box_errors(monkeypatch):
     g = compute_covariogram(TRAPEZOID)
     with pytest.raises(LatticeError):
         determination_verdict(g, 0, 3)
     with pytest.raises(LatticeError):
         determination_verdict(g, 4, 0)
+    # a side that is not an integer is refused, before g is read: a
+    # 2.5 x 3 box used to answer 'unique'
+    hits = [canonical_form(TRAPEZOID)]
+
+    def no_work(g):
+        raise AssertionError("g was read before the box was checked")
+
+    monkeypatch.setattr(reconstruct, "reconstruct_all", no_work)
+    for box in [(2.5, 3), (3, 2.5), (None, 4.0), ("4", None)]:
+        with pytest.raises(LatticeError,
+                           match="box dimensions must be integers"):
+            verdict_of(hits, *box)
+        with pytest.raises(LatticeError,
+                           match="box dimensions must be integers"):
+            determination_verdict(g, *box)
 
 
 def test_reconstruct_out_of_box():
@@ -296,3 +312,37 @@ def test_invariants_from_covariogram_rejects_degenerate():
     g = compute_covariogram({(0, 0), (1, 0), (2, 0)})
     with pytest.raises(LatticeError):
         invariants_from_covariogram(g)
+
+
+def edge_line_tables():
+    """Covariograms for the edge-line oracle: the 5x4 box's sets of
+    helpers.box_sets_with_far_shears, the lone origin, horizontal,
+    vertical and diagonal segments, and 2,000 seeded random symmetric
+    tables."""
+    sets = helpers.box_sets_with_far_shears(5, 4)
+    sets += [{(0, 0)}, {(0, 0), (1, 0), (2, 0)}, {(0, 0), (0, 1)},
+             {(0, 0), (1, 1), (2, 2)}, {(0, 0), (2, 4), (1, 2)},
+             {(0, 0), (-1, 1), (-2, 2)}, {(0, 0), (3, 0)}]
+    tables = [compute_covariogram(K) for K in sets]
+    rng = random.Random(2910)
+    tables += [helpers.random_symmetric_table(rng, rng.randint(1, 4))
+               for _ in range(2000)]
+    return tables
+
+
+def test_edge_lines_match_full_hull_oracle():
+    # reading the right chain of g's symmetric support gives the lines,
+    # or the error, of reading its full hull
+    outcomes = set()
+    for g in edge_line_tables():
+        try:
+            want = helpers.edge_lines_by_full_hull(g)
+        except LatticeError as e:
+            with pytest.raises(LatticeError) as got:
+                reconstruct._edge_lines(g)
+            assert str(got.value) == str(e), dict(g.entries)
+            outcomes.add(str(e))
+        else:
+            assert reconstruct._edge_lines(g) == want, dict(g.entries)
+            outcomes.add("lines")
+    assert outcomes == {"lines", "degenerate set", "not realizable"}

@@ -450,6 +450,18 @@ def test_moments_are_half_the_covariogram_second_moments():
             sorted(K)
 
 
+def test_difference_table_equals_pair_list_count():
+    # counted in C over the ordered pairs, the table holds the counts of
+    # a list of every pair
+    for K in helpers.box_sets_with_far_shears(4, 3):
+        ys = [y for _, y in K]
+        stride = 2 * (max(ys) - min(ys)) + 1
+        table = _polygons._difference_table(K, stride)
+        assert frozenset(table.items()) == \
+            helpers.difference_table_by_pairs(K, stride), sorted(K)
+        assert sum(table.values()) == len(K) ** 2
+
+
 def test_search_builds_tables_only_for_moment_collisions(monkeypatch):
     # only the 16 sets of the 8 equal-moment splits at 6x5 and their
     # mirror images get a difference table, once per canonical form:
@@ -837,3 +849,25 @@ def test_jobs_below_one_refused(jobs, monkeypatch):
     for w, h in [(1, 1), (2, 2), (2, 5), (3, 3), (6, 5)]:
         with pytest.raises(LatticeError, match="jobs"):
             homometric_classes(w, h, jobs=jobs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: homometric_classes(6.0, 5), "box dimensions must be integers"),
+    (lambda: homometric_classes(6, "5"), "box dimensions must be integers"),
+    (lambda: list(enumerate_lattice_convex(3.0, 3)),
+     "box dimensions must be integers"),
+    (lambda: homometric_classes(6, 5, jobs=1.5), "jobs must be an integer"),
+    (lambda: list(enumerate_lattice_convex(3, 3, jobs=2.0)),
+     "jobs must be an integer"),
+], ids=["classes-width", "classes-height", "enumerate-width", "classes-jobs",
+        "enumerate-jobs"])
+def test_non_integer_box_and_jobs_refused(call, message, monkeypatch):
+    # refused up front, where a float side used to fail deep in the walk
+    # with TypeError and a float jobs was accepted
+    def no_work(*args):
+        raise AssertionError("work done before the arguments were checked")
+
+    monkeypatch.setattr(_polygons, "_ray_groups", no_work)
+    monkeypatch.setattr(search, "count_chains", no_work)
+    with pytest.raises(LatticeError, match=message):
+        call()
