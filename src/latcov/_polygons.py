@@ -29,17 +29,17 @@ A chain has three rays, so both answer an extent below 1 at once.
 
 The module owns the edge signature: _upper names a line {v, -v} by its
 side in the open upper half-plane or on the +x ray, _faces reads a
-chain's two face lengths per line, _signature sorts them into (line, q,
-p), and _closing_chains, for reconstruction, goes back from a signature
-and 2|K| to its chains, each built in angle order.  All closings of one
-signature share its boundary count, so Pick's theorem tests them by
-area alone.  Homometric sets share their second moments, sum g(u) u u^T
-= 2 (n sum p p^T - sum p sum p^T), which _row_moments reads off a
-chain's rows (_rows) without building its points.  Sets are told apart
-by their exact difference tables (_difference_table, a Counter of packed
-differences counted in C): the search groups the sets of its splits by
-them, as frozensets, and reconstruction compares each closing's with
-g's entries packed into a dict.
+chain's two face lengths per line, _signature lists them as (line, q, p)
+in angle order, and _closing_chains, for reconstruction, goes back from
+such a signature and 2|K| to its chains, each in angle order.  All
+closings of one signature share its boundary count, so Pick's theorem
+tests them by area alone.  Homometric sets share their second moments,
+sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), which _row_moments
+reads off a chain's rows (_rows) without building its points.  Sets are
+told apart by their exact difference tables (_difference_table, a
+Counter of packed differences counted in C): the search groups the sets
+of its splits by them, as frozensets, and reconstruction compares each
+closing's with g's entries packed into a dict.
 """
 
 from __future__ import annotations
@@ -163,11 +163,14 @@ def _partner_test(groups, dx: int, dy: int):
 
     The table holds the parts of extent at most (dx // 2, dy // 2), one
     of each pair +-B (both have B's extent and lines), walked on groups'
-    own rays and lines.  It answers exactly when the leftover lies within
-    that bound, as it does for every chain at least half the box wide and
-    tall; any other query passes.  Answers are kept per leftover and the
-    lines that its parts use, for the one walk."""
+    own rays and lines, each ray clipped to that bound (a ray left with
+    no vector keeps its index).  It answers exactly when the leftover
+    lies within that bound, as it does for every chain at least half the
+    box wide and tall; any other query passes.  Answers are kept per
+    leftover and the lines that its parts use, for the one walk."""
     hx, hy = dx // 2, dy // 2
+    groups = [[(x, y) for x, y in group if abs(x) <= hx and abs(y) <= hy]
+              for group in groups]
     sums = _suffix_sums(groups, hx, hy)
     # masks[lx, ly]: the line masks of the table's parts that fit (lx, ly)
     masks: dict = {(lx, ly): set() for lx in range(1, hx + 1)
@@ -311,12 +314,13 @@ def _twice_area(chain) -> int:
 
 def _signature(chain) -> tuple:
     """The edge signature of the polygon traced by a closed convex chain,
-    in O(edges) and without building any points: (line, q, p) for each
-    line of _faces, sorted, with q <= p its two face lengths.  The
-    covariogram of the set determines it.
+    without building any points: (line, q, p) for each line of _faces,
+    in angle order, with q <= p its two face lengths.  The covariogram
+    of the set determines it.
     """
-    return tuple(sorted((line, min(f), max(f))
-                        for line, f in _faces(chain).items()))
+    faces = _faces(chain)
+    return tuple((line, min(faces[line]), max(faces[line]))
+                 for line in sorted(faces, key=cmp_to_key(_angle_cmp)))
 
 
 def _signed_sums(steps: list, start, first_bit: int) -> list:
@@ -336,15 +340,15 @@ def _closing_chains(lines, twice_n: int):
 
     A line (d, q, p) with q != p gives edges p*d and -q*d, or reversed,
     q*d and -p*d; the chain closes iff the steps +-(p - q)*d sum to zero.
-    Reflection reverses every line, so the first such line, in signature
-    order, is never reversed.  The others are split in two halves whose
-    sums are matched through a dict: 2^(r/2) sums for r such lines, not
-    2^(r-1).  Every d is on the _upper side, so a chain is its edges
-    along each d, then its edges along each -d, both in the angle order of
-    the lines, which is sorted once per signature.  All chains of one
-    signature share their widths in every direction, so they fit the same
-    boxes, and their boundary count, so Pick's theorem tests each closing
-    by its area alone.
+    Reflection reverses every line, so the first such line is never
+    reversed.  The others are split in two halves whose sums are matched
+    through a dict: 2^(r/2) sums for r such lines, not 2^(r-1).  Every d
+    is on the _upper side and the lines come in angle order, so a chain
+    is its edges along each d, then its edges along each -d, both in
+    the order of the lines.  All chains of one signature share their
+    widths in every direction, so they fit the same boxes, and their
+    boundary count, so Pick's theorem tests each closing by its area
+    alone.
     """
     twice_area = twice_n - 2 - sum(p + q for _, q, p in lines)
     free = [line for line in lines if line[1] != line[2]]
@@ -360,8 +364,7 @@ def _closing_chains(lines, twice_n: int):
     sides = [(bit.get((dx, dy), 0),
               ([(p * dx, p * dy)], [(-q * dx, -q * dy)] if q else []),
               ([(q * dx, q * dy)] if q else [], [(-p * dx, -p * dy)]))
-             for (dx, dy), q, p in sorted(lines, key=cmp_to_key(
-                 lambda a, b: _angle_cmp(a[0], b[0])))]
+             for (dx, dy), q, p in lines]
     for (x, y), right in _signed_sums(steps[mid:], (0, 0), mid):
         for mask in left.get((-x, -y), ()):
             mask |= right

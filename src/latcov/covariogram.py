@@ -30,6 +30,8 @@ class Covariogram:
     entries: dict
 
     def __post_init__(self):
+        if not isinstance(self.dim, int):
+            raise LatticeError("invalid covariogram: dimension must be an integer")
         e = dict(self.entries)
         object.__setattr__(self, "entries", MappingProxyType(e))
         # The keys are checked first, and an empty table builds no

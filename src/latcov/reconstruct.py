@@ -8,10 +8,10 @@ reflection.
 Reconstruction does not search a box.  g fixes the edge signature of
 every realizing set: for each edge line of its support's hull, the
 lattice lengths of the two faces parallel to it.  The support is
-symmetric, so each line is read once, off the hull's right chain and
-bottom edge.  What g leaves open is, for each line whose two faces
-differ, which side carries the longer one; the sides that close the
-edge chain are found meet-in-the-middle, in angle order.  Each closing
+symmetric, so each line is read once, in angle order, off the hull's
+bottom edge and right chain.  What g leaves open is, for each line
+whose two faces differ, which side carries the longer one; the sides
+that close the edge chain are found meet-in-the-middle.  Each closing
 is filled, and kept when its exact table of difference counts is g's
 own.
 """
@@ -89,19 +89,19 @@ def _face_run(g: Covariogram, start, d, count: int) -> tuple[int, int]:
 
 
 def _edge_lines(g: Covariogram) -> tuple:
-    """The edge signature of g, in the form _polygons._signature gives
-    it for a realizing set: (line, q, p) for each edge line of the
-    support's hull, sorted, with line its _upper primitive direction
-    and q <= p the lattice lengths of the two faces of a realizing set
+    """The edge signature of g, as _polygons._signature gives it for a
+    realizing set: (line, q, p) for each edge line of the support's
+    hull, in angle order, with line its _upper primitive direction and
+    q <= p the lattice lengths of the two faces of a realizing set
     parallel to it (0 for a face that is a vertex).
 
     g(u) = g(-u), so the hull is centrally symmetric and each edge line
-    is read once, on its _upper side: the edges of the hull's right
-    chain, the row maxima bottom to top, and the bottom row's edge.  The
-    support is degenerate exactly when that chain is one point, or two
-    points collinear with the origin.  Raises LatticeError then, or when
-    a profile is not that of two faces whose difference is the support's
-    edge, so p + q is its length.
+    is read once, on its _upper side, in the order met: the bottom row's
+    edge, then the edges of the hull's right chain, the row maxima bottom
+    to top.  The support is degenerate exactly when that chain is one
+    point, or two points collinear with the origin.  Raises LatticeError
+    then, or when a profile is not that of two faces whose difference is
+    the support's edge, so p + q is its length.
     """
     rows = _row_ends(g.entries)
     ys = sorted(rows)
@@ -120,7 +120,7 @@ def _edge_lines(g: Covariogram) -> tuple:
         if p + q != n:
             raise LatticeError("not realizable")
         lines.append((d, q, p))
-    return tuple(sorted(lines))
+    return tuple(lines)
 
 
 def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
@@ -132,7 +132,7 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     """
     _require_planar(g)
     u = tuple(u)
-    if primitive(u) != u:
+    if not all(isinstance(c, int) for c in u) or primitive(u) != u:
         raise LatticeError("direction must be primitive")
     E = support_set(convex_hull(g.entries).vertices, u)
     if len(E) == 1:
@@ -163,12 +163,12 @@ def reconstruct_all(g: Covariogram) -> list:
 
     A realizing set has total mass |K| squared and |K| at the origin.
     It is one of the closings of the edge signature of g and |K|, and
-    those whose covariogram is g realize it.  Every closing has the
-    y-extent h, the largest y of g, so g and each filled closing are
-    compared as exact difference tables packed with stride 2h + 1: g's
-    as a dict, built once a closing exists, and each closing's as the
-    Counter _difference_table returns.  A g whose signature cannot be
-    read, a degenerate support among them, has no realizing set.
+    those whose covariogram is g realize it.  Every closing rises and falls
+    by h, the largest y of g, so sum (p + q) d_y = 2h over its lines d, and
+    g and each filled closing are compared as exact difference tables packed
+    with stride 2h + 1: g's as a dict, built once a closing exists, and each
+    closing's as the Counter _difference_table returns.  A g whose signature
+    cannot be read, a degenerate support among them, has no realizing set.
     """
     _require_planar(g)
     mass = g.mass
@@ -181,9 +181,9 @@ def reconstruct_all(g: Covariogram) -> list:
     except LatticeError:
         return []
     hits, table = set(), None
+    stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
     for chain in _closing_chains(lines, 2 * n):
         if table is None:
-            stride = 2 * max(y for _, y in g.entries) + 1
             table = {x * stride + y: c for (x, y), c in g.entries.items()}
         K = _lattice_points_of_chain(chain)
         if table == _difference_table(K, stride):

@@ -15,11 +15,9 @@ lattice, against the hexagon-family mirror pairs of width-one strips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 
 from ._polygons import (
-    _angle_cmp,
     _difference_table,
     _faces,
     _lattice_points_of_chain,
@@ -44,6 +42,7 @@ from .lattice import (
     affine_witnesses,
     canonical_form,
     convex_hull,
+    det2,
     dim_of,
     point_set,
     vadd,
@@ -294,11 +293,11 @@ def _strip_windows(K, L):
     K's free lines (faces of unequal length) split by whether L's faces
     there have the same orientation, and the strip's triangle is one
     group (Fact A; which depends on whether L is matched reflected).  A
-    group of three lines gives a triangle from its steps (p - q) d, and
-    each of the at most six maps of it onto conv{0, e1, e2} sends K to a
-    P whose (1, 0) line has faces (k, k - 1).  S is the points of P in
-    the sublattice coset of min P whose strip tile lies in P; the tight
-    windows of S and of -S are proposed."""
+    group of three lines gives a triangle from two steps (p - q) d in
+    counterclockwise turn, and each of the at most six maps of it onto
+    conv{0, e1, e2} sends K to a P whose (1, 0) line has faces (k, k - 1).
+    S is the points of P in the sublattice coset of min P whose strip tile
+    lies in P; the tight windows of S and of -S are proposed."""
     chain = convex_hull(K).chain
     faces_l = _faces(convex_hull(L).chain)
     groups = ([], [])
@@ -309,7 +308,7 @@ def _strip_windows(K, L):
     for steps in groups:
         if len(steps) != 3:
             continue
-        s1, s2, _ = sorted(steps, key=cmp_to_key(_angle_cmp))
+        s1, s2, _ = steps if det2(*steps[:2]) > 0 else steps[::-1]
         for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
                                    _STRIP_TRIANGLE):
             # P's hull chain is fn of K's, negated when det < 0 flips it.

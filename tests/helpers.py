@@ -415,17 +415,28 @@ def keyed_walk_counts(extent):
 def key_image(key, matrix) -> tuple:
     """The key of a set's image under a unimodular matrix: each line goes
     to its image's line, with the same face lengths."""
-    from latcov._polygons import _upper
-
     (a, b), (c, d) = matrix
-    lines = [(a * x + b * y, c * x + d * y, q, p) for (x, y), q, p in key[1]]
-    return key[0], tuple(sorted(((x, y) if _upper((x, y)) else (-x, -y), q, p)
-                                for x, y, q, p in lines))
+    return key[0], in_angle_order((edge_line((a * x + b * y, c * x + d * y)),
+                                   q, p) for (x, y), q, p in key[1])
 
 
 def edge_line(d):
     """The direction of {d, -d} in the upper half-plane (or +x)."""
     return d if d[1] > 0 or (d[1] == 0 and d[0] > 0) else (-d[0], -d[1])
+
+
+def line_angle(d):
+    """A sort key of upper directions d (y > 0, or y == 0 < x) by angle
+    from +x, in exact arithmetic: +x first, then by falling x / y."""
+    from fractions import Fraction
+
+    return (d[1] > 0, Fraction(-d[0], d[1]) if d[1] else 0)
+
+
+def in_angle_order(lines) -> tuple:
+    """(line, q, p) signature entries sorted by the angle of their line:
+    the order of an edge signature."""
+    return tuple(sorted(lines, key=lambda entry: line_angle(entry[0])))
 
 
 def covariogram_key(g):
@@ -441,7 +452,7 @@ def covariogram_key(g):
         sketch = edge_pair_from_covariogram(g, (d[1], -d[0]))
         sig.add((edge_line(d), len(sketch.short_row) - 1,
                  len(sketch.long_row) - 1))
-    return 2 * g.entries[(0, 0)], tuple(sorted(sig))
+    return 2 * g.entries[(0, 0)], in_angle_order(sig)
 
 
 _candidates: dict = {}
@@ -761,6 +772,21 @@ def split_parts_with_partner(max_dx, max_dy):
     return kept
 
 
+def partner_table_by_full_rays(dx, dy):
+    """The (chain, lines, extent) parts that _polygons._partner_test
+    tabulates for the box (dx, dy), walked on the walk's unclipped rays
+    at (dx - 1, dy - 1): the table as it was built before its rays were
+    clipped to the half box."""
+    from latcov._polygons import _chains_from_root, _ray_groups, _suffix_sums
+
+    groups = _ray_groups(dx - 1, dy - 1)
+    hx, hy = dx // 2, dy // 2
+    sums = _suffix_sums(groups, hx, hy)
+    return [part for root in range(len(groups) // 2)
+            for part in _chains_from_root(groups, sums, hx, hy, root,
+                                          lambda ex, ey, lines: True)]
+
+
 def part_walk_by_filter(max_dx, max_dy):
     """(chain, lines) for every chain of the full walk with no two
     parallel edges whose first edge is on the upper side of its lowest
@@ -1027,7 +1053,7 @@ def strip_windows_by_hulls(K, L):
 def edge_lines_by_full_hull(g):
     """reconstruct._edge_lines as it read g before it took one side of
     the symmetric support: the support's full convex hull, and its edges
-    on their _upper side."""
+    on their _upper side, in angle order."""
     from math import gcd
 
     from latcov._polygons import _upper
@@ -1046,7 +1072,7 @@ def edge_lines_by_full_hull(g):
             if p + q != n:
                 raise LatticeError("not realizable")
             lines.append((d, q, p))
-    return tuple(sorted(lines))
+    return in_angle_order(lines)
 
 
 def normal_pair_by_tuples(K):

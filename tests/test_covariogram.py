@@ -97,6 +97,10 @@ def test_validation():
         Covariogram(2, {(0, 0): 0})  # nonpositive count
     with pytest.raises(LatticeError):
         Covariogram(2 ** 31, {})  # no entries: no 2^31-tuple origin built
+    for dim in (2.0, "2"):       # refused before any origin is built
+        with pytest.raises(LatticeError,
+                           match="^invalid covariogram: dimension must be an integer$"):
+            Covariogram(dim, {(0, 0): 1})
 
 
 def _unit(dim, sign=1):

@@ -2,8 +2,8 @@
 `assert` statements, which `python -O` drops, its modules import only
 what they use, every private name and every unexported function or
 class it defines is used in it, only `lattice` names its bounding-box
-scan, and only the chain walk and the chain count list the rays of a
-box."""
+scan, only the chain walk and the chain count list the rays of a box,
+and only the ray table and the edge signature sort by angle."""
 
 import ast
 from pathlib import Path
@@ -127,4 +127,26 @@ def test_only_the_walk_and_the_count_name_the_ray_table():
                   and stmt.name not in allowed
                   for node in ast.walk(stmt)
                   if isinstance(node, ast.Name) and node.id == name]
+    assert found == []
+
+
+def test_only_the_ray_table_and_the_signature_compare_angles():
+    # an edge signature has one order, the angle order of the ray table:
+    # _ray_groups sorts rays by it and _signature lines, and nothing
+    # else in the library sorts by angle
+    names = {"cmp_to_key", "_angle_cmp"}
+    allowed = {"_ray_groups", "_signature"}
+    found = []
+    for path, tree in _modules():
+        for stmt in tree.body:
+            if path.name == "_polygons.py" and (
+                    isinstance(stmt, ast.ImportFrom)
+                    or getattr(stmt, "name", None) in allowed):
+                continue
+            found += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(stmt)
+                      if (isinstance(node, ast.Name) and node.id in names)
+                      or (isinstance(node, ast.Attribute)
+                          and node.attr in names)
+                      or (isinstance(node, ast.alias) and node.name in names)]
     assert found == []

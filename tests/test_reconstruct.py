@@ -63,6 +63,9 @@ def test_edge_pair_errors():
     for u in ((1, 0, 0), (1,)):                 # wrong dimension
         with pytest.raises(LatticeError):
             edge_pair_from_covariogram(g, u)
+    for u in ((1.0, 0), (0, -1.0), ("1", 0)):    # not integers
+        with pytest.raises(LatticeError, match="^direction must be primitive$"):
+            edge_pair_from_covariogram(g, u)
 
 
 def test_edge_pair_matches_vertex_scan_oracle():
@@ -332,7 +335,9 @@ def edge_line_tables():
 
 def test_edge_lines_match_full_hull_oracle():
     # reading the right chain of g's symmetric support gives the lines,
-    # or the error, of reading its full hull
+    # in angle order, or the error, of reading its full hull; accepted
+    # lines rise and fall through the support's height, sum (p + q) d_y
+    # = 2 max y, the packing stride of reconstruct_all less one
     outcomes = set()
     for g in edge_line_tables():
         try:
@@ -344,5 +349,7 @@ def test_edge_lines_match_full_hull_oracle():
             outcomes.add(str(e))
         else:
             assert reconstruct._edge_lines(g) == want, dict(g.entries)
+            assert sum((p + q) * dy for (_, dy), q, p in want) == \
+                2 * max(y for _, y in g.entries), dict(g.entries)
             outcomes.add("lines")
     assert outcomes == {"lines", "degenerate set", "not realizable"}

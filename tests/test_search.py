@@ -305,10 +305,28 @@ def test_chain_key_read_off_covariogram_5x4():
         assert reconstruct._edge_lines(g) == sig, sorted(K)
     assert len(chains) == len(sets) == 5024
     assert sets == set(enumerate_lattice_convex(5, 4))
-    # supports with few points per row, and coordinates near 2^31
+
+
+def test_signature_has_one_order_the_ray_order():
+    # an edge signature lists its lines in the angle order of the ray
+    # table: every chain up to (5, 4) and (4, 5), by the rank of its
+    # lines among _ray_groups' rays, and the sheared and far sets
+    # (supports with few points per row, and coordinates near 2^31),
+    # whose lines lie outside any small ray table, by their exact angle;
+    # _edge_lines reads the same tuple, order included, off each of
+    # their covariograms (and off those of the 5x4 box, above)
+    rank = {group[0]: i
+            for i, group in enumerate(_polygons._ray_groups(5, 5))}
+    upper = [d for d in rank if d == helpers.edge_line(d)]
+    assert sorted(upper, key=helpers.line_angle) == sorted(upper, key=rank.get)
+    for chain in [*_polygons.walk_chains(5, 4), *_polygons.walk_chains(4, 5)]:
+        lines = [d for d, _, _ in _polygons._signature(chain)]
+        assert lines == sorted(lines, key=rank.get), chain
     for F in [*sheared_sets(), *far_sets()]:
-        assert reconstruct._edge_lines(compute_covariogram(F)) == \
-            _polygons._signature(convex_hull(F).chain), sorted(F)
+        sig = _polygons._signature(convex_hull(F).chain)
+        assert sig == helpers.in_angle_order(sig), sorted(F)
+        assert reconstruct._edge_lines(compute_covariogram(F)) == sig, \
+            sorted(F)
 
 
 FAR = (2 ** 31 - 1, 1)
@@ -733,6 +751,29 @@ def test_part_walk_matches_filtered_walk():
     # and the partner table keeps its pruning power at the larger extents
     assert sum(1 for _ in _polygons.walk_chains(5, 4, parts=True)) == 2367
     assert sum(1 for _ in _polygons.walk_chains(4, 5, parts=True)) == 2367
+
+
+def test_partner_table_on_clipped_rays_equals_full_rays(monkeypatch):
+    # clipping the walk's rays to the half box, each ray keeping its
+    # index, tabulates the same parts with the same line masks, in the
+    # same order: every box up to (7, 7)
+    boxes = [(dx, dy) for dx in range(2, 8) for dy in range(2, 8)]
+    want = {box: helpers.partner_table_by_full_rays(*box) for box in boxes}
+    tabled = []
+
+    def recorded(*args):
+        for part in chains_from_root(*args):
+            tabled.append(part)
+            yield part
+
+    chains_from_root = _polygons._chains_from_root
+    monkeypatch.setattr(_polygons, "_chains_from_root", recorded)
+    for dx, dy in boxes:
+        tabled.clear()
+        _polygons._partner_test(_polygons._ray_groups(dx - 1, dy - 1), dx, dy)
+        assert tabled == want[dx, dy], (dx, dy)
+    assert [len(want[box]) for box in [(4, 3), (5, 5), (6, 6), (7, 7)]] == \
+        [7, 32, 360, 360]
 
 
 @pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7)])
