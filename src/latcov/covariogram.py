@@ -12,15 +12,15 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .lattice import LatticeError, point_set, vadd, vneg
+from .lattice import LatticeError, _int_points, point_set, vadd, vneg
 
 
 @dataclass(frozen=True, eq=True)
 class Covariogram:
     """Table of overlap counts, keyed by lattice vector.
 
-    Entries store u and -u redundantly.  Symmetry, positivity of counts,
-    and presence and maximality of the origin entry are all checked at
+    Entries store u and -u redundantly.  Integer keys, symmetry, positive
+    counts, and a present and maximal origin entry are all checked at
     construction time, on a private copy of the entries that is then
     kept read-only; an object of this type is always a structurally
     valid covariogram (though not necessarily realizable by any set).
@@ -36,6 +36,7 @@ class Covariogram:
         object.__setattr__(self, "entries", MappingProxyType(e))
         # The keys are checked first, and an empty table builds no
         # origin, so the origin is never longer than a key that was given.
+        _int_points(e)
         if any(len(u) != self.dim for u in e):
             raise LatticeError("invalid covariogram: mixed dimensions")
         peak = e.get((0,) * self.dim) if e else None
@@ -51,6 +52,13 @@ class Covariogram:
             if e.get(neg) != c:
                 raise LatticeError("invalid covariogram: not symmetric under negation")
 
+    @classmethod
+    def _trusted(cls, dim: int, entries) -> Covariogram:
+        """A table the library counted from a set, kept unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(dim=dim, entries=MappingProxyType(dict(entries)))
+        return g
+
     @property
     def mass(self) -> int:
         return sum(self.entries.values())
@@ -61,13 +69,17 @@ class Covariogram:
 
 def compute_covariogram(K) -> Covariogram:
     """Covariogram of a finite set, by counting ordered difference pairs."""
-    pts = list(point_set(K))
+    return _covariogram(point_set(K))
+
+
+def _covariogram(pts) -> Covariogram:
+    pts = list(pts)
     d = len(pts[0])
     if d == 2:
         counts = Counter((a[0] - b[0], a[1] - b[1]) for a in pts for b in pts)
     else:
         counts = Counter(tuple(x - y for x, y in zip(a, b)) for a in pts for b in pts)
-    return Covariogram(d, counts)
+    return Covariogram._trusted(d, counts)
 
 
 def support_of(g: Covariogram) -> frozenset:

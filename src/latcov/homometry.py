@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._polygons import _faces
-from .covariogram import compute_covariogram
+from .covariogram import _covariogram
 from .lattice import (
     LatticeError,
+    _canonical_form,
+    _convex_hull,
     _fills,
-    canonical_form,
-    convex_hull,
     is_centrally_symmetric,
     is_lattice_convex,
     point_set,
@@ -181,11 +181,11 @@ def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport
     """The report for the pair (first, second) built from base and
     mirrored, once their covariograms are checked equal and the pair is
     checked nontrivial exactly when its canonical forms differ."""
-    if compute_covariogram(first) != compute_covariogram(second):
+    if _covariogram(first) != _covariogram(second):
         raise AssertionError(f"{kind} pair failed the covariogram identity")
     nontrivial = (not is_centrally_symmetric(base)
                   and not is_centrally_symmetric(mirrored))
-    if nontrivial != (canonical_form(first) != canonical_form(second)):
+    if nontrivial != (_canonical_form(first) != _canonical_form(second)):
         raise AssertionError("nontriviality flag disagrees with canonical forms")
     return MirrorPairReport(first, second, base, mirrored, True, nontrivial)
 
@@ -210,7 +210,7 @@ def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[i
 
     With r = (x + (k+1) y) mod (k + l + 2), p - (r, 0) and p - (r - k - 1, 1)
     lie in the sublattice, and one of the two is in the strip: O(1) in k."""
-    p = tuple(p)
+    (p,) = point_set((p,))
     r = (p[0] + (params.k + 1) * p[1]) % params.index
     hits = [(vsub(p, t), t) for t in ((r, 0), (r - params.k - 1, 1))
             if _in_strip(t, params) and params.contains(vsub(p, t))]
@@ -251,7 +251,7 @@ def condition_ii(S, params: WidthOneParams) -> bool:
     coords = _coord_window(S, params)
     if coords is None:
         return False
-    hull = convex_hull(coords)
+    hull = _convex_hull(coords)
     if not _fills(hull, coords):
         return False
     # both direction sets name each line by its _upper side, as _faces does

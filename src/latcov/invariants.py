@@ -27,8 +27,8 @@ from ._polygons import _signature
 from .lattice import (
     Hull2,
     LatticeError,
+    _convex_hull,
     _fills,
-    convex_hull,
     det2,
     point_set,
     primitive,
@@ -57,7 +57,7 @@ class InvariantRecord:
 def _lattice_convex_hull(K) -> Hull2:
     """Hull of K, refusing a set that is degenerate or not lattice-convex."""
     pts = point_set(K)
-    hull = convex_hull(pts)
+    hull = _convex_hull(pts)
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
     if not _fills(hull, pts):

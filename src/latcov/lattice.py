@@ -1,8 +1,12 @@
 """Exact geometry on the integer lattice.
 
 Points are plain tuples of Python ints and point sets are frozensets of
-such tuples.  Everything here is integer arithmetic; there is no floating
-point anywhere in the package, so results are exact at any coordinate size.
+such tuples.  point_set enforces it: a coordinate that is not an int, 1.0
+among them, is refused with LatticeError.  Every public function that
+takes points checks them there, and library code passes the sets it
+builds to private bodies (_convex_hull, _canonical_form) unchecked.
+Everything here is integer arithmetic; there is no floating point
+anywhere in the package, so results are exact at any coordinate size.
 
 Most operations live in the plane (d = 2).  The few that make sense in any
 dimension (difference sets, central symmetry, canonical forms) accept
@@ -22,7 +26,7 @@ point into one integer, in the order of the tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import gcd
 from operator import mul, sub
 
@@ -66,9 +70,23 @@ def primitive(u: Point) -> Point:
     return tuple(c // g for c in u)
 
 
+def _int_points(points) -> list[Point]:
+    """points as tuples, refusing any that is not a sequence of ints:
+    the one integer rule, of point_set and of Covariogram's keys."""
+    try:
+        pts = list(map(tuple, points))
+        # checked before hashing, where (1.0, 0) would merge into (1, 0)
+        if all(map(isinstance, chain.from_iterable(pts), repeat(int))):
+            return pts
+    except TypeError:       # tuple() of a bare number
+        pass
+    raise LatticeError("coordinates must be integers")
+
+
 def point_set(points) -> frozenset[Point]:
-    """Freeze an iterable of points, checking nonemptiness and uniform dimension."""
-    pts = frozenset(tuple(p) for p in points)
+    """Freeze an iterable of points, checking each (_int_points),
+    nonemptiness and uniform dimension."""
+    pts = frozenset(_int_points(points))
     if not pts:
         raise LatticeError("empty set")
     dims = {len(p) for p in pts}
@@ -78,13 +96,12 @@ def point_set(points) -> frozenset[Point]:
 
 
 def dim_of(points) -> int:
-    for p in points:
-        return len(p)
-    raise LatticeError("empty set")
+    return len(next(iter(points)))
 
 
 def translate(points, t: Point) -> frozenset[Point]:
-    return frozenset(vadd(p, t) for p in points)
+    (t,) = point_set((t,))
+    return frozenset(vadd(p, t) for p in point_set(points))
 
 
 def extent(points) -> Point:
@@ -146,8 +163,6 @@ def _row_ends(K) -> dict:
                 r[1] = x
     except ValueError:
         raise LatticeError("convex hull requires dimension 2") from None
-    if not rows:
-        raise LatticeError("empty set")
     return rows
 
 
@@ -157,6 +172,10 @@ def convex_hull(K) -> Hull2:
     can be a vertex, so one pass keeps those two (_row_ends), and the
     monotone chain runs up the row maxima and down the row minima:
     O(n + r log r) for n points in r rows."""
+    return _convex_hull(point_set(K))
+
+
+def _convex_hull(K) -> Hull2:
     rows = _row_ends(K)
     ys = sorted(rows)
     right = _left_turns([(rows[y][1], y) for y in ys])
@@ -208,13 +227,13 @@ def is_lattice_convex(K) -> bool:
     pts = point_set(K)
     if dim_of(pts) != 2:
         raise LatticeError("lattice convexity test requires dimension 2")
-    return _fills(convex_hull(pts), pts)
+    return _fills(_convex_hull(pts), pts)
 
 
 def support_set(K, u) -> frozenset[Point]:
     """Points of K with maximal inner product against u."""
     pts = point_set(K)
-    u = tuple(u)
+    (u,) = point_set((u,))
     if len(u) != dim_of(pts):
         raise LatticeError("direction has the wrong dimension")
     if not any(u):
@@ -232,8 +251,9 @@ def difference_set(K) -> frozenset[Point]:
 
 
 def _normal_pair(K) -> tuple[list, list, int | None]:
-    """K and -K, each translated so its componentwise minimum is the
-    origin, as sorted lists, and the stride w that packs them.
+    """K, a checked set (point_set), and -K, each translated so its
+    componentwise minimum is the origin, as sorted lists, and the stride
+    w that packs them.
 
     A planar point p - lo is packed as the integer (x - lx) w + (y - ly),
     w the y-extent plus one, which keeps the order of the tuples: one
@@ -241,23 +261,22 @@ def _normal_pair(K) -> tuple[list, list, int | None]:
     reversed and subtracted from the packed top corner hi.  In any other
     dimension the lists hold the tuples and w is None.
     """
-    pts = point_set(K)
-    cols = list(zip(*pts))
+    cols = list(zip(*K))
     if len(cols) != 2:
         lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
-        return (sorted(tuple(map(sub, p, lo)) for p in pts),
-                sorted(tuple(map(sub, hi, p)) for p in pts), None)
+        return (sorted(tuple(map(sub, p, lo)) for p in K),
+                sorted(tuple(map(sub, hi, p)) for p in K), None)
     xs, ys = cols
     lx, ly = min(xs), min(ys)
     w = max(ys) - ly + 1
-    a = sorted([(x - lx) * w + y - ly for x, y in pts])
+    a = sorted([(x - lx) * w + y - ly for x, y in K])
     top = (max(xs) - lx) * w + w - 1
     return a, [top - v for v in reversed(a)], w
 
 
 def is_centrally_symmetric(K) -> bool:
     """True iff -K is a translate of K."""
-    a, b, _ = _normal_pair(K)
+    a, b, _ = _normal_pair(point_set(K))
     return a == b
 
 
@@ -265,6 +284,10 @@ def canonical_form(K) -> frozenset[Point]:
     """Distinguished representative of K's class under translations and
     point reflections: the smaller of the two lists of _normal_pair,
     unpacked."""
+    return _canonical_form(point_set(K))
+
+
+def _canonical_form(K) -> frozenset[Point]:
     a, b, w = _normal_pair(K)
     kept = a if a <= b else b
     return frozenset(kept if w is None else (divmod(v, w) for v in kept))
@@ -347,8 +370,8 @@ def affine_witnesses(K, L):
     Lp = point_set(L)
     if dim_of(Kp) != 2 or dim_of(Lp) != 2:
         raise LatticeError("affine equivalence requires dimension 2")
-    hk = convex_hull(Kp)
-    hl = convex_hull(Lp)
+    hk = _convex_hull(Kp)
+    hl = _convex_hull(Lp)
     if hk.is_degenerate or hl.is_degenerate:
         raise LatticeError("degenerate set")
     V, W = hk.vertices, hl.vertices

@@ -11,30 +11,34 @@ lattice lengths of the two faces parallel to it.  The support is
 symmetric, so each line is read once, in angle order, off the hull's
 bottom edge and right chain.  What g leaves open is, for each line
 whose two faces differ, which side carries the longer one; the sides
-that close the edge chain are found meet-in-the-middle.  Each closing
-is filled, and kept when its exact table of difference counts is g's
-own.
+that close the edge chain are found meet-in-the-middle.  g also fixes
+the second moments of every realizing set, so from the second closing
+on a closing whose moments, read off its rows, differ is skipped
+unfilled.  Each closing left is filled, and kept when its exact table
+of difference counts is g's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
 from ._polygons import (
     _closing_chains,
     _difference_table,
     _lattice_points_of_chain,
+    _row_moments,
 )
 from .covariogram import Covariogram
 from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
+    _canonical_form,
     _check_box,
+    _convex_hull,
     _left_turns,
     _row_ends,
-    canonical_form,
-    convex_hull,
     det2,
     extent,
     primitive,
@@ -134,7 +138,7 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     u = tuple(u)
     if not all(isinstance(c, int) for c in u) or primitive(u) != u:
         raise LatticeError("direction must be primitive")
-    E = support_set(convex_hull(g.entries).vertices, u)
+    E = support_set(_convex_hull(g.entries).vertices, u)
     if len(E) == 1:
         return EdgePairSketch(E, frozenset({(0, 0)}), u)
     (ax, ay), (bx, by) = min(E), max(E)
@@ -169,6 +173,13 @@ def reconstruct_all(g: Covariogram) -> list:
     with stride 2h + 1: g's as a dict, built once a closing exists, and each
     closing's as the Counter _difference_table returns.  A g whose signature
     cannot be read, a degenerate support among them, has no realizing set.
+
+    g fixes sum g(u) (ux^2, ux uy, uy^2), twice the _row_moments of every
+    realizing chain, so once a second closing is met that target is read
+    off g (_half_moments), and every closing from then on whose
+    _row_moments differ is skipped before its points are built.  The
+    first closing is filled anyway, which spares the target when g has
+    one closing.
     """
     _require_planar(g)
     mass = g.mass
@@ -180,15 +191,31 @@ def reconstruct_all(g: Covariogram) -> list:
         lines = _edge_lines(g)
     except LatticeError:
         return []
-    hits, table = set(), None
+    hits, table, target = set(), None, None
     stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
     for chain in _closing_chains(lines, 2 * n):
         if table is None:
             table = {x * stride + y: c for (x, y), c in g.entries.items()}
+        else:
+            if target is None:
+                target = _half_moments(g)
+            if _row_moments(chain) != target:
+                continue
         K = _lattice_points_of_chain(chain)
         if table == _difference_table(K, stride):
-            hits.add(canonical_form(K))
+            hits.add(_canonical_form(K))
     return sorted(hits, key=sorted)
+
+
+def _half_moments(g: Covariogram) -> tuple:
+    """Half of sum g(u) (ux^2, ux uy, uy^2) over g's entries.  g(u) =
+    g(-u), so each sum is even, and for a realizing set K it is
+    _row_moments of K's chain."""
+    xs, ys = zip(*g.entries)
+    cx = list(map(mul, g.entries.values(), xs))
+    cy = list(map(mul, g.entries.values(), ys))
+    return (sum(map(mul, cx, xs)) // 2, sum(map(mul, cx, ys)) // 2,
+            sum(map(mul, cy, ys)) // 2)
 
 
 def determination_verdict(g: Covariogram, box_width: int | None = None,

@@ -28,7 +28,7 @@ from ._polygons import (
     count_chains,
     walk_chains,
 )
-from .covariogram import compute_covariogram
+from .covariogram import _covariogram
 from .homometry import (
     HexagonParams,
     WidthOneParams,
@@ -38,9 +38,9 @@ from .homometry import (
 from .lattice import (
     AffineMap2,
     LatticeError,
+    _canonical_form,
     _check_box,
     affine_witnesses,
-    canonical_form,
     convex_hull,
     det2,
     dim_of,
@@ -177,6 +177,14 @@ def _splits(width: int, height: int):
     with B and with -B, so the Pick test runs once per pair, on A + B
     and A - B, before any Z is added.
 
+    A polygon of x-extent 1 has its vertices on two vertical lines, so
+    one of them holds two vertices and the face there is a vertical
+    edge: two parts of x-extent 1 share a line and never pair, and
+    likewise two of y-extent 1.  So the extent pairs with ax = bx = 1 or
+    ay = by = 1 are skipped, and a box with a side of at most 3 points,
+    where ax + bx <= 2 forces ax = bx = 1, has no split and is answered
+    before any walk.
+
     The mirror x -> -x, and the transpose x <-> y of a square box, map
     the box onto itself and splits onto splits of the same extents that
     pass the same tests, and Z runs over a set closed under both.
@@ -186,6 +194,8 @@ def _splits(width: int, height: int):
     tilts) add up to at least 0: one of each orbit, whose images the
     caller takes."""
     dx, dy = width - 1, height - 1
+    if min(dx, dy) <= 2:
+        return
     square = dx == dy
     # Parts by extent, then by skew, each with its tilt (0 off the square).
     by_extent: dict = {}
@@ -201,7 +211,7 @@ def _splits(width: int, height: int):
     for i, (ax, ay) in enumerate(extents):
         for bx, by in extents[i:]:
             rx, ry = dx - ax - bx, dy - ay - by
-            if rx < 0 or ry < 0:
+            if rx < 0 or ry < 0 or ax == bx == 1 or ay == by == 1:
                 continue
             for a, b in _pairs(by_extent[ax, ay], by_extent[bx, by]):
                 plus = _sum_chain(rank, (a, b))
@@ -250,8 +260,8 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     forms = set()
     for pair in _splits(width, height):
         for K in map(_lattice_points_of_chain, pair):
-            forms.update(canonical_form({(a * x + b * y, c * x + d * y)
-                                         for x, y in K})
+            forms.update(_canonical_form({(a * x + b * y, c * x + d * y)
+                                          for x, y in K})
                          for (a, b), (c, d) in maps)
     tables: dict = {}
     for F in forms:
@@ -266,7 +276,7 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
         members = tuple(sorted(group, key=sorted))
         pairs = []
         for a, b in combinations(members, 2):
-            if compute_covariogram(a) != compute_covariogram(b):
+            if _covariogram(a) != _covariogram(b):
                 raise AssertionError(
                     "covariogram grouping failed re-verification")
             verdict = _match(a, b, built) if match else None
@@ -356,9 +366,9 @@ def match_corollary(K, L) -> CorollaryMatch | None:
     Lp = point_set(L)
     if dim_of(Kp) != 2 or dim_of(Lp) != 2:
         raise LatticeError("match_corollary requires dimension 2")
-    if compute_covariogram(Kp) != compute_covariogram(Lp):
+    if _covariogram(Kp) != _covariogram(Lp):
         raise LatticeError("pair is not homometric")
-    if canonical_form(Kp) == canonical_form(Lp):
+    if _canonical_form(Kp) == _canonical_form(Lp):
         raise LatticeError("pair is trivial")
     return _match(Kp, Lp, {})
 

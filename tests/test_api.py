@@ -1,9 +1,97 @@
-"""The package's public names: every export resolves, and every public
-name the package binds is exported."""
+"""The package's public names: every export resolves, every public name
+the package binds is exported, every public function that takes points,
+a vector or a covariogram refuses a coordinate that is not an int with
+LatticeError, and library code passes the sets and tables it builds to
+private bodies without checking them again."""
 
+import inspect
 from types import ModuleType
 
+import pytest
+
 import latcov
+from latcov import (
+    Covariogram,
+    LatticeError,
+    WidthOneParams,
+    compute_covariogram,
+)
+
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+STRIP = WidthOneParams(1, 0)
+G = compute_covariogram(TRIANGLE)
+
+# A point or a covariogram key of each refused kind: a float, a float
+# equal to an int, a string coordinate, a nested list or tuple, a bare
+# number and a string.  A list cannot be a dict key, so keys skip it.
+BAD_POINTS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1), ((0,), 1), 5, "ab"]
+BAD_KEYS = [p for p in BAD_POINTS if p != ([0], 1)]
+BAD_VECTORS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1)]
+
+# name -> calls, each taking a point set with one bad point and passing
+# it in one argument position
+POINTS = {
+    "affine_equivalent": [lambda P: latcov.affine_equivalent(P, TRIANGLE),
+                          lambda P: latcov.affine_equivalent(TRIANGLE, P)],
+    "affine_witnesses": [lambda P: list(latcov.affine_witnesses(P, TRIANGLE)),
+                         lambda P: list(latcov.affine_witnesses(TRIANGLE, P))],
+    "canonical_form": [latcov.canonical_form],
+    "compute_covariogram": [latcov.compute_covariogram],
+    "condition_i": [lambda P: latcov.condition_i(P, STRIP)],
+    "condition_ii": [lambda P: latcov.condition_ii(P, STRIP)],
+    "convex_hull": [latcov.convex_hull],
+    "delta_bound_check": [lambda P: latcov.delta_bound_check(P, 1)],
+    "difference_set": [latcov.difference_set],
+    "direct_sum": [lambda P: latcov.direct_sum(P, TRIANGLE),
+                   lambda P: latcov.direct_sum(TRIANGLE, P)],
+    "discrepancy": [latcov.discrepancy],
+    "edge_normals": [latcov.edge_normals],
+    "gs_graph_connected": [lambda P: latcov.gs_graph_connected(P, STRIP)],
+    "invariants_direct": [latcov.invariants_direct],
+    "is_centrally_symmetric": [latcov.is_centrally_symmetric],
+    "is_lattice_convex": [latcov.is_lattice_convex],
+    "match_corollary": [lambda P: latcov.match_corollary(P, TRIANGLE),
+                        lambda P: latcov.match_corollary(TRIANGLE, P)],
+    "mirror_pair": [lambda P: latcov.mirror_pair(P, TRIANGLE),
+                    lambda P: latcov.mirror_pair(TRIANGLE, P)],
+    "point_set": [latcov.point_set],
+    "product_pair": [lambda P: latcov.product_pair(P, TRIANGLE),
+                     lambda P: latcov.product_pair(TRIANGLE, P)],
+    "sum_is_direct": [lambda P: latcov.sum_is_direct(P, TRIANGLE),
+                      lambda P: latcov.sum_is_direct(TRIANGLE, P)],
+    "support_set": [lambda P: latcov.support_set(P, (1, 0))],
+    "translate": [lambda P: latcov.translate(P, (1, 0))],
+}
+# name -> calls taking one bad vector
+VECTORS = {
+    "decompose_plane": [lambda v: latcov.decompose_plane(v, STRIP)],
+    "edge_pair_from_covariogram": [
+        lambda v: latcov.edge_pair_from_covariogram(G, v)],
+    "support_set": [lambda v: latcov.support_set(TRIANGLE, v)],
+    "translate": [lambda v: latcov.translate(TRIANGLE, v)],
+}
+# name -> calls taking a table with one bad key, as a Covariogram
+COVARIOGRAMS = {
+    "convolve": [lambda e: latcov.convolve(Covariogram(2, e), G),
+                 lambda e: latcov.convolve(G, Covariogram(2, e))],
+    "determination_verdict": [
+        lambda e: latcov.determination_verdict(Covariogram(2, e))],
+    "edge_pair_from_covariogram": [
+        lambda e: latcov.edge_pair_from_covariogram(Covariogram(2, e), (1, 0))],
+    "invariants_from_covariogram": [
+        lambda e: latcov.invariants_from_covariogram(Covariogram(2, e))],
+    "reconstruct_all": [lambda e: latcov.reconstruct_all(Covariogram(2, e))],
+    "support_of": [lambda e: latcov.support_of(Covariogram(2, e))],
+}
+# exported functions that take none of these
+NO_POINTS = {
+    "corollary_pair_generator",     # strip and window parameters
+    "enumerate_lattice_convex",     # box sides
+    "homometric_classes",           # box sides
+    "hull_lattice_points",          # a Hull2, which convex_hull builds
+    "width_one_T",                  # strip parameters
+}
+REFUSED = "^(coordinates must be integers|direction must be primitive)$"
 
 
 def test_all_names_resolve():
@@ -22,3 +110,71 @@ def test_all_lists_every_public_binding():
     bound = {n for n, v in vars(latcov).items()
              if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert bound - set(latcov.__all__) == set()
+
+
+def test_every_exported_function_is_in_the_boundary_table():
+    # a new export that takes points, a vector or a covariogram joins
+    # the tables above, and one that takes none joins NO_POINTS
+    functions = {n for n in latcov.__all__
+                 if inspect.isfunction(getattr(latcov, n))}
+    tabled = set(POINTS) | set(VECTORS) | set(COVARIOGRAMS)
+    assert functions == tabled | NO_POINTS
+    assert not tabled & NO_POINTS
+
+
+@pytest.mark.parametrize("name", sorted(set(POINTS) | set(VECTORS)
+                                         | set(COVARIOGRAMS)))
+def test_public_entries_refuse_non_integer_coordinates(name):
+    # always LatticeError: never another exception, never a result
+    cases = [(call, TRIANGLE + [bad]) for call in POINTS.get(name, ())
+             for bad in BAD_POINTS]
+    cases += [(call, bad) for call in VECTORS.get(name, ())
+              for bad in BAD_VECTORS]
+    cases += [(call, {(0, 0): 1, bad: 1}) for call in COVARIOGRAMS.get(name, ())
+              for bad in BAD_KEYS]
+    for call, arg in cases:
+        with pytest.raises(LatticeError, match=REFUSED):
+            call(arg)
+
+
+def test_covariogram_refuses_non_integer_keys():
+    # a float key once passed and then broke the invariant reader, and a
+    # float coordinate was once read as part of a two-point set
+    table = {(0, 0): 4, (1, 0): 2, (-1, 0): 2, (0.5, 1): 1, (-0.5, -1): 1}
+    for entries in [table, {(0, 0): 1, 5: 1}, {(0, 0): 1, "ab": 1},
+                    {(0, 0): 1, (1, 0): 1, (-1.0, 0): 1}]:
+        with pytest.raises(LatticeError, match="^coordinates must be integers$"):
+            Covariogram(2, entries)
+    with pytest.raises(LatticeError, match="^coordinates must be integers$"):
+        latcov.canonical_form([(0.5, 1), (0, 0), (1, 0)])
+
+
+def test_internal_calls_do_not_check_again(monkeypatch):
+    # the sets and tables the library builds itself reach private bodies:
+    # no point_set call and no Covariogram check while reconstructing
+    # every covariogram of the 5x4 box, or while searching the 6x5 box
+    tables = [compute_covariogram(K)
+              for K in latcov.enumerate_lattice_convex(5, 4)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in vars(latcov).values():
+        if isinstance(module, ModuleType) and hasattr(module, "point_set"):
+            monkeypatch.setattr(module, "point_set",
+                                counted("point_set", module.point_set))
+    monkeypatch.setattr(Covariogram, "__post_init__",
+                        counted("Covariogram", Covariogram.__post_init__))
+    latcov.lattice.point_set(TRIANGLE)
+    Covariogram(2, dict(G.entries))
+    assert calls == ["point_set", "Covariogram"]
+    calls.clear()
+    classes = [latcov.reconstruct_all(g) for g in tables]
+    report = latcov.homometric_classes(6, 5)
+    assert calls == []
+    assert sum(map(len, classes)) >= len(tables)
+    assert len(report.classes) == 12

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import helpers
 import latcov.cli
 from latcov.cli import (
     FormatError,
@@ -657,10 +658,17 @@ FAR_COV = serialize_covariogram(compute_covariogram(
     {(x + 2 ** 29 * y, y)
      for x, y in [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2)]}))
 
+
+def many_free_lines_table():
+    # 4,373 entries, 24 free lines and one class, built when the test
+    # runs rather than at import
+    return serialize_covariogram(compute_covariogram(helpers.triangle_sum(1, 8)))
+
+
 # Hostile inputs, one or more per subcommand: argv with {} for the input
-# file, the file's contents (None for no file), the exit code, and a part
-# of stderr for a refusal or of stdout for an answer.  Each is answered
-# or refused at once under about 1 GB.
+# file, the file's contents (None for no file, or a function that returns
+# them), the exit code, and a part of stderr for a refusal or of stdout
+# for an answer.  Each is answered or refused at once under about 1 GB.
 HOSTILE = {
     # a 15-byte file holding only a dim header builds no 2^31-tuple origin
     "reconstruct": (["reconstruct", "{}"], HUGE_DIM, 2, "invalid covariogram"),
@@ -713,6 +721,11 @@ HOSTILE = {
                            "--allow-large"], None, 0, STRIP_SETS),
     "search-tall-strip": (["search", "--box", "2x2147483648",
                            "--allow-large"], None, 0, STRIP_SETS),
+    # a box with a side of 3 has no split, whatever its other side
+    "search-thin-tall": (["search", "--box", "3x101", "--allow-large"], None,
+                         0, "\nclass_count=0\n"),
+    "search-thin-wide": (["search", "--box", "101x3", "--allow-large"], None,
+                         0, "\nclass_count=0\n"),
     # points files: one point, and coordinates near 2^31 in 2 and 3 dims
     "canonical-one-point": (["canonical", "{}"], "5 7\n", 0, "dim 2\n0 0\n"),
     "canonical-far": (["canonical", "{}"], FAR_TRIANGLE, 0,
@@ -732,6 +745,10 @@ HOSTILE = {
     "edges-far-cov": (["edges", "{}", "--normal", "0,-1"], FAR_COV, 0,
                       "long_row=-1073741825,-2;-1073741824,-2;"
                       "-1073741823,-2\n"),
+    # only the closings with g's second moments are filled
+    "reconstruct-many-free-lines": (["reconstruct", "{}"],
+                                    many_free_lines_table, 0,
+                                    "verdict=unique\nclass_count=1\n"),
 }
 
 
@@ -740,6 +757,8 @@ def test_huge_covariogram_dim_refused(tmp_path, command):
     # named for its first rows, covariograms of a huge dim: every row
     # exits with its code in under a second, with no traceback
     argv, contents, code, message = HOSTILE[command]
+    if callable(contents):
+        contents = contents()
     path = write(tmp_path, "input", contents) if contents is not None else ""
     t0 = time.monotonic()
     proc = subprocess.run(

@@ -188,7 +188,8 @@ def test_reconstruct_perturbed_covariograms_match_enumeration():
             g = Covariogram(2, e)
         except LatticeError:
             continue
-        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
+        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g) \
+            == helpers.reconstruct_unfiltered(g)
         assert determination_verdict(g) in ("unique", "ambiguous(2)",
                                             "unrealizable")
         checked += 1
@@ -239,7 +240,8 @@ def test_reconstruct_matches_enumeration_on_whole_box(box):
     count = 0
     for K in enumerate_lattice_convex(*box):
         g = compute_covariogram(K)
-        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
+        assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g) \
+            == helpers.reconstruct_unfiltered(g)
         count += 1
     assert count == 5024
 
@@ -258,11 +260,9 @@ def test_reconstruct_6x5_pairs_give_two_classes():
 
 
 def test_reconstruct_builds_one_table_per_closing(monkeypatch):
-    # reconstruction reads no moments: each closing of g's signature is
-    # filled once and its difference table compared with g's own
-    def no_moments(chain):
-        raise AssertionError("reconstruction read row moments")
-
+    # the first closing of g's signature, and each later one with the
+    # realizing set's second moments, is filled once and its difference
+    # table compared with g's own; no other closing is filled
     table = _polygons._difference_table
     built = []
 
@@ -274,15 +274,19 @@ def test_reconstruct_builds_one_table_per_closing(monkeypatch):
     assert len(pairs) == 12
     sets = [K for pr in pairs for K in (pr.first, pr.second)]
     sets += list(enumerate_lattice_convex(4, 4))
-    monkeypatch.setattr(_polygons, "_row_moments", no_moments)
     monkeypatch.setattr(reconstruct, "_difference_table", counted)
+    skipped = 0
     for K in sets:
         g = compute_covariogram(K)
         closings = list(_polygons._closing_chains(reconstruct._edge_lines(g),
                                                   2 * len(K)))
+        kept = closings[:1] + [c for c in closings[1:] if
+                               _polygons._row_moments(c) == helpers.moments(K)]
         built.clear()
         assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
-        assert len(built) == len(closings), sorted(K)
+        assert len(built) == len(kept), sorted(K)
+        skipped += len(closings) - len(kept)
+    assert skipped > 0
 
 
 def test_reconstruct_set_missing_a_point_is_unrealizable():
@@ -293,6 +297,7 @@ def test_reconstruct_set_missing_a_point_is_unrealizable():
             g = compute_covariogram(K - {p})
             assert reconstruct_all(g) == []
             assert helpers.reconstruct_by_enumeration(g) == []
+            assert helpers.reconstruct_unfiltered(g) == []
             calls += 1
     assert calls > 1000
 
@@ -308,6 +313,18 @@ def test_reconstruct_large_inputs(K):
     t0 = time.monotonic()
     hits = reconstruct_all(g)
     assert time.monotonic() - t0 < 10
+    assert hits == [canonical_form(K)]
+
+
+def test_reconstruct_many_free_lines_in_time():
+    # 24 free lines: 604 closings pass Pick's test, and only one of
+    # them has g's second moments, so only it and the first are filled
+    K = helpers.triangle_sum(1, 8)
+    g = compute_covariogram(K)
+    assert (len(K), len(g.entries)) == (1078, 4373)
+    t0 = time.monotonic()
+    hits = reconstruct_all(g)
+    assert time.monotonic() - t0 < 2
     assert hits == [canonical_form(K)]
 
 

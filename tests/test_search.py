@@ -518,12 +518,13 @@ def test_found_pairs_verified_once(monkeypatch):
     # each of the 12 pairs at 6x5 is verified by the search, and the
     # matcher does not verify it again: two covariograms per pair
     calls = []
+    count = search._covariogram
 
     def counted(K):
         calls.append(K)
-        return compute_covariogram(K)
+        return count(K)
 
-    monkeypatch.setattr(search, "compute_covariogram", counted)
+    monkeypatch.setattr(search, "_covariogram", counted)
     rep = homometric_classes(6, 5, match=True)
     pairs = [pr for c in rep.classes for pr in c.pairs]
     assert len(pairs) == 12
@@ -776,12 +777,30 @@ def test_partner_table_on_clipped_rays_equals_full_rays(monkeypatch):
         [7, 32, 360, 360]
 
 
-@pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7)])
+@pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7),
+                                 (4, 12), (12, 4)])
 def test_splits_equal_the_unpruned_walk_in_order(box):
     # dropping the parts that cannot pair keeps every tried pair, and
     # the kept parts keep their walk order, so the splits come the same
-    assert list(search._splits(*box)) == \
-        list(helpers.splits_by_unpruned_walk(*box))
+    splits = list(search._splits(*box))
+    assert splits == list(helpers.splits_by_unpruned_walk(*box))
+    if 4 in box:
+        assert len(splits) == 25
+
+
+def test_thin_boxes_have_no_split():
+    # two parts of extent 1 along one axis share that axis' line, so a
+    # box with a side of 3 points has no split, and the search answers
+    # without walking its long side
+    for n in range(1, 31):
+        for box in [(3, n), (n, 3)]:
+            assert list(search._splits(*box)) == [] == \
+                list(helpers.splits_by_unpruned_walk(*box)), box
+    t0 = time.monotonic()
+    report = homometric_classes(3, 201, allow_large=True)
+    assert time.monotonic() - t0 < 2
+    assert (report.total_classes, report.classes) == \
+        (_polygons.count_chains(2, 200), ())
 
 
 def test_chain_count_is_the_walk_count():
