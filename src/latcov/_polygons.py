@@ -35,20 +35,15 @@ such a signature and 2|K| to its chains, each in angle order.  All
 closings of one signature share its boundary count, so Pick's theorem
 tests them by area alone.  Homometric sets share their second moments,
 sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), which _row_moments
-reads off a chain's rows (_rows) without building its points.  Sets are
-told apart by their exact difference tables (_difference_table, a
-Counter of packed differences counted in C): the search groups the sets
-of its splits by them, as frozensets, and reconstruction compares each
-closing's with g's entries packed into a dict.
+reads off a chain's rows (_rows) without building its points; filled
+sets are told apart by their packed difference counts, in lattice.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cmp_to_key, reduce
-from itertools import product, starmap
 from math import gcd
-from operator import or_, sub
+from operator import or_
 
 
 def _upper(v) -> bool:
@@ -377,13 +372,6 @@ def _closing_chains(lines, twice_n: int):
             chain = upper + lower
             if _twice_area(chain) == twice_area:
                 yield chain
-
-
-def _difference_table(K, stride: int) -> Counter:
-    """K's exact table of difference counts, (x, y) packed as x stride +
-    y, counted in C over the ordered pairs."""
-    packed = [x * stride + y for x, y in K]
-    return Counter(starmap(sub, product(packed, repeat=2)))
 
 
 def count_chains(max_dx: int, max_dy: int) -> int:

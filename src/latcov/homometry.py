@@ -31,8 +31,7 @@ from .lattice import (
     _canonical_form,
     _convex_hull,
     _fills,
-    is_centrally_symmetric,
-    is_lattice_convex,
+    _normal_pair,
     point_set,
     vadd,
     vneg,
@@ -180,11 +179,11 @@ def direct_sum(S, T) -> frozenset:
 def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport:
     """The report for the pair (first, second) built from base and
     mirrored, once their covariograms are checked equal and the pair is
-    checked nontrivial exactly when its canonical forms differ."""
+    checked nontrivial (neither summand is centrally symmetric: its two
+    _normal_pair lists differ) exactly when its canonical forms differ."""
     if _covariogram(first) != _covariogram(second):
         raise AssertionError(f"{kind} pair failed the covariogram identity")
-    nontrivial = (not is_centrally_symmetric(base)
-                  and not is_centrally_symmetric(mirrored))
+    nontrivial = not any(a == b for a, b, _ in map(_normal_pair, (base, mirrored)))
     if nontrivial != (_canonical_form(first) != _canonical_form(second)):
         raise AssertionError("nontriviality flag disagrees with canonical forms")
     return MirrorPairReport(first, second, base, mirrored, True, nontrivial)
@@ -242,7 +241,7 @@ def _coord_window(S, params: WidthOneParams):
 def condition_i(S, params: WidthOneParams) -> bool:
     """S sums directly with the strip and the sum is lattice-convex."""
     sums, direct = _sums(S, width_one_T(params))
-    return direct and is_lattice_convex(sums)
+    return direct and _fills(_convex_hull(sums), sums)
 
 
 def condition_ii(S, params: WidthOneParams) -> bool:
@@ -304,6 +303,6 @@ def corollary_pair_generator(params: WidthOneParams, hexagon: HexagonParams) -> 
     if not condition_ii(S, params):
         raise AssertionError("hexagon region failed the shape condition")
     report = mirror_pair(S, width_one_T(params))
-    if not is_lattice_convex(report.first) or not is_lattice_convex(report.second):
+    if not all(_fills(_convex_hull(P), P) for P in (report.first, report.second)):
         raise AssertionError("generated pair is not lattice-convex")
     return report

@@ -3,7 +3,8 @@
 Points are plain tuples of Python ints and point sets are frozensets of
 such tuples.  point_set enforces it: a coordinate that is not an int, 1.0
 among them, is refused with LatticeError.  Every public function that
-takes points checks them there, and library code passes the sets it
+takes points checks them there (hull_lattice_points a Hull2's vertices,
+AffineMap2 its matrix and shift), and library code passes the sets it
 builds to private bodies (_convex_hull, _canonical_form) unchecked.
 Everything here is integer arithmetic; there is no floating point
 anywhere in the package, so results are exact at any coordinate size.
@@ -18,15 +19,16 @@ bounding-box scan of hull_lattice_points.  convex_hull reads a set by
 rows, since only a row's two end points can be vertices: one pass
 (_row_ends) keeps them, O(n + r log r) for n points in r rows, and
 reconstruction runs the same pass on a covariogram's support.  Hull
-edges are read through Hull2.chain.  Canonical forms and central
-symmetry compare K with -K through _normal_pair, which packs each planar
-point into one integer, in the order of the tuples.
+edges are read through Hull2.chain.  _normal_pair is the one packing of
+planar sets: one sorted list of integers gives K's canonical form and
+central symmetry (K against -K) and its difference counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat, starmap
 from math import gcd
 from operator import mul, sub
 
@@ -190,6 +192,7 @@ def _convex_hull(K) -> Hull2:
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
     """Every lattice point inside or on the hull."""
     vs = hull.vertices
+    _int_points(vs)
     if len(vs) == 1:
         return frozenset(vs)
     if len(vs) == 2:
@@ -256,10 +259,11 @@ def _normal_pair(K) -> tuple[list, list, int | None]:
     w that packs them.
 
     A planar point p - lo is packed as the integer (x - lx) w + (y - ly),
-    w the y-extent plus one, which keeps the order of the tuples: one
-    sort gives K's list, and -K's list, hi - p over K, is that list
-    reversed and subtracted from the packed top corner hi.  In any other
-    dimension the lists hold the tuples and w is None.
+    w = 2 h + 1 for the y-extent h, which keeps the order of the tuples:
+    one sort gives K's list, and -K's list, hi - p over K, is that list
+    reversed and subtracted from the packed top corner hi.  A difference
+    of two points, |dy| <= h, packs one-to-one as dx w + dy.  In any
+    other dimension the lists hold the tuples and w is None.
     """
     cols = list(zip(*K))
     if len(cols) != 2:
@@ -268,10 +272,21 @@ def _normal_pair(K) -> tuple[list, list, int | None]:
                 sorted(tuple(map(sub, hi, p)) for p in K), None)
     xs, ys = cols
     lx, ly = min(xs), min(ys)
-    w = max(ys) - ly + 1
+    h = max(ys) - ly
+    w = 2 * h + 1
     a = sorted([(x - lx) * w + y - ly for x, y in K])
-    top = (max(xs) - lx) * w + w - 1
+    top = (max(xs) - lx) * w + h
     return a, [top - v for v in reversed(a)], w
+
+
+def _unpack(kept, w) -> frozenset[Point]:
+    """The points of a list of _normal_pair, packed with stride w."""
+    return frozenset(kept if w is None else map(divmod, kept, repeat(w)))
+
+
+def _difference_counts(packed) -> Counter:
+    """The packed differences of a list of _normal_pair, counted in C."""
+    return Counter(starmap(sub, product(packed, repeat=2)))
 
 
 def is_centrally_symmetric(K) -> bool:
@@ -289,8 +304,7 @@ def canonical_form(K) -> frozenset[Point]:
 
 def _canonical_form(K) -> frozenset[Point]:
     a, b, w = _normal_pair(K)
-    kept = a if a <= b else b
-    return frozenset(kept if w is None else (divmod(v, w) for v in kept))
+    return _unpack(min(a, b), w)
 
 
 @dataclass(frozen=True)
@@ -302,6 +316,7 @@ class AffineMap2:
     shift: tuple[int, int]
 
     def __post_init__(self):
+        _int_points((*self.matrix, self.shift))
         if abs(self.det) != 1:
             raise LatticeError("matrix is not unimodular")
 

@@ -24,21 +24,18 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
 
-from ._polygons import (
-    _closing_chains,
-    _difference_table,
-    _lattice_points_of_chain,
-    _row_moments,
-)
+from ._polygons import _closing_chains, _lattice_points_of_chain, _row_moments
 from .covariogram import Covariogram
 from .invariants import InvariantRecord, _record
 from .lattice import (
     LatticeError,
-    _canonical_form,
     _check_box,
     _convex_hull,
+    _difference_counts,
     _left_turns,
+    _normal_pair,
     _row_ends,
+    _unpack,
     det2,
     extent,
     primitive,
@@ -167,12 +164,12 @@ def reconstruct_all(g: Covariogram) -> list:
 
     A realizing set has total mass |K| squared and |K| at the origin.
     It is one of the closings of the edge signature of g and |K|, and
-    those whose covariogram is g realize it.  Every closing rises and falls
-    by h, the largest y of g, so sum (p + q) d_y = 2h over its lines d, and
-    g and each filled closing are compared as exact difference tables packed
-    with stride 2h + 1: g's as a dict, built once a closing exists, and each
-    closing's as the Counter _difference_table returns.  A g whose signature
-    cannot be read, a degenerate support among them, has no realizing set.
+    those whose covariogram is g realize it.  Each filled closing is
+    packed once (_normal_pair), and kept, as its smaller list unpacked,
+    when its _difference_counts are g's entries packed with its stride w:
+    every closing has g's y-extent, so the first one's w packs g.  A g
+    whose signature cannot be read, a degenerate support among them, has
+    no realizing set.
 
     g fixes sum g(u) (ux^2, ux uy, uy^2), twice the _row_moments of every
     realizing chain, so once a second closing is met that target is read
@@ -192,18 +189,17 @@ def reconstruct_all(g: Covariogram) -> list:
     except LatticeError:
         return []
     hits, table, target = set(), None, None
-    stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
     for chain in _closing_chains(lines, 2 * n):
-        if table is None:
-            table = {x * stride + y: c for (x, y), c in g.entries.items()}
-        else:
+        if table is not None:
             if target is None:
                 target = _half_moments(g)
             if _row_moments(chain) != target:
                 continue
-        K = _lattice_points_of_chain(chain)
-        if table == _difference_table(K, stride):
-            hits.add(_canonical_form(K))
+        a, b, w = _normal_pair(_lattice_points_of_chain(chain))
+        if table is None:
+            table = {x * w + y: c for (x, y), c in g.entries.items()}
+        if table == _difference_counts(a):
+            hits.add(_unpack(min(a, b), w))
     return sorted(hits, key=sorted)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._polygons import (
-    _difference_table,
     _faces,
     _lattice_points_of_chain,
     _ray_groups,
@@ -40,8 +39,11 @@ from .lattice import (
     LatticeError,
     _canonical_form,
     _check_box,
+    _convex_hull,
+    _difference_counts,
+    _normal_pair,
+    _unpack,
     affine_witnesses,
-    convex_hull,
     det2,
     dim_of,
     point_set,
@@ -236,11 +238,10 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     the two sets of a split, so the box is never walked: the sets of
     _splits, and their images under the box's maps (the mirror, and on a
     square box the transpose), are the only ones that can be in a pair.
-    Their canonical forms are grouped by exact _difference_table.
-    Homometric sets share their extents, so one class shares the stride
-    2 m + 1, m the largest coordinate of a form, which packs every
-    difference injectively.  A class is interesting when it holds two or
-    more distinct canonical forms.  Each reported pair is re-verified
+    Each is packed once (_normal_pair), its canonical form is kept
+    packed with its stride w and grouped by (w, _difference_counts), as
+    homometric sets share their extents, and a class, two or more
+    distinct forms, is unpacked.  Each reported pair is re-verified
     once before it is matched, and each hexagon-family pair the matcher
     tries is built and verified once per search.  total_classes counts
     the box's sets, one per translation class, by count_chains: at once
@@ -260,20 +261,20 @@ def homometric_classes(width: int, height: int, jobs: int = 1,
     forms = set()
     for pair in _splits(width, height):
         for K in map(_lattice_points_of_chain, pair):
-            forms.update(_canonical_form({(a * x + b * y, c * x + d * y)
-                                          for x, y in K})
-                         for (a, b), (c, d) in maps)
+            for (a, b), (c, d) in maps:
+                first, second, w = _normal_pair(
+                    {(a * x + b * y, c * x + d * y) for x, y in K})
+                forms.add((w, tuple(min(first, second))))
     tables: dict = {}
-    for F in forms:
-        stride = 2 * max(map(max, F)) + 1
-        table = frozenset(_difference_table(F, stride).items())
-        tables.setdefault((stride, table), []).append(F)
+    for w, F in forms:
+        table = frozenset(_difference_counts(F).items())
+        tables.setdefault((w, table), []).append(F)
     found = []
     built: dict = {}
-    for group in tables.values():
+    for (w, _), group in tables.items():
         if len(group) < 2:
             continue
-        members = tuple(sorted(group, key=sorted))
+        members = tuple(sorted((_unpack(F, w) for F in group), key=sorted))
         pairs = []
         for a, b in combinations(members, 2):
             if _covariogram(a) != _covariogram(b):
@@ -308,8 +309,8 @@ def _strip_windows(K, L):
     conv{0, e1, e2} sends K to a P whose (1, 0) line has faces (k, k - 1).
     S is the points of P in the sublattice coset of min P whose strip tile
     lies in P; the tight windows of S and of -S are proposed."""
-    chain = convex_hull(K).chain
-    faces_l = _faces(convex_hull(L).chain)
+    chain = _convex_hull(K).chain
+    faces_l = _faces(_convex_hull(L).chain)
     groups = ([], [])
     for d, (p, q) in _faces(chain).items():
         if p != q:

@@ -509,11 +509,7 @@ def reconstruct_unfiltered(g):
     difference table is g's."""
     from math import isqrt
 
-    from latcov._polygons import (
-        _closing_chains,
-        _difference_table,
-        _lattice_points_of_chain,
-    )
+    from latcov._polygons import _closing_chains, _lattice_points_of_chain
     from latcov.lattice import LatticeError, canonical_form
     from latcov.reconstruct import _edge_lines
 
@@ -524,12 +520,14 @@ def reconstruct_unfiltered(g):
         lines = _edge_lines(g)
     except LatticeError:
         return []
+    # its own stride, read off the signature as 2 max y + 1, and its own
+    # pair count, sharing no packing with lattice._normal_pair
     stride = sum((p + q) * dy for (_, dy), q, p in lines) + 1
-    table = {x * stride + y: c for (x, y), c in g.entries.items()}
+    table = frozenset((x * stride + y, c) for (x, y), c in g.entries.items())
     hits = set()
     for chain in _closing_chains(lines, 2 * n):
         K = _lattice_points_of_chain(chain)
-        if table == _difference_table(K, stride):
+        if table == difference_table_by_pairs(K, stride):
             hits.add(canonical_form(K))
     return sorted(hits, key=sorted)
 

@@ -1,10 +1,12 @@
 """The package's public names: every export resolves, every public name
 the package binds is exported, every public function that takes points,
-a vector or a covariogram refuses a coordinate that is not an int with
-LatticeError, and library code passes the sets and tables it builds to
-private bodies without checking them again."""
+a vector, a covariogram or a hull refuses a coordinate that is not an
+int with LatticeError, and library code passes the sets and tables it
+builds to private bodies without checking them again."""
 
 import inspect
+import sys
+from collections import Counter
 from types import ModuleType
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import latcov
 from latcov import (
     Covariogram,
+    Hull2,
     LatticeError,
     WidthOneParams,
     compute_covariogram,
@@ -83,12 +86,17 @@ COVARIOGRAMS = {
     "reconstruct_all": [lambda e: latcov.reconstruct_all(Covariogram(2, e))],
     "support_of": [lambda e: latcov.support_of(Covariogram(2, e))],
 }
+# name -> calls taking one bad vertex, in a Hull2
+HULLS = {
+    "hull_lattice_points": [
+        lambda v: latcov.hull_lattice_points(Hull2(((0, 0), (1, 0), v))),
+        lambda v: latcov.hull_lattice_points(Hull2((v,)))],
+}
 # exported functions that take none of these
 NO_POINTS = {
     "corollary_pair_generator",     # strip and window parameters
     "enumerate_lattice_convex",     # box sides
     "homometric_classes",           # box sides
-    "hull_lattice_points",          # a Hull2, which convex_hull builds
     "width_one_T",                  # strip parameters
 }
 REFUSED = "^(coordinates must be integers|direction must be primitive)$"
@@ -117,13 +125,13 @@ def test_every_exported_function_is_in_the_boundary_table():
     # the tables above, and one that takes none joins NO_POINTS
     functions = {n for n in latcov.__all__
                  if inspect.isfunction(getattr(latcov, n))}
-    tabled = set(POINTS) | set(VECTORS) | set(COVARIOGRAMS)
+    tabled = set(POINTS) | set(VECTORS) | set(COVARIOGRAMS) | set(HULLS)
     assert functions == tabled | NO_POINTS
     assert not tabled & NO_POINTS
 
 
 @pytest.mark.parametrize("name", sorted(set(POINTS) | set(VECTORS)
-                                         | set(COVARIOGRAMS)))
+                                         | set(COVARIOGRAMS) | set(HULLS)))
 def test_public_entries_refuse_non_integer_coordinates(name):
     # always LatticeError: never another exception, never a result
     cases = [(call, TRIANGLE + [bad]) for call in POINTS.get(name, ())
@@ -132,6 +140,7 @@ def test_public_entries_refuse_non_integer_coordinates(name):
               for bad in BAD_VECTORS]
     cases += [(call, {(0, 0): 1, bad: 1}) for call in COVARIOGRAMS.get(name, ())
               for bad in BAD_KEYS]
+    cases += [(call, bad) for call in HULLS.get(name, ()) for bad in BAD_POINTS]
     for call, arg in cases:
         with pytest.raises(LatticeError, match=REFUSED):
             call(arg)
@@ -159,7 +168,7 @@ def test_internal_calls_do_not_check_again(monkeypatch):
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, sys._getframe(1).f_code.co_name))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -171,10 +180,21 @@ def test_internal_calls_do_not_check_again(monkeypatch):
                         counted("Covariogram", Covariogram.__post_init__))
     latcov.lattice.point_set(TRIANGLE)
     Covariogram(2, dict(G.entries))
-    assert calls == ["point_set", "Covariogram"]
+    assert [name for name, _ in calls] == ["point_set", "Covariogram"]
     calls.clear()
     classes = [latcov.reconstruct_all(g) for g in tables]
     report = latcov.homometric_classes(6, 5)
     assert calls == []
     assert sum(map(len, classes)) >= len(tables)
     assert len(report.classes) == 12
+    # matching passes the hulls, sums and bases it builds to _convex_hull,
+    # _fills and _normal_pair, never to convex_hull, is_lattice_convex or
+    # is_centrally_symmetric; the checks left are in the public
+    # affine_witnesses it calls, in _sums, mirror_pair and _coord_window
+    report = latcov.homometric_classes(6, 5, match=True)
+    assert all(pr.match for c in report.classes for pr in c.pairs)
+    assert Counter(calls) == {("point_set", "affine_witnesses"): 72,
+                              ("point_set", "_sums"): 12,
+                              ("point_set", "mirror_pair"): 6,
+                              ("point_set", "_coord_window"): 3}
+

@@ -220,6 +220,9 @@ def test_normal_form_equals_two_pass_oracle():
         sym += verdict
         a, b, w = _normal_pair(K)
         if w is not None:
+            # twice the y-extent plus one, so differences pack one-to-one
+            ys = [p[1] for p in K]
+            assert w == 2 * (max(ys) - min(ys)) + 1, sorted(K)
             a, b = ([divmod(v, w) for v in a], [divmod(v, w) for v in b])
         assert (a, b) == helpers.normal_pair_by_tuples(K), sorted(K)
         assert (w is None) == (len(next(iter(K))) != 2)
@@ -235,6 +238,14 @@ def test_canonical_form_separates():
 def test_affine_map_validation():
     with pytest.raises(LatticeError):
         AffineMap2(((2, 0), (0, 1)), (0, 0))
+    # a float matrix entry or shift once built a map onto (0.5, 0)
+    for matrix, shift in [(((1.0, 0), (0, 1)), (0, 0)),
+                          (((1, 0), (0.5, 1)), (0, 0)),
+                          (((1, 0), (0, 1)), (0.5, 0)),
+                          (((1, 0), (0, 1)), (0, "1"))]:
+        with pytest.raises(LatticeError,
+                           match="^coordinates must be integers$"):
+            AffineMap2(matrix, shift)
     m = AffineMap2(((1, 1), (0, 1)), (3, -2))
     assert m.apply((1, 0)) == (4, -2)
     inv = m.inverse()

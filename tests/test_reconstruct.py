@@ -261,20 +261,25 @@ def test_reconstruct_6x5_pairs_give_two_classes():
 
 def test_reconstruct_builds_one_table_per_closing(monkeypatch):
     # the first closing of g's signature, and each later one with the
-    # realizing set's second moments, is filled once and its difference
-    # table compared with g's own; no other closing is filled
-    table = _polygons._difference_table
-    built = []
+    # realizing set's second moments, is filled and packed once and its
+    # difference counts compared with g's own; no other closing is filled
+    counts, pack = reconstruct._difference_counts, reconstruct._normal_pair
+    built, packed_sets = [], []
 
-    def counted(K, stride):
-        built.append(K)
-        return table(K, stride)
+    def counted(packed):
+        built.append(packed)
+        return counts(packed)
+
+    def packed_once(K):
+        packed_sets.append(K)
+        return pack(K)
 
     pairs = [pr for c in homometric_classes(6, 5).classes for pr in c.pairs]
     assert len(pairs) == 12
     sets = [K for pr in pairs for K in (pr.first, pr.second)]
     sets += list(enumerate_lattice_convex(4, 4))
-    monkeypatch.setattr(reconstruct, "_difference_table", counted)
+    monkeypatch.setattr(reconstruct, "_difference_counts", counted)
+    monkeypatch.setattr(reconstruct, "_normal_pair", packed_once)
     skipped = 0
     for K in sets:
         g = compute_covariogram(K)
@@ -283,8 +288,9 @@ def test_reconstruct_builds_one_table_per_closing(monkeypatch):
         kept = closings[:1] + [c for c in closings[1:] if
                                _polygons._row_moments(c) == helpers.moments(K)]
         built.clear()
+        packed_sets.clear()
         assert reconstruct_all(g) == helpers.reconstruct_by_enumeration(g)
-        assert len(built) == len(kept), sorted(K)
+        assert len(built) == len(packed_sets) == len(kept), sorted(K)
         skipped += len(closings) - len(kept)
     assert skipped > 0
 
@@ -354,7 +360,7 @@ def test_edge_lines_match_full_hull_oracle():
     # reading the right chain of g's symmetric support gives the lines,
     # in angle order, or the error, of reading its full hull; accepted
     # lines rise and fall through the support's height, sum (p + q) d_y
-    # = 2 max y, the packing stride of reconstruct_all less one
+    # = 2 max y, so every closing has g's y-extent
     outcomes = set()
     for g in edge_line_tables():
         try:

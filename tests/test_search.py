@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 import helpers
-from latcov import _polygons, reconstruct, search
+from latcov import _polygons, lattice, reconstruct, search
 from latcov.covariogram import compute_covariogram
 from latcov.homometry import (
     HexagonParams,
@@ -469,29 +469,28 @@ def test_moments_are_half_the_covariogram_second_moments():
 
 
 def test_difference_table_equals_pair_list_count():
-    # counted in C over the ordered pairs, the table holds the counts of
-    # a list of every pair
+    # counted in C over the ordered pairs of _normal_pair's list, the
+    # counts are those of a list of every pair, packed with the same w
     for K in helpers.box_sets_with_far_shears(4, 3):
-        ys = [y for _, y in K]
-        stride = 2 * (max(ys) - min(ys)) + 1
-        table = _polygons._difference_table(K, stride)
-        assert frozenset(table.items()) == \
-            helpers.difference_table_by_pairs(K, stride), sorted(K)
-        assert sum(table.values()) == len(K) ** 2
+        a, _, w = lattice._normal_pair(K)
+        counts = lattice._difference_counts(a)
+        assert frozenset(counts.items()) == \
+            helpers.difference_table_by_pairs(K, w), sorted(K)
+        assert sum(counts.values()) == len(K) ** 2
 
 
 def test_search_builds_tables_only_for_moment_collisions(monkeypatch):
     # only the 16 sets of the 8 equal-moment splits at 6x5 and their
-    # mirror images get a difference table, once per canonical form:
+    # mirror images get difference counts, once per canonical form:
     # 30 forms, of which the 12 classes hold 24
-    table = search._difference_table
+    counts = search._difference_counts
     built = []
 
-    def counted(K, stride):
-        built.append(K)
-        return table(K, stride)
+    def counted(packed):
+        built.append(packed)
+        return counts(packed)
 
-    monkeypatch.setattr(search, "_difference_table", counted)
+    monkeypatch.setattr(search, "_difference_counts", counted)
     rep = homometric_classes(6, 5)
     assert len(rep.classes) == 12
     assert len(built) == len(set(built)) == 30
