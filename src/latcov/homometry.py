@@ -32,6 +32,7 @@ from .lattice import (
     _convex_hull,
     _fills,
     _normal_pair,
+    _planar,
     point_set,
     vadd,
     vneg,
@@ -209,7 +210,7 @@ def decompose_plane(p, params: WidthOneParams) -> tuple[tuple[int, int], tuple[i
 
     With r = (x + (k+1) y) mod (k + l + 2), p - (r, 0) and p - (r - k - 1, 1)
     lie in the sublattice, and one of the two is in the strip: O(1) in k."""
-    (p,) = point_set((p,))
+    [(p,)] = _planar("expected a planar point", (p,))
     r = (p[0] + (params.k + 1) * p[1]) % params.index
     hits = [(vsub(p, t), t) for t in ((r, 0), (r - params.k - 1, 1))
             if _in_strip(t, params) and params.contains(vsub(p, t))]
@@ -225,9 +226,7 @@ _HEX_DIRS = frozenset({(1, 0), (0, 1), (1, 1)})
 def _coord_window(S, params: WidthOneParams):
     """Anchor S at one of its points and map into sublattice coordinates;
     None when the anchored set leaves the sublattice."""
-    Sp = point_set(S)
-    if len(next(iter(Sp))) != 2:
-        raise LatticeError("expected a planar set")
+    [Sp] = _planar("expected a planar set", S)
     anchor = min(Sp)
     coords = []
     for p in Sp:
@@ -261,7 +260,7 @@ def condition_ii(S, params: WidthOneParams) -> bool:
 def gs_graph_connected(S, params: WidthOneParams) -> bool:
     """Connectivity of S under steps by +-w1, +-w2 (and +-(w1+w2) when
     k = l + 1).  S must lie inside the sublattice itself."""
-    Sp = point_set(S)
+    [Sp] = _planar("expected a planar set", S)
     for p in Sp:
         if not params.contains(p):
             raise LatticeError("set is not contained in the sublattice")

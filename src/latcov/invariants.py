@@ -29,8 +29,8 @@ from .lattice import (
     LatticeError,
     _convex_hull,
     _fills,
+    _planar,
     det2,
-    point_set,
     primitive,
 )
 
@@ -56,7 +56,7 @@ class InvariantRecord:
 
 def _lattice_convex_hull(K) -> Hull2:
     """Hull of K, refusing a set that is degenerate or not lattice-convex."""
-    pts = point_set(K)
+    [pts] = _planar("convex hull requires dimension 2", K)
     hull = _convex_hull(pts)
     if hull.is_degenerate:
         raise LatticeError("degenerate set")
@@ -75,7 +75,7 @@ def edge_normals(K) -> frozenset:
 def discrepancy(normals) -> tuple[frozenset, Fraction]:
     """(det_set, delta): nonzero |det| values over pairs of normals and
     their max/min ratio."""
-    ns = sorted(point_set(normals))
+    ns = sorted(*_planar("discrepancy requires dimension 2", normals))
     dets = {abs(det2(u, v)) for u, v in combinations(ns, 2)}
     dets.discard(0)
     if not dets:
@@ -115,6 +115,8 @@ def invariants_direct(K) -> InvariantRecord:
 def delta_bound_check(normals, n: int) -> bool:
     """Exact check of delta <= 2 n^2 for normal sets drawn from the
     (2n+1) x (2n+1) coordinate window."""
+    if not isinstance(n, int):
+        raise LatticeError("window radius must be an integer")
     if n < 1:
         raise LatticeError("window radius must be positive")
     _, delta = discrepancy(normals)

@@ -6,6 +6,8 @@ among them, is refused with LatticeError.  Every public function that
 takes points checks them there (hull_lattice_points a Hull2's vertices,
 AffineMap2 its matrix and shift), and library code passes the sets it
 builds to private bodies (_convex_hull, _canonical_form) unchecked.
+A public function that needs planar points checks them in _planar,
+point_set and then the dimension, refusing with its own message.
 Everything here is integer arithmetic; there is no floating point
 anywhere in the package, so results are exact at any coordinate size.
 
@@ -101,9 +103,21 @@ def dim_of(points) -> int:
     return len(next(iter(points)))
 
 
+def _planar(message: str, *sets) -> list[frozenset[Point]]:
+    """Each of sets, checked by point_set, refusing with
+    LatticeError(message) unless every one is planar."""
+    pts = list(map(point_set, sets))
+    if any(dim_of(p) != 2 for p in pts):
+        raise LatticeError(message)
+    return pts
+
+
 def translate(points, t: Point) -> frozenset[Point]:
+    pts = point_set(points)
     (t,) = point_set((t,))
-    return frozenset(vadd(p, t) for p in point_set(points))
+    if len(t) != dim_of(pts):
+        raise LatticeError("translation has the wrong dimension")
+    return frozenset(vadd(p, t) for p in pts)
 
 
 def extent(points) -> Point:
@@ -154,17 +168,14 @@ def _row_ends(K) -> dict:
     """Each row (a y) of the planar set K with its least and greatest
     x, as y -> [least, greatest], in one pass."""
     rows: dict = {}
-    try:
-        for x, y in K:
-            r = rows.get(y)
-            if r is None:
-                rows[y] = [x, x]
-            elif x < r[0]:
-                r[0] = x
-            elif x > r[1]:
-                r[1] = x
-    except ValueError:
-        raise LatticeError("convex hull requires dimension 2") from None
+    for x, y in K:
+        r = rows.get(y)
+        if r is None:
+            rows[y] = [x, x]
+        elif x < r[0]:
+            r[0] = x
+        elif x > r[1]:
+            r[1] = x
     return rows
 
 
@@ -174,7 +185,7 @@ def convex_hull(K) -> Hull2:
     can be a vertex, so one pass keeps those two (_row_ends), and the
     monotone chain runs up the row maxima and down the row minima:
     O(n + r log r) for n points in r rows."""
-    return _convex_hull(point_set(K))
+    return _convex_hull(*_planar("convex hull requires dimension 2", K))
 
 
 def _convex_hull(K) -> Hull2:
@@ -192,7 +203,7 @@ def _convex_hull(K) -> Hull2:
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
     """Every lattice point inside or on the hull."""
     vs = hull.vertices
-    _int_points(vs)
+    _planar("convex hull requires dimension 2", vs)
     if len(vs) == 1:
         return frozenset(vs)
     if len(vs) == 2:
@@ -227,9 +238,7 @@ def _fills(hull: Hull2, pts: frozenset[Point]) -> bool:
 
 def is_lattice_convex(K) -> bool:
     """True iff K equals the set of lattice points of its own convex hull."""
-    pts = point_set(K)
-    if dim_of(pts) != 2:
-        raise LatticeError("lattice convexity test requires dimension 2")
+    [pts] = _planar("lattice convexity test requires dimension 2", K)
     return _fills(_convex_hull(pts), pts)
 
 
@@ -381,10 +390,11 @@ def affine_witnesses(K, L):
     The witnesses come sorted by the images of K's minimal-determinant
     independent triple, the order of a scan over all triples of L.
     """
-    Kp = point_set(K)
-    Lp = point_set(L)
-    if dim_of(Kp) != 2 or dim_of(Lp) != 2:
-        raise LatticeError("affine equivalence requires dimension 2")
+    return _affine_witnesses(
+        *_planar("affine equivalence requires dimension 2", K, L))
+
+
+def _affine_witnesses(Kp, Lp):
     hk = _convex_hull(Kp)
     hl = _convex_hull(Lp)
     if hk.is_degenerate or hl.is_degenerate:

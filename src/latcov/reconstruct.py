@@ -132,7 +132,10 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     maximal on a contiguous subrun; the rows come from the run ends.
     """
     _require_planar(g)
-    u = tuple(u)
+    try:
+        u = tuple(u)
+    except TypeError:       # a bare number
+        u = (None,)
     if not all(isinstance(c, int) for c in u) or primitive(u) != u:
         raise LatticeError("direction must be primitive")
     E = support_set(_convex_hull(g.entries).vertices, u)

@@ -37,22 +37,21 @@ from .homometry import (
 from .lattice import (
     AffineMap2,
     LatticeError,
+    _affine_witnesses,
     _canonical_form,
     _check_box,
     _convex_hull,
     _difference_counts,
     _normal_pair,
+    _planar,
     _unpack,
-    affine_witnesses,
     det2,
-    dim_of,
-    point_set,
     vadd,
     vsub,
 )
 
 DESK_SCALE_LIMIT = 42
-_STRIP_TRIANGLE = ((0, 0), (1, 0), (0, 1))
+_STRIP_TRIANGLE = frozenset({(0, 0), (1, 0), (0, 1)})
 _MIRROR = ((-1, 0), (0, 1))
 _TRANSPOSE = ((0, 1), (1, 0))
 
@@ -320,8 +319,8 @@ def _strip_windows(K, L):
         if len(steps) != 3:
             continue
         s1, s2, _ = steps if det2(*steps[:2]) > 0 else steps[::-1]
-        for fn in affine_witnesses(((0, 0), s1, vadd(s1, s2)),
-                                   _STRIP_TRIANGLE):
+        for fn in _affine_witnesses(frozenset({(0, 0), s1, vadd(s1, s2)}),
+                                    _STRIP_TRIANGLE):
             # P's hull chain is fn of K's, negated when det < 0 flips it.
             ((a, b), (c, e)), s = fn.matrix, fn.det
             image = [(s * (a * x + b * y), s * (c * x + e * y)) for x, y in chain]
@@ -363,10 +362,7 @@ def match_corollary(K, L) -> CorollaryMatch | None:
     that confirms sends K onto S + T or S - T, so up to sign it sends K's
     triangle part onto the strip's and is one of the maps the reader
     tries, and the image of K under it gives k and the window exactly."""
-    Kp = point_set(K)
-    Lp = point_set(L)
-    if dim_of(Kp) != 2 or dim_of(Lp) != 2:
-        raise LatticeError("match_corollary requires dimension 2")
+    Kp, Lp = _planar("match_corollary requires dimension 2", K, L)
     if _covariogram(Kp) != _covariogram(Lp):
         raise LatticeError("pair is not homometric")
     if _canonical_form(Kp) == _canonical_form(Lp):
@@ -390,7 +386,7 @@ def _match(Kp, Lp, built: dict) -> CorollaryMatch | None:
             continue
         for swapped, (P, Q) in enumerate(
                 [(pair.first, pair.second), (pair.second, pair.first)]):
-            for wit in affine_witnesses(Kp, P):
+            for wit in _affine_witnesses(Kp, P):
                 m = wit.matrix
                 for mm in (m, ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))):
                     t = _translation_to(mm, Lp, Q)

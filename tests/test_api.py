@@ -1,7 +1,8 @@
 """The package's public names: every export resolves, every public name
 the package binds is exported, every public function that takes points,
 a vector, a covariogram or a hull refuses a coordinate that is not an
-int with LatticeError, and library code passes the sets and tables it
+int with LatticeError, every planar-only one refuses a set that is not
+planar with LatticeError, and library code passes the sets and tables it
 builds to private bodies without checking them again."""
 
 import inspect
@@ -29,7 +30,7 @@ G = compute_covariogram(TRIANGLE)
 # number and a string.  A list cannot be a dict key, so keys skip it.
 BAD_POINTS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1), ((0,), 1), 5, "ab"]
 BAD_KEYS = [p for p in BAD_POINTS if p != ([0], 1)]
-BAD_VECTORS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1)]
+BAD_VECTORS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1), 5, "ab"]
 
 # name -> calls, each taking a point set with one bad point and passing
 # it in one argument position
@@ -101,6 +102,28 @@ NO_POINTS = {
 }
 REFUSED = "^(coordinates must be integers|direction must be primitive)$"
 
+# name -> calls of a planar-only export, each taking a set of points
+# (a point for decompose_plane, a hull's vertices for hull_lattice_points)
+PLANAR = {
+    "affine_equivalent": POINTS["affine_equivalent"],
+    "affine_witnesses": POINTS["affine_witnesses"],
+    "condition_ii": POINTS["condition_ii"],
+    "convex_hull": POINTS["convex_hull"],
+    "decompose_plane": [lambda P: latcov.decompose_plane(P[0], STRIP)],
+    "delta_bound_check": POINTS["delta_bound_check"],
+    "discrepancy": POINTS["discrepancy"],
+    "edge_normals": POINTS["edge_normals"],
+    "gs_graph_connected": POINTS["gs_graph_connected"],
+    "hull_lattice_points": [
+        lambda P: latcov.hull_lattice_points(Hull2(tuple(P)))],
+    "invariants_direct": POINTS["invariants_direct"],
+    "is_lattice_convex": POINTS["is_lattice_convex"],
+    "match_corollary": POINTS["match_corollary"],
+}
+# a set in three dimensions and a set on a line
+NOT_PLANAR = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)],
+              [(0,), (1,), (3,)]]
+
 
 def test_all_names_resolve():
     assert len(set(latcov.__all__)) == len(latcov.__all__)
@@ -146,6 +169,19 @@ def test_public_entries_refuse_non_integer_coordinates(name):
             call(arg)
 
 
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_planar_entries_refuse_other_dimensions(name):
+    # always LatticeError: never another exception, never a result (a
+    # non-planar normal set once gave a discrepancy off two coordinates)
+    for call in PLANAR[name]:
+        for P in NOT_PLANAR:
+            with pytest.raises(LatticeError):
+                call(P)
+    if name == "hull_lattice_points":
+        with pytest.raises(LatticeError, match="^empty set$"):
+            latcov.hull_lattice_points(Hull2(()))
+
+
 def test_covariogram_refuses_non_integer_keys():
     # a float key once passed and then broke the invariant reader, and a
     # float coordinate was once read as part of a two-point set
@@ -188,13 +224,13 @@ def test_internal_calls_do_not_check_again(monkeypatch):
     assert sum(map(len, classes)) >= len(tables)
     assert len(report.classes) == 12
     # matching passes the hulls, sums and bases it builds to _convex_hull,
-    # _fills and _normal_pair, never to convex_hull, is_lattice_convex or
-    # is_centrally_symmetric; the checks left are in the public
-    # affine_witnesses it calls, in _sums, mirror_pair and _coord_window
+    # _fills, _normal_pair and _affine_witnesses, never to convex_hull,
+    # is_lattice_convex, is_centrally_symmetric or affine_witnesses; the
+    # checks left are in _planar (the vertices hull_lattice_points gets
+    # from _fills, and _coord_window), _sums and mirror_pair
     report = latcov.homometric_classes(6, 5, match=True)
     assert all(pr.match for c in report.classes for pr in c.pairs)
-    assert Counter(calls) == {("point_set", "affine_witnesses"): 72,
+    assert Counter(calls) == {("point_set", "_planar"): 12,
                               ("point_set", "_sums"): 12,
-                              ("point_set", "mirror_pair"): 6,
-                              ("point_set", "_coord_window"): 3}
+                              ("point_set", "mirror_pair"): 6}
 

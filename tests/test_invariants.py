@@ -111,3 +111,6 @@ def test_delta_bound_check():
         assert delta_bound_check(rec.normals, len(K))
     with pytest.raises(LatticeError):
         delta_bound_check({(1, 0), (0, 1)}, 0)
+    for n in (1.5, 2.0, "a", None):
+        with pytest.raises(LatticeError, match="^window radius must be an integer$"):
+            delta_bound_check({(1, 0), (0, 1)}, n)

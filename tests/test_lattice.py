@@ -146,6 +146,13 @@ def test_support_set():
             support_set(K, u)
 
 
+def test_translate():
+    assert translate({(0, 0), (1, 2)}, (3, -1)) == frozenset({(3, -1), (4, 1)})
+    for t in ((1, 0, 0), (1,)):
+        with pytest.raises(LatticeError, match="^translation has the wrong dimension$"):
+            translate({(0, 0)}, t)
+
+
 def test_difference_set_small():
     T = {(0, 0), (1, 0), (0, 1)}
     assert difference_set(T) == frozenset(

@@ -3,7 +3,8 @@
 what they use, every private name and every unexported function or
 class it defines is used in it, only `lattice` names its bounding-box
 scan, only the chain walk and the chain count list the rays of a box,
-and only the ray table and the edge signature sort by angle."""
+only the ray table and the edge signature sort by angle, and only
+`lattice._planar` refuses a point set for its dimension."""
 
 import ast
 from pathlib import Path
@@ -149,4 +150,25 @@ def test_only_the_ray_table_and_the_signature_compare_angles():
                       or (isinstance(node, ast.Attribute)
                           and node.attr in names)
                       or (isinstance(node, ast.alias) and node.name in names)]
+    assert found == []
+
+
+def test_only_planar_refuses_a_set_for_its_dimension():
+    # a public entry that needs planar points passes them to
+    # lattice._planar with its message, so no raise elsewhere states the
+    # planar rule in its own words (a covariogram's dim is not a set)
+    texts = ("requires dimension 2", "expected a planar set")
+    found = []
+    for path, tree in _modules():
+        for stmt in tree.body:
+            if path.name == "lattice.py" and \
+                    getattr(stmt, "name", None) == "_planar":
+                continue
+            found += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(stmt)
+                      if isinstance(node, ast.Raise)
+                      for arg in ast.walk(node)
+                      if isinstance(arg, ast.Constant)
+                      and isinstance(arg.value, str)
+                      and any(t in arg.value for t in texts)]
     assert found == []
