@@ -6,22 +6,25 @@ zero, with at least three rays used; walking the vectors sorted by angle
 traverses the boundary counterclockwise.  A chain gives the polygon's
 lattice points, or its edge signature without them.
 
-walk_chains walks every chain fitting a box, in one process.  It
-chooses an increasing-angle subsequence of candidate vectors: each step
-picks the next chosen ray, latest first, and one of its vectors.  A step
-is pruned when the partial vertex chain leaves the box, or when the
-exact set of displacements the later rays can sum to (clipped to the
+walk_chains walks every chain fitting a box, in one process.  It chooses
+an increasing-angle subsequence of candidate vectors: each step picks
+the next chosen ray, latest first, and one of its vectors.  A step is
+pruned when the partial vertex chain grows wider than the box, or when
+the exact set of displacements the later rays can sum to (clipped to the
 box) does not hold the one that closes the chain.  A chain that closes
 is emitted and not extended, since the rays after it lie in an open
-half-plane.  The chains come root by root, the root being the first
-(lowest-angle) ray, in angle order.  The same walk, with parts, takes
-only the chains with no two parallel edges, one of each pair +-A, by
-banning the line of every chosen ray and the lines below the first; the
-prune still holds, as the reachable sums only over-approximate.  Each
-part comes with the bitmask of its lines and its extent, and is walked
-only while it can pair with a line-disjoint part beside it in the box
-one larger (_partner_test): a partial chain's extent and lines only
-grow, so once no partner fits, none fits any chain that completes it.
+half-plane.  The chains come root by root in angle order, the root being
+the first ray, an upper one, as edges with dy <= 0 alone cannot close: y
+rises, then falls back to 0, and a partial chain below 0 or above the
+box has no closing in the clipped table, so a step leaves the box only
+in x.  The same walk, with parts, takes only the chains with no two
+parallel edges, one of each pair +-A, by banning the line of every
+chosen ray and the lines below the first; the prune still holds, as the
+reachable sums only over-approximate.  Each part comes with the bitmask
+of its lines and its extent, and is walked only while it can pair with a
+line-disjoint part beside it in the box one larger (_partner_test): a
+partial chain's extent and lines only grow, so once no partner fits,
+none fits any chain that completes it.
 
 count_chains counts walk_chains' chains without walking them, by a
 knapsack on their x and y extents (in closed form at an extent of 1).
@@ -91,21 +94,23 @@ def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
     return sums[::-1]
 
 
-def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
+def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
     """Yield the closed convex chains whose lowest-angle ray is
-    groups[root], as lists of edge vectors in angle order, one at a time.
+    groups[root], an upper ray, as lists of edge vectors in angle order,
+    one at a time.  The reach test keeps every vertex in 0 <= y <= the
+    table's y bound, so only the x-extent is tested, against lim_x.
 
     With can_pair, yield instead (chain, lines, (ex, ey)) for the chains
     with no two parallel edges, one of each pair +-A: bit i of lines is
-    set when the chain has an edge on the line of groups[i], and (ex, ey)
-    is its extent.  The rays come as the U rays of the upper side, then
-    their negatives in the same order, so groups[i] and groups[i + U]
-    share line i.  A chosen ray bans its line, and the walk starts with
-    the lines below the root banned: only the sign whose lowest line is
-    used on its upper side is walked.  A partial chain's extent and
-    lines only grow at each step, the root's too, so one whose extent
-    and lines fail can_pair(ex, ey, lines) is dropped with every chain
-    that completes it."""
+    set when the chain has an edge on the line of groups[i], and its
+    extent (ex, ey) is (max x - min x, max y).  The rays come as the U
+    rays of the upper side, then their negatives in the same order, so
+    groups[i] and groups[i + U] share line i.  A chosen ray bans its line,
+    and the walk starts with the lines below the root banned: only the
+    sign whose lowest line is used on its upper side is walked.  A partial
+    chain's extent and lines only grow at each step, the root's too, so
+    one whose extent and lines fail can_pair(ex, ey, lines) is dropped
+    with every chain that completes it."""
     half = len(groups) // 2
     bits = [1 << (j % half) if can_pair else 0 for j in range(len(groups))]
     # The lines of a part: its used bits, less the banned ones below root.
@@ -114,7 +119,7 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
     after = [range(len(groups) - 1, j, -1) for j in range(len(groups))]
     chosen: list = []
 
-    def rec(rays, x, y, mnx, mxx, mny, mxy, used):
+    def rec(rays, x, y, mnx, mxx, mxy, used):
         # Next chosen ray j, latest first, then its vectors by length.
         for j in rays:
             if used & bits[j]:
@@ -128,25 +133,19 @@ def _chains_from_root(groups, sums, lim_x, lim_y, root, can_pair=None):
                 nmxx = nx if nx > mxx else mxx
                 if nmxx - nmnx > lim_x:
                     continue
-                nmny = ny if ny < mny else mny
                 nmxy = ny if ny > mxy else mxy
-                if nmxy - nmny > lim_y:
-                    continue
                 nused = used | bits[j]
-                if can_pair and not can_pair(nmxx - nmnx, nmxy - nmny,
-                                             nused & keep):
+                if can_pair and not can_pair(nmxx - nmnx, nmxy, nused & keep):
                     continue
                 chosen.append((dx, dy))
                 if nx or ny:
-                    yield from rec(after[j], nx, ny, nmnx, nmxx, nmny, nmxy,
-                                   nused)
+                    yield from rec(after[j], nx, ny, nmnx, nmxx, nmxy, nused)
                 elif len(chosen) >= 3:
-                    yield ((chosen.copy(), nused & keep,
-                            (nmxx - nmnx, nmxy - nmny))
+                    yield ((chosen.copy(), nused & keep, (nmxx - nmnx, nmxy))
                            if can_pair else chosen.copy())
                 chosen.pop()
 
-    yield from rec((root,), 0, 0, 0, 0, 0, 0, ~keep if can_pair else 0)
+    yield from rec((root,), 0, 0, 0, 0, 0, ~keep if can_pair else 0)
 
 
 def _partner_test(groups, dx: int, dy: int):
@@ -172,7 +171,7 @@ def _partner_test(groups, dx: int, dy: int):
                    for ly in range(1, hy + 1)}
     for root in range(len(groups) // 2):
         for _, mask, (ex, ey) in _chains_from_root(
-                groups, sums, hx, hy, root, lambda ex, ey, lines: True):
+                groups, sums, hx, root, lambda ex, ey, lines: True):
             for (lx, ly), fitting in masks.items():
                 if ex <= lx and ey <= ly:
                     fitting.add(mask)
@@ -425,17 +424,16 @@ def count_chains(max_dx: int, max_dy: int) -> int:
 
 def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
     """Yield every closed convex chain fitting the box extent
-    (max_dx, max_dy), one chain per translation class, root by root in
-    angle order, each as it closes.  With parts, yield (chain, lines,
-    extent) for such chains with no two parallel edges, one of each pair
-    +-A (see _chains_from_root): each one that has a line-disjoint partner
-    beside it in the box (max_dx + 1, max_dy + 1), and some others (see
-    _partner_test).  Nothing is kept between calls."""
+    (max_dx, max_dy), one chain per translation class, root by root (the
+    upper rays) in angle order, each as it closes.  With parts, yield
+    (chain, lines, extent) for such chains with no two parallel edges,
+    one of each pair +-A (see _chains_from_root): each one that has a
+    line-disjoint partner beside it in the box (max_dx + 1, max_dy + 1),
+    and some others (see _partner_test).  Nothing is kept between calls."""
     if max_dx < 1 or max_dy < 1:
         return
     groups = _ray_groups(max_dx, max_dy)
     sums = _suffix_sums(groups, max_dx, max_dy)
     can_pair = _partner_test(groups, max_dx + 1, max_dy + 1) if parts else None
-    for root in range(len(groups) // 2 if parts else len(groups)):
-        yield from _chains_from_root(groups, sums, max_dx, max_dy, root,
-                                     can_pair)
+    for root in range(len(groups) // 2):
+        yield from _chains_from_root(groups, sums, max_dx, root, can_pair)

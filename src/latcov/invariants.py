@@ -75,8 +75,11 @@ def edge_normals(K) -> frozenset:
 def discrepancy(normals) -> tuple[frozenset, Fraction]:
     """(det_set, delta): nonzero |det| values over pairs of normals and
     their max/min ratio."""
-    ns = sorted(*_planar("discrepancy requires dimension 2", normals))
-    dets = {abs(det2(u, v)) for u, v in combinations(ns, 2)}
+    return _discrepancy(*_planar("discrepancy requires dimension 2", normals))
+
+
+def _discrepancy(normals) -> tuple[frozenset, Fraction]:
+    dets = {abs(det2(u, v)) for u, v in combinations(normals, 2)}
     dets.discard(0)
     if not dets:
         raise LatticeError("degenerate set")
@@ -93,7 +96,7 @@ def _record(sig) -> InvariantRecord:
                         for n in ((dy, -dx), (-dy, dx)))
     m_prime = min(q + 1 if q else p + 1 for _, q, p in sig)
     m_double = min((p - q + 1 for _, q, p in sig if p > q > 0), default=inf)
-    det_set, delta = discrepancy(normals)
+    det_set, delta = _discrepancy(normals)
     m = min(m_prime, m_double)
     return InvariantRecord(
         normals=normals,

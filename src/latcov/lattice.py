@@ -1,15 +1,16 @@
 """Exact geometry on the integer lattice.
 
 Points are plain tuples of Python ints and point sets are frozensets of
-such tuples.  point_set enforces it: a coordinate that is not an int, 1.0
-among them, is refused with LatticeError.  Every public function that
-takes points checks them there (hull_lattice_points a Hull2's vertices,
-AffineMap2 its matrix and shift), and library code passes the sets it
-builds to private bodies (_convex_hull, _canonical_form) unchecked.
-A public function that needs planar points checks them in _planar,
-point_set and then the dimension, refusing with its own message.
-Everything here is integer arithmetic; there is no floating point
-anywhere in the package, so results are exact at any coordinate size.
+such tuples.  point_set enforces it: a coordinate that is not an int,
+1.0 among them, is refused with LatticeError.  Every public function
+that takes points checks them there (hull_lattice_points a Hull2's
+vertices, AffineMap2 its matrix and shift), and library code passes the
+sets it builds to private bodies (_convex_hull, _hull_lattice_points,
+_canonical_form) unchecked.  A public function that needs planar points
+checks them in _planar, point_set and then the dimension, refusing with
+its own message.  Everything here is integer arithmetic; there is no
+floating point anywhere in the package, so results are exact at any
+coordinate size.
 
 Most operations live in the plane (d = 2).  The few that make sense in any
 dimension (difference sets, central symmetry, canonical forms) accept
@@ -17,7 +18,7 @@ tuples of arbitrary equal length.
 
 Lattice convexity, K = Z^2 cap conv K, is decided in one place, _fills:
 a point or a segment by its lattice length, any other hull by the
-bounding-box scan of hull_lattice_points.  convex_hull reads a set by
+bounding-box scan of _hull_lattice_points.  convex_hull reads a set by
 rows, since only a row's two end points can be vertices: one pass
 (_row_ends) keeps them, O(n + r log r) for n points in r rows, and
 reconstruction runs the same pass on a covariogram's support.  Hull
@@ -201,23 +202,24 @@ def _convex_hull(K) -> Hull2:
 
 
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
-    """Every lattice point inside or on the hull."""
+    """Every lattice point inside or on the hull, a segment's by gcd."""
     vs = hull.vertices
     _planar("convex hull requires dimension 2", vs)
-    if len(vs) == 1:
-        return frozenset(vs)
     if len(vs) == 2:
         (ax, ay), (dx, dy) = vs[0], hull.chain[0]
         g = gcd(dx, dy)
         return frozenset((ax + i * dx // g, ay + i * dy // g)
                          for i in range(g + 1))
+    return _hull_lattice_points(vs)
+
+
+def _hull_lattice_points(vs) -> frozenset[Point]:
     # Half-plane form of each edge: A*x + B*y + C >= 0 inside.
     halves = []
     for i, (ax, ay) in enumerate(vs):
         bx, by = vs[(i + 1) % len(vs)]
         halves.append((-(by - ay), bx - ax, (by - ay) * ax - (bx - ax) * ay))
-    xs = [v[0] for v in vs]
-    ys = [v[1] for v in vs]
+    xs, ys = zip(*vs)
     out = []
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
@@ -233,7 +235,7 @@ def _fills(hull: Hull2, pts: frozenset[Point]) -> bool:
     if hull.is_degenerate:
         chain = hull.chain
         return len(pts) == (gcd(*chain[0]) if chain else 0) + 1
-    return hull_lattice_points(hull) == pts
+    return _hull_lattice_points(hull.vertices) == pts
 
 
 def is_lattice_convex(K) -> bool:

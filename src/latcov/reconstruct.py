@@ -38,6 +38,7 @@ from .lattice import (
     _unpack,
     det2,
     extent,
+    point_set,
     primitive,
     support_set,
 )
@@ -132,11 +133,8 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     maximal on a contiguous subrun; the rows come from the run ends.
     """
     _require_planar(g)
-    try:
-        u = tuple(u)
-    except TypeError:       # a bare number
-        u = (None,)
-    if not all(isinstance(c, int) for c in u) or primitive(u) != u:
+    (u,) = point_set((u,))
+    if primitive(u) != u:
         raise LatticeError("direction must be primitive")
     E = support_set(_convex_hull(g.entries).vertices, u)
     if len(E) == 1:

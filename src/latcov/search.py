@@ -204,8 +204,6 @@ def _splits(width: int, height: int):
         tilt = sum(x * x - y * y for x, y in chain) if square else 0
         by_extent.setdefault(extent, {}).setdefault(
             sum(x * y for x, y in chain), []).append((chain, lines, tilt))
-    if not by_extent:
-        return
     rank = {v: i for i, group in enumerate(_ray_groups(dx, dy)) for v in group}
     extents = sorted(by_extent)
     zonotopes: dict = {}

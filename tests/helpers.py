@@ -847,7 +847,7 @@ def partner_table_by_full_rays(dx, dy):
     hx, hy = dx // 2, dy // 2
     sums = _suffix_sums(groups, hx, hy)
     return [part for root in range(len(groups) // 2)
-            for part in _chains_from_root(groups, sums, hx, hy, root,
+            for part in _chains_from_root(groups, sums, hx, root,
                                           lambda ex, ey, lines: True)]
 
 

@@ -182,6 +182,33 @@ def test_planar_entries_refuse_other_dimensions(name):
             latcov.hull_lattice_points(Hull2(()))
 
 
+# name -> a call of an export that reads a planar covariogram
+PLANAR_COVARIOGRAMS = {
+    "determination_verdict": latcov.determination_verdict,
+    "edge_pair_from_covariogram":
+        lambda g: latcov.edge_pair_from_covariogram(g, (1, 0)),
+    "invariants_from_covariogram": latcov.invariants_from_covariogram,
+    "reconstruct_all": latcov.reconstruct_all,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR_COVARIOGRAMS))
+def test_covariogram_readers_refuse_other_dimensions(name):
+    for P in NOT_PLANAR:
+        with pytest.raises(LatticeError,
+                           match="^expected a planar covariogram$"):
+            PLANAR_COVARIOGRAMS[name](compute_covariogram(P))
+
+
+def test_sums_refuse_mismatched_dimensions():
+    line = [(0,), (1,)]
+    for call in [lambda: latcov.convolve(G, compute_covariogram(line)),
+                 lambda: latcov.sum_is_direct(TRIANGLE, line),
+                 lambda: latcov.direct_sum(line, TRIANGLE)]:
+        with pytest.raises(LatticeError, match="^dimension mismatch$"):
+            call()
+
+
 def test_covariogram_refuses_non_integer_keys():
     # a float key once passed and then broke the invariant reader, and a
     # float coordinate was once read as part of a two-point set
@@ -223,14 +250,23 @@ def test_internal_calls_do_not_check_again(monkeypatch):
     assert calls == []
     assert sum(map(len, classes)) >= len(tables)
     assert len(report.classes) == 12
+    # the geometry entries check their input once: _fills scans through
+    # _hull_lattice_points and _record reads the discrepancy through
+    # _discrepancy, so neither checks again
+    for call, arg, checks in [(latcov.is_lattice_convex, TRIANGLE, 1),
+                              (latcov.invariants_direct, TRIANGLE, 1),
+                              (latcov.invariants_from_covariogram, G, 0)]:
+        calls.clear()
+        call(arg)
+        assert len(calls) == checks, call.__name__
+    calls.clear()
     # matching passes the hulls, sums and bases it builds to _convex_hull,
     # _fills, _normal_pair and _affine_witnesses, never to convex_hull,
     # is_lattice_convex, is_centrally_symmetric or affine_witnesses; the
-    # checks left are in _planar (the vertices hull_lattice_points gets
-    # from _fills, and _coord_window), _sums and mirror_pair
+    # checks left are in _planar (_coord_window's), _sums and mirror_pair
     report = latcov.homometric_classes(6, 5, match=True)
     assert all(pr.match for c in report.classes for pr in c.pairs)
-    assert Counter(calls) == {("point_set", "_planar"): 12,
+    assert Counter(calls) == {("point_set", "_planar"): 3,
                               ("point_set", "_sums"): 12,
                               ("point_set", "mirror_pair"): 6}
 

@@ -471,6 +471,19 @@ def test_search_command(capsys):
     assert out2 == out  # deterministic
 
 
+def test_search_reports_unmatched_pairs(capsys, monkeypatch):
+    # a pair the matcher refuses is printed as unmatched, with a warning
+    # per pair, and the search still succeeds
+    monkeypatch.setattr(latcov.search, "_match", lambda *args: None)
+    rc, out, err = run(capsys, "--format", "records", "search",
+                       "--box", "6x5", "--match-corollary")
+    assert rc == 0
+    assert out.count(".verdict=unmatched\n") == out.count(".members=") == 12
+    assert "verdict=matched" not in out
+    assert err == "warning: unmatched homometric pair " \
+        "(candidate new example)\n" * 12
+
+
 def test_search_records_pinned_6x5(capsys):
     # the 12 pairs at 6x5 and the first witness found for each
     rc, out, _ = run(capsys, "--format", "records", "search", "--box", "6x5",
@@ -598,6 +611,21 @@ def test_missing_file_and_bad_args(tmp_path, capsys):
     pts = write(tmp_path, "t.pts", TRAP)
     rc, _, err = run(capsys, "reconstruct", pts, "--box", "axb")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["gen-pair", "--k", "1", "--l", "0", "--hex", "1,2,3"], None,
+     "--hex expects 6 integers, got '1,2,3'"),
+    (["search", "--box", "0x5"], None, "--box dimensions must be positive"),
+    (["canonical", "{}"], "dim 0\n0\n", ":1: bad dim header"),
+    (["verify-thm22", "--k", "1", "--l", "0", "{}"],
+     "dim 3\n0 0 0\n1 0 0\n0 1 0\n", "dimension mismatch"),
+], ids=["flag-count", "box-zero", "dim-zero", "thm22-3d"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, text, message):
+    path = write(tmp_path, "input", text) if text is not None else ""
+    rc, out, err = run(capsys, *(arg.replace("{}", path) for arg in argv))
+    assert (rc, out) == (2, "")
+    assert message in err
 
 
 def test_degenerate_input_reports_cleanly(tmp_path, capsys):

@@ -45,6 +45,8 @@ def test_width_one_params():
         WidthOneParams(0, 0)
     with pytest.raises(LatticeError):
         WidthOneParams(2, 2)
+    with pytest.raises(LatticeError, match="^parameters must be integers$"):
+        WidthOneParams(1.5, 0)
 
 
 def test_strip_never_centrally_symmetric():

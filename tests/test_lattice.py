@@ -159,6 +159,12 @@ def test_difference_set_small():
         {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
 
+def test_difference_set_in_three_dimensions():
+    K = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    assert difference_set(K) == frozenset(
+        (a - x, b - y, c - z) for a, b, c in K for x, y, z in K)
+
+
 def test_difference_set_symmetric_random():
     rng = random.Random(3)
     for _ in range(100):

@@ -99,8 +99,8 @@ def test_library_uses_every_unexported_definition():
 
 
 def test_only_lattice_names_the_box_scan():
-    # hull_lattice_points is reached through lattice._fills alone, so
-    # replacing the scan is a change to one module
+    # the box scan is reached through lattice alone, so replacing it is
+    # a change to one module
     name = "hull_lattice_points"
     found = []
     for path, tree in _modules():

@@ -64,7 +64,7 @@ def test_edge_pair_errors():
         with pytest.raises(LatticeError):
             edge_pair_from_covariogram(g, u)
     for u in ((1.0, 0), (0, -1.0), ("1", 0)):    # not integers
-        with pytest.raises(LatticeError, match="^direction must be primitive$"):
+        with pytest.raises(LatticeError, match="^coordinates must be integers$"):
             edge_pair_from_covariogram(g, u)
 
 

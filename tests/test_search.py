@@ -15,6 +15,7 @@ from latcov.homometry import (
     HexagonParams,
     WidthOneParams,
     corollary_pair_generator,
+    mirror_pair,
     width_one_T,
 )
 from latcov.invariants import invariants_direct
@@ -257,6 +258,21 @@ def test_match_corollary_equals_window_scan():
         m = match_corollary(first, second)
         assert m is not None
         assert m == helpers.match_corollary_by_windows(first, second)
+
+
+@pytest.mark.parametrize("S, T", [
+    # no group of free lines has three lines
+    ({(0, 1), (1, 0), (1, 1), (2, 1)}, {(0, 2), (2, 0), (3, 2)}),
+    # one map of the triangle gives k != l + 1, and another gives no tile
+    ({(1, 0), (3, 0), (3, 2)}, {(1, 1), (2, 1), (3, 0)}),
+    # a window that fits |K| builds a trivial family pair
+    ({(0, 2), (2, 1), (3, 0)}, {(0, 1), (0, 2), (1, 2), (3, 2)}),
+])
+def test_match_corollary_refuses_pairs_off_the_family(S, T):
+    rep = mirror_pair(S, T)
+    assert rep.nontrivial
+    assert match_corollary(rep.first, rep.second) is None
+    assert helpers.match_corollary_by_windows(rep.first, rep.second) is None
 
 
 def test_match_corollary_in_time_at_k_20():
@@ -802,6 +818,50 @@ def test_thin_boxes_have_no_split():
         (_polygons.count_chains(2, 200), ())
 
 
+def test_reach_test_keeps_every_walk_in_the_box_rows(monkeypatch):
+    # edges with dy <= 0 alone cannot close, so no lower ray is a root,
+    # and from an upper root y rises and falls back to 0: every vertex
+    # that passes the reach test has 0 <= y <= the table's y bound, so
+    # the walk needs no y-extent test; a ray order that breaks this fails
+    passed = []
+
+    class Reach(frozenset):
+        def __contains__(self, v):
+            found = frozenset.__contains__(self, v)
+            if found:
+                passed.append((-v[1], self.lim_y))
+            return found
+
+    suffix_sums = _polygons._suffix_sums
+
+    def probed(groups, lim_x, lim_y):
+        sums = list(map(Reach, suffix_sums(groups, lim_x, lim_y)))
+        for reach in sums:
+            reach.lim_y = lim_y
+        return sums
+
+    monkeypatch.setattr(_polygons, "_suffix_sums", probed)
+    extents = {(dx, dy) for dx in range(1, 6) for dy in range(1, 5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        groups = _polygons._ray_groups(dx, dy)
+        sums = _polygons._suffix_sums(groups, dx, dy)
+        passed.clear()
+        for root in range(len(groups) // 2, len(groups)):
+            assert next(_polygons._chains_from_root(groups, sums, dx, root),
+                        None) is None, (dx, dy, root)
+        for root in range(len(groups) // 2):
+            for _ in _polygons._chains_from_root(groups, sums, dx, root):
+                pass
+        assert {y for y, _ in passed} == set(range(dy + 1)), (dx, dy)
+        assert all(lim == dy for _, lim in passed), (dx, dy)
+    # the part walk at (6, 6) and its partner table's walk at (3, 3)
+    passed.clear()
+    assert sum(1 for _ in _polygons.walk_chains(6, 6, parts=True)) > 0
+    assert {lim for _, lim in passed} == {3, 6}
+    assert all(0 <= y <= lim for y, lim in passed)
+
+
 def test_chain_count_is_the_walk_count():
     extents = {(dx, dy) for dx in range(6) for dy in range(5)}
     extents |= {(dy, dx) for dx, dy in extents}
@@ -866,9 +926,9 @@ def test_map_chains_streams_shard_by_shard(monkeypatch):
     ran = []
     walk = _polygons._chains_from_root
 
-    def counted(groups, sums, lim_x, lim_y, root, can_pair=None):
+    def counted(groups, sums, lim_x, root, can_pair=None):
         ran.append(root)
-        return walk(groups, sums, lim_x, lim_y, root, can_pair)
+        return walk(groups, sums, lim_x, root, can_pair)
 
     monkeypatch.setattr(_polygons, "_chains_from_root", counted)
     serial = list(map(tuple, _polygons.walk_chains(3, 3)))
@@ -878,7 +938,7 @@ def test_map_chains_streams_shard_by_shard(monkeypatch):
     assert next(chains) == serial[0]
     assert ran == [0]
     assert [serial[0], *chains] == serial
-    assert ran == list(range(32))
+    assert ran == list(range(16))
 
 
 def test_map_chains_walk_streams_within_a_shard():
