@@ -15,16 +15,16 @@ box) does not hold the one that closes the chain.  A chain that closes
 is emitted and not extended, since the rays after it lie in an open
 half-plane.  The chains come root by root in angle order, the root being
 the first ray, an upper one, as edges with dy <= 0 alone cannot close: y
-rises, then falls back to 0, and a partial chain below 0 or above the
-box has no closing in the clipped table, so a step leaves the box only
-in x.  The same walk, with parts, takes only the chains with no two
-parallel edges, one of each pair +-A, by banning the line of every
-chosen ray and the lines below the first; the prune still holds, as the
-reachable sums only over-approximate.  Each part comes with the bitmask
-of its lines and its extent, and is walked only while it can pair with a
-line-disjoint part beside it in the box one larger (_partner_test): a
-partial chain's extent and lines only grow, so once no partner fits,
-none fits any chain that completes it.
+rises, then falls back to 0.  The table of sums keeps y in [-lim_y, 0],
+so the reach test alone keeps every vertex at 0 <= y <= lim_y, and a
+step leaves the box only in x.  The same walk, with parts, takes only
+the chains with no two parallel edges, one of each pair +-A, by banning
+the line of every chosen ray and the lines below the first; the prune
+still holds, as the reachable sums only over-approximate.  Each part
+comes with the bitmask of its lines and its extent, and is walked only
+while it can pair with a line-disjoint part beside it in the box one
+larger (_partner_test): a partial chain's extent and lines only grow, so
+once no partner fits, none fits any chain that completes it.
 
 count_chains counts walk_chains' chains without walking them, by a
 knapsack on their x and y extents (in closed form at an extent of 1).
@@ -80,25 +80,26 @@ def _ray_groups(max_dx: int, max_dy: int) -> list[list[tuple[int, int]]]:
 
 def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
     """Per suffix of the ray list, the displacements within
-    [-lim_x, lim_x] x [-lim_y, lim_y] that one vector per ray at most can
-    reach.  Clipping to the box loses no chain: a run of consecutive
-    edges of a chain that fits the box sums to a difference of two of its
-    vertices."""
+    [-lim_x, lim_x] x [-lim_y, 0] that one vector per ray at most can
+    reach, so the reach test alone keeps every vertex at 0 <= y <= lim_y.
+    No chain is lost: a run of a box chain's edges sums to a difference
+    of two vertices, the walk reads -v for a vertex v, and, built from
+    the last ray back, a sum only rises in y once the upper rays join."""
     sums = [frozenset({(0, 0)})]
     for group in reversed(groups):
         prev = sums[-1]
         sums.append(prev | {(sx + dx, sy + dy) for dx, dy in group
                             for sx, sy in prev
                             if -lim_x <= sx + dx <= lim_x
-                            and -lim_y <= sy + dy <= lim_y})
+                            and -lim_y <= sy + dy <= 0})
     return sums[::-1]
 
 
 def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
     """Yield the closed convex chains whose lowest-angle ray is
     groups[root], an upper ray, as lists of edge vectors in angle order,
-    one at a time.  The reach test keeps every vertex in 0 <= y <= the
-    table's y bound, so only the x-extent is tested, against lim_x.
+    one at a time.  The reach test alone keeps every vertex at 0 <= y <=
+    the table's lim_y (see _suffix_sums), so only the x-extent is tested.
 
     With can_pair, yield instead (chain, lines, (ex, ey)) for the chains
     with no two parallel edges, one of each pair +-A: bit i of lines is
@@ -233,9 +234,9 @@ def _rows(chain) -> tuple:
     return i, ex, ey, fx, fy, lo, hi
 
 
-def _lattice_points_of_chain(chain) -> frozenset:
+def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
     """Lattice points of the polygon traced by a closed convex chain,
-    translated so the bounding box corner sits at the origin, in
+    translated so the bounding box corner sits at corner, in
     O(|K| + rows + edges) from its _rows."""
     i, ex, ey, fx, fy, lo, hi = _rows(chain)
     x = y = mnx = mny = 0
@@ -245,7 +246,7 @@ def _lattice_points_of_chain(chain) -> frozenset:
         mnx = x if x < mnx else mnx
         mny = y if y < mny else mny
     pts = []
-    bx, by = -mnx, -mny
+    bx, by = corner[0] - mnx, corner[1] - mny
     for a, b in zip(lo, hi):
         pts.extend((bx + s * ex, by + s * ey) for s in range(a, b + 1))
         bx += fx

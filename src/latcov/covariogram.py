@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .lattice import LatticeError, _int_points, point_set, vadd, vneg
+from .lattice import LatticeError, _int_points, _trusted, point_set, vadd, vneg
 
 
 @dataclass(frozen=True, eq=True)
@@ -52,13 +52,6 @@ class Covariogram:
             if e.get(neg) != c:
                 raise LatticeError("invalid covariogram: not symmetric under negation")
 
-    @classmethod
-    def _trusted(cls, dim: int, entries) -> Covariogram:
-        """A table the library counted from a set, kept unchecked."""
-        g = object.__new__(cls)
-        g.__dict__.update(dim=dim, entries=MappingProxyType(dict(entries)))
-        return g
-
     @property
     def mass(self) -> int:
         return sum(self.entries.values())
@@ -79,7 +72,8 @@ def _covariogram(pts) -> Covariogram:
         counts = Counter((a[0] - b[0], a[1] - b[1]) for a in pts for b in pts)
     else:
         counts = Counter(tuple(x - y for x, y in zip(a, b)) for a in pts for b in pts)
-    return Covariogram._trusted(d, counts)
+    # a dict copy: a Counter's lookup gives 0 for a missing key
+    return _trusted(Covariogram, dim=d, entries=MappingProxyType(dict(counts)))
 
 
 def support_of(g: Covariogram) -> frozenset:

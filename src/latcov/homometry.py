@@ -158,10 +158,7 @@ def width_one_T(params: WidthOneParams) -> frozenset:
 def _sums(S, T) -> tuple[frozenset, bool]:
     """The sum set S + T, and whether the sum is direct: |S + T| = |S| |T|,
     i.e. all sums are distinct."""
-    Sp = point_set(S)
-    Tp = point_set(T)
-    if len(next(iter(Sp))) != len(next(iter(Tp))):
-        raise LatticeError("dimension mismatch")
+    Sp, Tp = _planar("dimension mismatch", S, T, dim=None)
     sums = frozenset(vadd(s, t) for s in Sp for t in Tp)
     return sums, len(sums) == len(Sp) * len(Tp)
 

@@ -6,25 +6,27 @@ such tuples.  point_set enforces it: a coordinate that is not an int,
 that takes points checks them there (hull_lattice_points a Hull2's
 vertices, AffineMap2 its matrix and shift), and library code passes the
 sets it builds to private bodies (_convex_hull, _hull_lattice_points,
-_canonical_form) unchecked.  A public function that needs planar points
-checks them in _planar, point_set and then the dimension, refusing with
-its own message.  Everything here is integer arithmetic; there is no
-floating point anywhere in the package, so results are exact at any
-coordinate size.
+_canonical_form) unchecked.  _planar alone refuses a set for its
+dimension, 2 or (dim=None) one shared by all the sets, with the caller's
+message, and _trusted alone builds the values the library computes (a
+Covariogram, an AffineMap2) without their constructors' checks.  All is
+integer arithmetic, so results are exact at any coordinate size.
 
 Most operations live in the plane (d = 2).  The few that make sense in any
 dimension (difference sets, central symmetry, canonical forms) accept
 tuples of arbitrary equal length.
 
-Lattice convexity, K = Z^2 cap conv K, is decided in one place, _fills:
-a point or a segment by its lattice length, any other hull by the
-bounding-box scan of _hull_lattice_points.  convex_hull reads a set by
-rows, since only a row's two end points can be vertices: one pass
-(_row_ends) keeps them, O(n + r log r) for n points in r rows, and
-reconstruction runs the same pass on a covariogram's support.  Hull
-edges are read through Hull2.chain.  _normal_pair is the one packing of
-planar sets: one sorted list of integers gives K's canonical form and
-central symmetry (K against -K) and its difference counts.
+hull_lattice_points fills a hull by its chain's rows, as search and
+reconstruction do (_polygons._lattice_points_of_chain).  Lattice
+convexity, K = Z^2 cap conv K, is decided in one place, _fills: a point
+or a segment by its lattice length, any other hull by the bounding-box
+scan of _hull_lattice_points.  convex_hull keeps a row's two end points,
+the only ones that can be vertices, in one pass (_row_ends), O(n + r log
+r) for n points in r rows, as reconstruction does on a covariogram's
+support.  Hull edges are read through Hull2.chain.  _normal_pair is the
+one packing of planar sets: one sorted list of integers gives K's
+canonical form and central symmetry (K against -K) and its difference
+counts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat, starmap
 from math import gcd
 from operator import mul, sub
+
+from ._polygons import _lattice_points_of_chain
 
 Point = tuple[int, ...]
 
@@ -104,20 +108,27 @@ def dim_of(points) -> int:
     return len(next(iter(points)))
 
 
-def _planar(message: str, *sets) -> list[frozenset[Point]]:
+def _planar(message: str, *sets, dim: int | None = 2) -> list[frozenset[Point]]:
     """Each of sets, checked by point_set, refusing with
-    LatticeError(message) unless every one is planar."""
+    LatticeError(message) unless every one has dimension dim, or, with
+    dim None, all of them share one."""
     pts = list(map(point_set, sets))
-    if any(dim_of(p) != 2 for p in pts):
+    want = dim_of(pts[0]) if dim is None else dim
+    if any(dim_of(p) != want for p in pts):
         raise LatticeError(message)
     return pts
 
 
+def _trusted(cls, **fields):
+    """The frozen dataclass cls of fields the library computed, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def translate(points, t: Point) -> frozenset[Point]:
-    pts = point_set(points)
-    (t,) = point_set((t,))
-    if len(t) != dim_of(pts):
-        raise LatticeError("translation has the wrong dimension")
+    pts, (t,) = _planar("translation has the wrong dimension",
+                        points, (t,), dim=None)
     return frozenset(vadd(p, t) for p in pts)
 
 
@@ -202,15 +213,13 @@ def _convex_hull(K) -> Hull2:
 
 
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
-    """Every lattice point inside or on the hull, a segment's by gcd."""
-    vs = hull.vertices
-    _planar("convex hull requires dimension 2", vs)
-    if len(vs) == 2:
-        (ax, ay), (dx, dy) = vs[0], hull.chain[0]
-        g = gcd(dx, dy)
-        return frozenset((ax + i * dx // g, ay + i * dy // g)
-                         for i in range(g + 1))
-    return _hull_lattice_points(vs)
+    """Every lattice point inside or on the hull, by the rows of its chain
+    at the vertices' least corner, in O(points + rows + edges) at any
+    coordinate size.  A one-vertex hull is its vertex."""
+    [vs] = _planar("convex hull requires dimension 2", hull.vertices)
+    if len(vs) == 1:
+        return vs
+    return _lattice_points_of_chain(hull.chain, tuple(map(min, zip(*vs))))
 
 
 def _hull_lattice_points(vs) -> frozenset[Point]:
@@ -246,10 +255,8 @@ def is_lattice_convex(K) -> bool:
 
 def support_set(K, u) -> frozenset[Point]:
     """Points of K with maximal inner product against u."""
-    pts = point_set(K)
-    (u,) = point_set((u,))
-    if len(u) != dim_of(pts):
-        raise LatticeError("direction has the wrong dimension")
+    pts, (u,) = _planar("direction has the wrong dimension",
+                        K, (u,), dim=None)
     if not any(u):
         raise LatticeError("zero direction")
     best = max(sum(map(mul, p, u)) for p in pts)
@@ -350,7 +357,7 @@ class AffineMap2:
         inv = ((s * d, -s * b), (-s * c, s * a))
         tx = -(inv[0][0] * self.shift[0] + inv[0][1] * self.shift[1])
         ty = -(inv[1][0] * self.shift[0] + inv[1][1] * self.shift[1])
-        return AffineMap2(inv, (tx, ty))
+        return _trusted(AffineMap2, matrix=inv, shift=(tx, ty))
 
 
 def _index(vectors) -> int:
@@ -426,7 +433,7 @@ def _affine_witnesses(Kp, Lp):
             mat = ((n00 // detm, n01 // detm), (n10 // detm, n11 // detm))
             t = (q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
                  q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1])
-            fn = AffineMap2(mat, t)
+            fn = _trusted(AffineMap2, matrix=mat, shift=t)
             if all(fn.apply(p) in Lp for p in Kp):
                 found.append(fn)
     if len(found) > 1:

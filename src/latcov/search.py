@@ -44,6 +44,7 @@ from .lattice import (
     _difference_counts,
     _normal_pair,
     _planar,
+    _trusted,
     _unpack,
     det2,
     vadd,
@@ -389,7 +390,6 @@ def _match(Kp, Lp, built: dict) -> CorollaryMatch | None:
                 for mm in (m, ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))):
                     t = _translation_to(mm, Lp, Q)
                     if t is not None:
-                        return CorollaryMatch(
-                            params, hx, wit,
-                            AffineMap2(mm, t), bool(swapped))
+                        fn = _trusted(AffineMap2, matrix=mm, shift=t)
+                        return CorollaryMatch(params, hx, wit, fn, bool(swapped))
     return None

@@ -14,6 +14,7 @@ import pytest
 
 import latcov
 from latcov import (
+    AffineMap2,
     Covariogram,
     Hull2,
     LatticeError,
@@ -241,9 +242,13 @@ def test_internal_calls_do_not_check_again(monkeypatch):
                                 counted("point_set", module.point_set))
     monkeypatch.setattr(Covariogram, "__post_init__",
                         counted("Covariogram", Covariogram.__post_init__))
+    monkeypatch.setattr(AffineMap2, "__post_init__",
+                        counted("AffineMap2", AffineMap2.__post_init__))
     latcov.lattice.point_set(TRIANGLE)
     Covariogram(2, dict(G.entries))
-    assert [name for name, _ in calls] == ["point_set", "Covariogram"]
+    AffineMap2(((1, 0), (0, 1)), (0, 0))
+    assert [name for name, _ in calls] == ["point_set", "Covariogram",
+                                           "AffineMap2"]
     calls.clear()
     classes = [latcov.reconstruct_all(g) for g in tables]
     report = latcov.homometric_classes(6, 5)
@@ -262,11 +267,11 @@ def test_internal_calls_do_not_check_again(monkeypatch):
     calls.clear()
     # matching passes the hulls, sums and bases it builds to _convex_hull,
     # _fills, _normal_pair and _affine_witnesses, never to convex_hull,
-    # is_lattice_convex, is_centrally_symmetric or affine_witnesses; the
-    # checks left are in _planar (_coord_window's), _sums and mirror_pair
+    # is_lattice_convex, is_centrally_symmetric or affine_witnesses, and
+    # builds the maps it solves for unchecked; the checks left are in
+    # _planar (_coord_window's and _sums') and mirror_pair
     report = latcov.homometric_classes(6, 5, match=True)
     assert all(pr.match for c in report.classes for pr in c.pairs)
-    assert Counter(calls) == {("point_set", "_planar"): 3,
-                              ("point_set", "_sums"): 12,
+    assert Counter(calls) == {("point_set", "_planar"): 15,
                               ("point_set", "mirror_pair"): 6}
 

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from latcov.lattice import (
     AffineMap2,
+    Hull2,
     LatticeError,
     affine_equivalent,
     affine_witnesses,
@@ -98,6 +99,31 @@ def test_hull_lattice_points_matches_scan():
         pts = {(rng.randint(-6, 6), rng.randint(-6, 6))
                for _ in range(rng.randint(1, 9))}
         assert hull_lattice_points(convex_hull(pts)) == helpers.brute_hull_points(pts)
+    # every set of the 5x4 box, its hull starting at each of its vertices,
+    # as a Hull2 built by hand may
+    for K in enumerate_lattice_convex(5, 4):
+        vs = convex_hull(K).vertices
+        want = helpers.brute_hull_points(vs)
+        for i in range(len(vs)):
+            assert hull_lattice_points(Hull2(vs[i:] + vs[:i])) == want
+    # segments along non-primitive directions, either way round, and points
+    for a, d in [((0, 0), (6, 4)), ((3, -2), (0, -5)), ((-1, 7), (9, -6)),
+                 ((2, 2), (-8, 0)), ((5, 1), (4, 4)), ((0, 0), (1, 3))]:
+        b = (a[0] + d[0], a[1] + d[1])
+        want = helpers.brute_hull_points([a, b])
+        assert hull_lattice_points(Hull2((a, b))) == want
+        assert hull_lattice_points(Hull2((b, a))) == want
+        assert hull_lattice_points(Hull2((a,))) == helpers.brute_hull_points([a])
+
+
+def test_hull_lattice_points_fills_far_hulls_by_rows():
+    # the 6-point set sheared by x += 2^20 y: a box scan visits 2^21 cells
+    # per row, the row fill only the hull's points
+    base = {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2)}
+    K = frozenset((x + 2 ** 20 * y, y) for x, y in base)
+    t0 = time.monotonic()
+    assert hull_lattice_points(convex_hull(K)) == K
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_is_lattice_convex_matches_brute():

@@ -1,10 +1,10 @@
 """The library states its invariants as explicit raises, never as
 `assert` statements, which `python -O` drops, its modules import only
 what they use, every private name and every unexported function or
-class it defines is used in it, only `lattice` names its bounding-box
-scan, only the chain walk and the chain count list the rays of a box,
-only the ray table and the edge signature sort by angle, and only
-`lattice._planar` refuses a point set for its dimension."""
+class it defines is used in it, only `lattice._fills` calls its
+bounding-box scan, only the chain walk and the chain count list the
+rays of a box, only the ray table and the edge signature sort by angle,
+and only `lattice._planar` refuses a point set for its dimension."""
 
 import ast
 from pathlib import Path
@@ -99,18 +99,25 @@ def test_library_uses_every_unexported_definition():
 
 
 def test_only_lattice_names_the_box_scan():
-    # the box scan is reached through lattice alone, so replacing it is
-    # a change to one module
-    name = "hull_lattice_points"
+    # the box scan is reached through lattice._fills alone, so replacing
+    # it is a change to one function
+    name = "_hull_lattice_points"
     found = []
     for path, tree in _modules():
-        if path.name in ("lattice.py", "__init__.py"):
-            continue
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if (isinstance(node, ast.Name) and node.id == name)
-                  or (isinstance(node, ast.Attribute) and node.attr == name)
-                  or (isinstance(node, ast.alias) and node.name == name)]
+        for stmt in tree.body:
+            if path.name == "lattice.py" and \
+                    getattr(stmt, "name", None) in (name, "_fills"):
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(stmt)
+                      if (isinstance(node, ast.Name) and node.id == name)
+                      or (isinstance(node, ast.Attribute)
+                          and node.attr == name)
+                      or (isinstance(node, ast.alias) and node.name == name)]
     assert found == []
+    [fills] = [stmt for path, tree in _modules() if path.name == "lattice.py"
+               for stmt in tree.body if getattr(stmt, "name", None) == "_fills"]
+    assert any(isinstance(node, ast.Name) and node.id == name
+               for node in ast.walk(fills))
 
 
 def test_only_the_walk_and_the_count_name_the_ray_table():
@@ -154,15 +161,17 @@ def test_only_the_ray_table_and_the_signature_compare_angles():
 
 
 def test_only_planar_refuses_a_set_for_its_dimension():
-    # a public entry that needs planar points passes them to
-    # lattice._planar with its message, so no raise elsewhere states the
-    # planar rule in its own words (a covariogram's dim is not a set)
-    texts = ("requires dimension 2", "expected a planar set")
+    # a public entry that needs planar points, or sets of one dimension,
+    # passes them to lattice._planar with its message, so no raise
+    # elsewhere states a dimension rule in its own words (a covariogram's
+    # dim is not a set, nor are convolve's operands)
+    texts = ("requires dimension 2", "expected a planar set",
+             "wrong dimension", "dimension mismatch")
     found = []
     for path, tree in _modules():
         for stmt in tree.body:
-            if path.name == "lattice.py" and \
-                    getattr(stmt, "name", None) == "_planar":
+            if (path.name, getattr(stmt, "name", None)) in (
+                    ("lattice.py", "_planar"), ("covariogram.py", "convolve")):
                 continue
             found += [f"{path.name}:{node.lineno}"
                       for node in ast.walk(stmt)
