@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .lattice import LatticeError, _int_points, _trusted, point_set, vadd, vneg
+from .lattice import LatticeError, _int_points, _planar, _trusted, point_set, vadd, vneg
 
 
 @dataclass(frozen=True, eq=True)
@@ -57,7 +57,8 @@ class Covariogram:
         return sum(self.entries.values())
 
     def value(self, u) -> int:
-        return self.entries.get(tuple(u), 0)
+        [(u,)] = _planar("vector has the wrong dimension", (u,), dim=self.dim)
+        return self.entries.get(u, 0)
 
 
 def compute_covariogram(K) -> Covariogram:

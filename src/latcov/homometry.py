@@ -17,7 +17,9 @@ corollary_pair_generator is the one builder of its pairs, for the CLI's
 gen-pair and for the search's matcher alike.
 
 Every claimed property of a constructed pair is verified by computation
-before it is reported, never assumed.
+before it is reported, never assumed.  The public entries check their
+sets once (lattice._planar) and call the private bodies _sums,
+_mirror_pair and _condition_ii, which the builder calls directly.
 """
 
 from __future__ import annotations
@@ -156,19 +158,18 @@ def width_one_T(params: WidthOneParams) -> frozenset:
 
 
 def _sums(S, T) -> tuple[frozenset, bool]:
-    """The sum set S + T, and whether the sum is direct: |S + T| = |S| |T|,
-    i.e. all sums are distinct."""
-    Sp, Tp = _planar("dimension mismatch", S, T, dim=None)
-    sums = frozenset(vadd(s, t) for s in Sp for t in Tp)
-    return sums, len(sums) == len(Sp) * len(Tp)
+    """The sum set S + T of two checked sets of one dimension, and whether
+    the sum is direct: |S + T| = |S| |T|, i.e. all sums are distinct."""
+    sums = frozenset(vadd(s, t) for s in S for t in T)
+    return sums, len(sums) == len(S) * len(T)
 
 
 def sum_is_direct(S, T) -> bool:
-    return _sums(S, T)[1]
+    return _sums(*_planar("dimension mismatch", S, T, dim=None))[1]
 
 
 def direct_sum(S, T) -> frozenset:
-    sums, direct = _sums(S, T)
+    sums, direct = _sums(*_planar("dimension mismatch", S, T, dim=None))
     if not direct:
         raise LatticeError("sum not direct")
     return sums
@@ -189,11 +190,17 @@ def _verified_pair(first, second, base, mirrored, kind: str) -> MirrorPairReport
 
 def mirror_pair(S, T) -> MirrorPairReport:
     """Build and verify the pair (S + T, S + (-T)) of a direct sum."""
-    Sp = point_set(S)
-    Tp = point_set(T)
-    first = direct_sum(Sp, Tp)
-    second = direct_sum(Sp, frozenset(vneg(t) for t in Tp))
-    return _verified_pair(first, second, Sp, Tp, "mirror")
+    return _mirror_pair(*_planar("dimension mismatch", S, T, dim=None))
+
+
+def _mirror_pair(S, T) -> MirrorPairReport:
+    first, direct = _sums(S, T)
+    # S + T is direct iff S - S meets T - T only at the origin, and
+    # T - T = (-T) - (-T): S + (-T) is direct exactly when S + T is
+    if not direct:
+        raise LatticeError("sum not direct")
+    second = _sums(S, frozenset(map(vneg, T)))[0]
+    return _verified_pair(first, second, S, T, "mirror")
 
 
 def _in_strip(t, params: WidthOneParams) -> bool:
@@ -220,32 +227,25 @@ _AXIS_DIRS = frozenset({(1, 0), (0, 1)})
 _HEX_DIRS = frozenset({(1, 0), (0, 1), (1, 1)})
 
 
-def _coord_window(S, params: WidthOneParams):
-    """Anchor S at one of its points and map into sublattice coordinates;
-    None when the anchored set leaves the sublattice."""
-    [Sp] = _planar("expected a planar set", S)
-    anchor = min(Sp)
-    coords = []
-    for p in Sp:
-        q = vsub(p, anchor)
-        if not params.contains(q):
-            return None
-        coords.append(params.coords(q))
-    return frozenset(coords)
-
-
 def condition_i(S, params: WidthOneParams) -> bool:
     """S sums directly with the strip and the sum is lattice-convex."""
-    sums, direct = _sums(S, width_one_T(params))
+    sums, direct = _sums(*_planar("dimension mismatch", S), width_one_T(params))
     return direct and _fills(_convex_hull(sums), sums)
 
 
 def condition_ii(S, params: WidthOneParams) -> bool:
     """S is, up to translation, a sublattice-convex set whose hull edges
     point along the admissible strip directions."""
-    coords = _coord_window(S, params)
-    if coords is None:
+    return _condition_ii(*_planar("expected a planar set", S), params)
+
+
+def _condition_ii(S, params: WidthOneParams) -> bool:
+    # S anchored at its least point, in sublattice coordinates
+    anchor = min(S)
+    qs = [vsub(p, anchor) for p in S]
+    if not all(map(params.contains, qs)):
         return False
+    coords = frozenset(map(params.coords, qs))
     hull = _convex_hull(coords)
     if not _fills(hull, coords):
         return False
@@ -296,9 +296,9 @@ def corollary_pair_generator(params: WidthOneParams, hexagon: HexagonParams) -> 
     if params.k != params.ell + 1:
         raise LatticeError("corollary_pair_generator requires k = l + 1")
     S = frozenset(params.from_coords(ij) for ij in hexagon.region())
-    if not condition_ii(S, params):
+    if not _condition_ii(S, params):
         raise AssertionError("hexagon region failed the shape condition")
-    report = mirror_pair(S, width_one_T(params))
+    report = _mirror_pair(S, width_one_T(params))
     if not all(_fills(_convex_hull(P), P) for P in (report.first, report.second)):
         raise AssertionError("generated pair is not lattice-convex")
     return report

@@ -3,10 +3,12 @@
 Points are plain tuples of Python ints and point sets are frozensets of
 such tuples.  point_set enforces it: a coordinate that is not an int,
 1.0 among them, is refused with LatticeError.  Every public function
-that takes points checks them there (hull_lattice_points a Hull2's
-vertices, AffineMap2 its matrix and shift), and library code passes the
-sets it builds to private bodies (_convex_hull, _hull_lattice_points,
-_canonical_form) unchecked.  _planar alone refuses a set for its
+that takes points checks them there once (hull_lattice_points a Hull2's
+vertices, Covariogram.value its vector, AffineMap2 its matrix and
+shift), and library code, with no exception, passes the sets it builds
+to private bodies (_convex_hull, _hull_lattice_points, _support_set,
+_canonical_form; homometry's _sums, _mirror_pair and _condition_ii)
+unchecked.  _planar alone refuses a set for its
 dimension, 2 or (dim=None) one shared by all the sets, with the caller's
 message, and _trusted alone builds the values the library computes (a
 Covariogram, an AffineMap2) without their constructors' checks.  All is
@@ -215,8 +217,13 @@ def _convex_hull(K) -> Hull2:
 def hull_lattice_points(hull: Hull2) -> frozenset[Point]:
     """Every lattice point inside or on the hull, by the rows of its chain
     at the vertices' least corner, in O(points + rows + edges) at any
-    coordinate size.  A one-vertex hull is its vertex."""
+    coordinate size.  A one-vertex hull is its vertex.  Refuses a hull
+    that is not the convex hull of its vertices in Hull2's order."""
     [vs] = _planar("convex hull requires dimension 2", hull.vertices)
+    given = tuple(map(tuple, hull.vertices))
+    i = given.index(min(given))
+    if _convex_hull(vs).vertices != given[i:] + given[:i]:
+        raise LatticeError("not a convex hull")
     if len(vs) == 1:
         return vs
     return _lattice_points_of_chain(hull.chain, tuple(map(min, zip(*vs))))
@@ -259,6 +266,10 @@ def support_set(K, u) -> frozenset[Point]:
                         K, (u,), dim=None)
     if not any(u):
         raise LatticeError("zero direction")
+    return _support_set(pts, u)
+
+
+def _support_set(pts, u) -> frozenset[Point]:
     best = max(sum(map(mul, p, u)) for p in pts)
     return frozenset(p for p in pts if sum(map(mul, p, u)) == best)
 

@@ -34,13 +34,13 @@ from .lattice import (
     _difference_counts,
     _left_turns,
     _normal_pair,
+    _planar,
     _row_ends,
+    _support_set,
     _unpack,
     det2,
     extent,
-    point_set,
     primitive,
-    support_set,
 )
 
 
@@ -133,10 +133,10 @@ def edge_pair_from_covariogram(g: Covariogram, u) -> EdgePairSketch:
     maximal on a contiguous subrun; the rows come from the run ends.
     """
     _require_planar(g)
-    (u,) = point_set((u,))
+    [(u,)] = _planar("direction has the wrong dimension", (u,))
     if primitive(u) != u:
         raise LatticeError("direction must be primitive")
-    E = support_set(_convex_hull(g.entries).vertices, u)
+    E = _support_set(_convex_hull(g.entries).vertices, u)
     if len(E) == 1:
         return EdgePairSketch(E, frozenset({(0, 0)}), u)
     (ax, ay), (bx, by) = min(E), max(E)

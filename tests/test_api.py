@@ -7,7 +7,6 @@ builds to private bodies without checking them again."""
 
 import inspect
 import sys
-from collections import Counter
 from types import ModuleType
 
 import pytest
@@ -255,23 +254,31 @@ def test_internal_calls_do_not_check_again(monkeypatch):
     assert calls == []
     assert sum(map(len, classes)) >= len(tables)
     assert len(report.classes) == 12
-    # the geometry entries check their input once: _fills scans through
-    # _hull_lattice_points and _record reads the discrepancy through
-    # _discrepancy, so neither checks again
-    for call, arg, checks in [(latcov.is_lattice_convex, TRIANGLE, 1),
-                              (latcov.invariants_direct, TRIANGLE, 1),
-                              (latcov.invariants_from_covariogram, G, 0)]:
+    # each public entry checks its input once and hands it to private
+    # bodies: _fills scans through _hull_lattice_points, _record reads the
+    # discrepancy through _discrepancy, mirror_pair checks its two sets in
+    # _planar and the corollary builder checks none, since it reaches
+    # _condition_ii and _mirror_pair, and edge_pair_from_covariogram checks
+    # its direction and reads its face through _support_set
+    S, T = [(0, 0), (2, 0)], latcov.width_one_T(STRIP)
+    for call, arg, checks in [
+            (latcov.is_lattice_convex, TRIANGLE, 1),
+            (latcov.invariants_direct, TRIANGLE, 1),
+            (latcov.invariants_from_covariogram, G, 0),
+            (lambda S: latcov.mirror_pair(S, T), S, 2),
+            (lambda h: latcov.corollary_pair_generator(STRIP, h),
+             latcov.HexagonParams(0, 1, 0, 1, -1, 1), 0),
+            (lambda S: latcov.condition_i(S, STRIP), S, 1),
+            (lambda S: latcov.condition_ii(S, STRIP), S, 1),
+            (lambda g: latcov.edge_pair_from_covariogram(g, (0, 1)), G, 1)]:
         calls.clear()
         call(arg)
-        assert len(calls) == checks, call.__name__
+        assert len(calls) == checks, (call, arg)
     calls.clear()
     # matching passes the hulls, sums and bases it builds to _convex_hull,
-    # _fills, _normal_pair and _affine_witnesses, never to convex_hull,
-    # is_lattice_convex, is_centrally_symmetric or affine_witnesses, and
-    # builds the maps it solves for unchecked; the checks left are in
-    # _planar (_coord_window's and _sums') and mirror_pair
+    # _fills, _normal_pair, _affine_witnesses, _condition_ii and
+    # _mirror_pair, never to a public entry, and builds the maps it solves
+    # for unchecked
     report = latcov.homometric_classes(6, 5, match=True)
     assert all(pr.match for c in report.classes for pr in c.pairs)
-    assert Counter(calls) == {("point_set", "_planar"): 15,
-                              ("point_set", "mirror_pair"): 6}
-
+    assert calls == []

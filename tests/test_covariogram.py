@@ -18,6 +18,20 @@ def test_triangle_values():
                          (0, 1): 1, (0, -1): 1, (1, -1): 1, (-1, 1): 1}
     assert g.mass == 9
     assert g.value((5, 5)) == 0
+    assert g.value([1, 0]) == 1
+
+
+def test_value_refuses_what_is_not_a_vector_of_g():
+    # a float must not read g(1, 0), and a vector of another dimension
+    # must not read 0 off g
+    g = compute_covariogram({(0, 0), (1, 0), (0, 1)})
+    for u in [(1.0, 0), 5, ("1", 0)]:
+        with pytest.raises(LatticeError, match="^coordinates must be integers$"):
+            g.value(u)
+    for u in [(1, 0, 0), (1,)]:
+        with pytest.raises(LatticeError,
+                           match="^vector has the wrong dimension$"):
+            g.value(u)
 
 
 def test_entries_are_a_read_only_copy():

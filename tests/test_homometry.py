@@ -143,8 +143,22 @@ def test_mirror_pair_always_homometric():
 
 
 def test_mirror_pair_rejects_overlapping_sum():
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="^sum not direct$"):
         mirror_pair({(0, 0), (1, 0)}, {(0, 0), (1, 0)})
+
+
+def test_sum_with_the_mirror_is_direct_with_the_sum():
+    # mirror_pair checks S + T alone: S + T is direct iff S - S meets
+    # T - T only at the origin, and T - T = (-T) - (-T)
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(400):
+        S, T = (frozenset((rng.randint(-3, 3), rng.randint(-3, 3))
+                          for _ in range(rng.randint(1, 4))) for _ in "ST")
+        direct = sum_is_direct(S, T)
+        assert direct == sum_is_direct(S, {(-x, -y) for x, y in T})
+        seen.add(direct)
+    assert seen == {True, False}
 
 
 def test_condition_equivalence_exhaustive_small():

@@ -116,6 +116,18 @@ def test_hull_lattice_points_matches_scan():
         assert hull_lattice_points(Hull2((a,))) == helpers.brute_hull_points([a])
 
 
+def test_hull_lattice_points_refuses_what_is_not_a_convex_hull():
+    # the row fill reads any Hull2 as a convex chain, so a clockwise
+    # triangle would give 3 of its 6 points and a pentagon a wrong set
+    for vs in [((0, 0), (0, 2), (2, 0)),                   # clockwise
+               ((0, 0), (4, 0), (4, 4), (2, 1), (0, 4)),   # not convex
+               ((0, 0), (2, 0), (2, 0), (0, 2)),           # repeated vertex
+               ((0, 0), (1, 0), (2, 0), (0, 2)),           # collinear middle
+               ((0, 0), (0, 0))]:
+        with pytest.raises(LatticeError, match="^not a convex hull$"):
+            hull_lattice_points(Hull2(vs))
+
+
 def test_hull_lattice_points_fills_far_hulls_by_rows():
     # the 6-point set sheared by x += 2^20 y: a box scan visits 2^21 cells
     # per row, the row fill only the hull's points

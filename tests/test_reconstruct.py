@@ -60,8 +60,11 @@ def test_edge_pair_errors():
         edge_pair_from_covariogram(g, (0, 0))
     with pytest.raises(LatticeError):
         edge_pair_from_covariogram(g, (0, -2))  # not primitive
-    for u in ((1, 0, 0), (1,)):                 # wrong dimension
-        with pytest.raises(LatticeError):
+    # the dimension is read first, also when the direction has a second
+    # fault: (2, 0, 0) is not primitive and (0, 0, 0) is zero
+    for u in ((1, 0, 0), (1,), (2, 0, 0), (0, 0, 0)):
+        with pytest.raises(LatticeError,
+                           match="^direction has the wrong dimension$"):
             edge_pair_from_covariogram(g, u)
     for u in ((1.0, 0), (0, -1.0), ("1", 0)):    # not integers
         with pytest.raises(LatticeError, match="^coordinates must be integers$"):
@@ -69,7 +72,7 @@ def test_edge_pair_errors():
 
 
 def test_edge_pair_matches_vertex_scan_oracle():
-    # reading the face through support_set gives the rows the vertex
+    # reading the face through _support_set gives the rows the vertex
     # scan gives, as sets: every set of the 5x4 box, sheared and far
     # sets, every primitive u with |ux|, |uy| <= 2
     sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(), *far_sets()]
