@@ -10,21 +10,26 @@ walk_chains walks every chain fitting a box, in one process.  It chooses
 an increasing-angle subsequence of candidate vectors: each step picks
 the next chosen ray, latest first, and one of its vectors.  A step is
 pruned when the partial vertex chain grows wider than the box, or when
-the exact set of displacements the later rays can sum to (clipped to the
-box) does not hold the one that closes the chain.  A chain that closes
-is emitted and not extended, since the rays after it lie in an open
-half-plane.  The chains come root by root in angle order, the root being
-the first ray, an upper one, as edges with dy <= 0 alone cannot close: y
-rises, then falls back to 0.  The table of sums keeps y in [-lim_y, 0],
-so the reach test alone keeps every vertex at 0 <= y <= lim_y, and a
-step leaves the box only in x.  The same walk, with parts, takes only
-the chains with no two parallel edges, one of each pair +-A, by banning
-the line of every chosen ray and the lines below the first; the prune
-still holds, as the reachable sums only over-approximate.  Each part
-comes with the bitmask of its lines and its extent, and is walked only
-while it can pair with a line-disjoint part beside it in the box one
-larger (_partner_test): a partial chain's extent and lines only grow, so
-once no partner fits, none fits any chain that completes it.
+the later rays cannot sum (clipped to the box) to the displacement that
+closes the chain.  One dict, the reach index (_reach_index), answers
+that: it maps each displacement to the greatest ray index from which the
+rays can still sum to it.  So a step to the vertex v on ray j passes
+when -v's index t exceeds j, and the next step scans only the rays t
+down to j + 1, since a ray above t cannot be the next edge of a chain
+that closes.  A chain that closes is emitted and not extended, since the
+rays after it lie in an open half-plane.  The chains come root by root
+in angle order, the root being the first ray, an upper one, as edges
+with dy <= 0 alone cannot close: y rises, then falls back to 0.  The
+index keeps y in [-lim_y, 0], so the reach test alone keeps every vertex
+at 0 <= y <= lim_y, and a step leaves the box only in x.  The same walk,
+with parts, takes only the chains with no two parallel edges, one of
+each pair +-A, by banning the line of every chosen ray and the lines
+below the first; the prune still holds, as the reachable sums only
+over-approximate.  Each part comes with the bitmask of its lines and its
+extent, and is walked only while it can pair with a line-disjoint part
+beside it in the box one larger (_partner_test): a partial chain's
+extent and lines only grow, so once no partner fits, none fits any chain
+that completes it.
 
 count_chains counts walk_chains' chains without walking them, by a
 knapsack on their x and y extents (in closed form at an extent of 1).
@@ -38,8 +43,9 @@ such a signature and 2|K| to its chains, each in angle order.  All
 closings of one signature share its boundary count, so Pick's theorem
 tests them by area alone.  Homometric sets share their second moments,
 sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), which _row_moments
-reads off a chain's rows (_rows) without building its points; filled
-sets are told apart by their packed difference counts, in lattice.
+sums in one pass over a chain's edges, in the frame of its rows (_rows),
+without building its points or its rows; filled sets are told apart by
+their packed difference counts, in lattice.
 """
 
 from __future__ import annotations
@@ -78,28 +84,37 @@ def _ray_groups(max_dx: int, max_dy: int) -> list[list[tuple[int, int]]]:
     return [sorted(rays[r], key=lambda v: abs(v[0]) + abs(v[1])) for r in order]
 
 
-def _suffix_sums(groups, lim_x: int, lim_y: int) -> list:
-    """Per suffix of the ray list, the displacements within
-    [-lim_x, lim_x] x [-lim_y, 0] that one vector per ray at most can
-    reach, so the reach test alone keeps every vertex at 0 <= y <= lim_y.
-    No chain is lost: a run of a box chain's edges sums to a difference
-    of two vertices, the walk reads -v for a vertex v, and, built from
-    the last ray back, a sum only rises in y once the upper rays join."""
-    sums = [frozenset({(0, 0)})]
-    for group in reversed(groups):
-        prev = sums[-1]
-        sums.append(prev | {(sx + dx, sy + dy) for dx, dy in group
-                            for sx, sy in prev
-                            if -lim_x <= sx + dx <= lim_x
-                            and -lim_y <= sy + dy <= 0})
-    return sums[::-1]
+def _reach_index(groups, lim_x: int, lim_y: int) -> dict:
+    """The reach index of groups: each displacement d within
+    [-lim_x, lim_x] x [-lim_y, 0] that one vector per ray at most, from
+    the rays groups[j], groups[j + 1], ... alone, can reach, mapped to the
+    greatest such j (len(groups) for (0, 0), the empty sum).  The sets of
+    such sums shrink as j grows, so d is reachable from ray j on exactly
+    when index.get(d, -1) >= j.  The y bound lets the reach test alone
+    keep every vertex at 0 <= y <= lim_y.  No chain is lost: a run of a
+    box chain's edges sums to a difference of two vertices, the walk
+    reads -v for a vertex v, and, built from the last ray back, a sum
+    only rises in y once the upper rays join."""
+    index = {(0, 0): len(groups)}
+    for j in range(len(groups) - 1, -1, -1):
+        for d in [(sx + dx, sy + dy) for dx, dy in groups[j] for sx, sy in index
+                  if -lim_x <= sx + dx <= lim_x and -lim_y <= sy + dy <= 0]:
+            index.setdefault(d, j)
+    return index
 
 
-def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
+def _chains_from_root(groups, index, lim_x, root, can_pair=None):
     """Yield the closed convex chains whose lowest-angle ray is
     groups[root], an upper ray, as lists of edge vectors in angle order,
-    one at a time.  The reach test alone keeps every vertex at 0 <= y <=
-    the table's lim_y (see _suffix_sums), so only the x-extent is tested.
+    one at a time.  index is the reach index of groups (_reach_index):
+    a step to the vertex v on ray j passes when -v is reachable from the
+    later rays, index.get(-v, -1) = t > j.  That test alone keeps every
+    vertex at 0 <= y <= the index's lim_y, so only the x-extent is
+    tested.  The next step from v scans only the rays t, t - 1, ...,
+    j + 1, latest first: a vector w of a later ray k passes only when
+    -v - w is reachable from the rays after k, and then -v, which the
+    index holds, is reachable from k on, so k <= t.  The chains come as
+    from a scan of every later ray, in the same order.
 
     With can_pair, yield instead (chain, lines, (ex, ey)) for the chains
     with no two parallel edges, one of each pair +-A: bit i of lines is
@@ -116,8 +131,6 @@ def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
     bits = [1 << (j % half) if can_pair else 0 for j in range(len(groups))]
     # The lines of a part: its used bits, less the banned ones below root.
     keep = -1 << root
-    # The rays after ray j, latest first: the walk's next choices.
-    after = [range(len(groups) - 1, j, -1) for j in range(len(groups))]
     chosen: list = []
 
     def rec(rays, x, y, mnx, mxx, mxy, used):
@@ -125,10 +138,10 @@ def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
         for j in rays:
             if used & bits[j]:
                 continue
-            reach = sums[j + 1]
             for dx, dy in groups[j]:
                 nx, ny = x + dx, y + dy
-                if (-nx, -ny) not in reach:
+                t = index.get((-nx, -ny), -1)
+                if t <= j:
                     continue
                 nmnx = nx if nx < mnx else mnx
                 nmxx = nx if nx > mxx else mxx
@@ -140,7 +153,9 @@ def _chains_from_root(groups, sums, lim_x, root, can_pair=None):
                     continue
                 chosen.append((dx, dy))
                 if nx or ny:
-                    yield from rec(after[j], nx, ny, nmnx, nmxx, nmxy, nused)
+                    # t is a ray: only (0, 0) is indexed len(groups)
+                    yield from rec(range(t, j, -1), nx, ny, nmnx, nmxx, nmxy,
+                                   nused)
                 elif len(chosen) >= 3:
                     yield ((chosen.copy(), nused & keep, (nmxx - nmnx, nmxy))
                            if can_pair else chosen.copy())
@@ -166,13 +181,13 @@ def _partner_test(groups, dx: int, dy: int):
     hx, hy = dx // 2, dy // 2
     groups = [[(x, y) for x, y in group if abs(x) <= hx and abs(y) <= hy]
               for group in groups]
-    sums = _suffix_sums(groups, hx, hy)
+    index = _reach_index(groups, hx, hy)
     # masks[lx, ly]: the line masks of the table's parts that fit (lx, ly)
     masks: dict = {(lx, ly): set() for lx in range(1, hx + 1)
                    for ly in range(1, hy + 1)}
     for root in range(len(groups) // 2):
         for _, mask, (ex, ey) in _chains_from_root(
-                groups, sums, hx, root, lambda ex, ey, lines: True):
+                groups, index, hx, root, lambda ex, ey, lines: True):
             for (lx, ly), fitting in masks.items():
                 if ex <= lx and ey <= ly:
                     fitting.add(mask)
@@ -196,19 +211,21 @@ def _partner_test(groups, dx: int, dy: int):
 
 
 def _rows(chain) -> tuple:
-    """(i, ex, ey, fx, fy, lo, hi): the rows of the polygon traced by a
-    closed convex chain.  Row t holds the lattice points v + s*e + t*f
-    with lo[t] <= s <= hi[t], where v is the start of its longest edge
-    chain[i] and e that edge's primitive direction.
+    """(i, g, ex, ey, fx, fy): the frame of the rows of the polygon traced
+    by a closed convex chain.  chain[i] is its longest edge, of lattice
+    length g and primitive direction e, from the vertex v, and f completes
+    e to a unimodular basis, so row t holds the lattice points v + s*e +
+    t*f of the polygon, for the integers s in an interval [lo, hi].
 
-    With f completing e to a unimodular basis, every lattice point is
-    s*e + t*f for integers s, t.  The basis change has det 1, so the chain
-    stays counterclockwise in (s, t): from v it runs along e on row 0,
-    rises in t, bounding s above on the rows it spans, and falls back to
-    v, bounding s below, and each row takes its exact floor and ceil
-    bounds from the one edge of each side that spans it.  There are at
-    most 2*area + 1 rows, so the cost is O(rows + edges) whatever the
-    size of the coordinates.
+    The basis change has det 1, so the chain stays counterclockwise in
+    (s, t): from v it runs along e on row 0, where hi = g and lo = 0,
+    then each later edge (ds, dt) from (s, t) rises in t, giving the rows
+    t + k, for k = 1, ..., dt, their upper bounds s + floor(ds k / dt), or
+    falls, giving the rows t - k, for k = 0, ..., -dt - 1, their lower
+    bounds s + ceil(ds k / -dt), each row's exact bounds coming from the
+    one edge of each side that spans it.  There are at most 2*area + 1
+    rows, so a pass over them costs O(rows + edges) whatever the size of
+    the coordinates.
     """
     lengths = [gcd(dx, dy) for dx, dy in chain]
     g = max(lengths)
@@ -217,9 +234,15 @@ def _rows(chain) -> tuple:
     ex, ey = ex // g, ey // g
     u = pow(ex, -1, abs(ey)) if ey else ex      # ex*u + ey*v == 1
     v = (1 - ex * u) // ey if ey else 0
-    fx, fy = -v, u                              # det(e, f) == 1
-    s = g
-    hi = [g]
+    return i, g, ex, ey, -v, u                  # det(e, f) == 1
+
+
+def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
+    """Lattice points of the polygon traced by a closed convex chain,
+    translated so the bounding box corner sits at corner, in
+    O(|K| + rows + edges), row by row of its _rows."""
+    i, s, ex, ey, fx, fy = _rows(chain)
+    hi = [s]
     lo = []                                     # from the top row down
     for dx, dy in chain[i + 1:] + chain[:i]:
         ds, dt = dx * fy - dy * fx, ex * dy - ey * dx
@@ -231,14 +254,6 @@ def _rows(chain) -> tuple:
         s += ds
     lo.append(0)
     lo.reverse()
-    return i, ex, ey, fx, fy, lo, hi
-
-
-def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
-    """Lattice points of the polygon traced by a closed convex chain,
-    translated so the bounding box corner sits at corner, in
-    O(|K| + rows + edges) from its _rows."""
-    i, ex, ey, fx, fy, lo, hi = _rows(chain)
     x = y = mnx = mny = 0
     for dx, dy in chain[i:] + chain[:i]:
         x += dx
@@ -259,23 +274,42 @@ def _row_moments(chain) -> tuple:
     of the polygon traced by a closed convex chain, without building them.
 
     These central moments are translation invariant and are half of
-    sum g(u) (ux^2, ux uy, uy^2) over the covariogram g.  Each row [a, b]
-    of _rows adds its count and its sums of s, s^2, s t, t and t^2 in
-    closed form; x = s ex + t fx and y = s ey + t fy take the central
-    moments in (s, t) to those in (x, y).  Exact integer arithmetic in
-    O(rows + edges)."""
-    _, ex, ey, fx, fy, lo, hi = _rows(chain)
-    # n, 2 sum s, 6 sum s^2, 2 sum s t, sum t, sum t^2 over the rows
-    n = s1 = s2 = st = t1 = t2 = 0
-    for t, (a, b) in enumerate(zip(lo, hi)):
-        c = b - a + 1
-        twice = (a + b) * c
-        n += c
-        s1 += twice
-        s2 += b * (b + 1) * (2 * b + 1) - a * (a - 1) * (2 * a - 1)
-        st += t * twice
-        t1 += t * c
-        t2 += t * t * c
+    sum g(u) (ux^2, ux uy, uy^2) over the covariogram g.  A row t of
+    _rows with bounds [a, b] adds F(t, b) - F(t, a - 1), where F(t, b)
+    = (b + 1, b(b + 1), b(b + 1)(2b + 1), t b(b + 1), t(b + 1),
+    t^2 (b + 1)), to (n, 2 sum s, 6 sum s^2, 2 sum s t, sum t, sum t^2),
+    so the sums are taken in one pass over the edges, each bound added
+    or subtracted as the edge that gives it is met; x = s ex + t fx and
+    y = s ey + t fy take the central moments in (s, t) to those in
+    (x, y).  Exact integer arithmetic in O(rows + edges)."""
+    i, s, ex, ey, fx, fy = _rows(chain)
+    # Row 0: F(0, g) - F(0, -1), and F(t, -1) is 0.
+    n, s1 = s + 1, s * (s + 1)
+    s2 = s1 * (2 * s + 1)
+    st = t1 = t2 = t = 0
+    for dx, dy in chain[i + 1:] + chain[:i]:
+        ds, dt = dx * fy - dy * fx, ex * dy - ey * dx
+        if dt:
+            # The rows bt + k, k = 1, ..., |dt|, at b = bs + floor((p k +
+            # q) / |dt|): a rising edge adds F at their upper bounds from
+            # its start, a falling one subtracts F at their lower bounds
+            # less 1 from its end, as ceil(x / m) - 1 = floor((x - 1) / m).
+            sign, m, p, q, bs, bt = ((1, dt, ds, 0, s, t) if dt > 0 else
+                                     (-1, -dt, -ds, -1, s + ds, t + dt))
+            for k in range(1, m + 1):
+                b = bs + (p * k + q) // m
+                r = bt + k
+                c = sign * (b + 1)
+                m2 = b * c
+                rc = r * c
+                n += c
+                s1 += m2
+                s2 += m2 * (2 * b + 1)
+                st += r * m2
+                t1 += rc
+                t2 += r * rc
+        s += ds
+        t += dt
     mss = (2 * n * s2 - 3 * s1 * s1) // 12
     mst = (n * st - s1 * t1) // 2
     mtt = n * t2 - t1 * t1
@@ -434,7 +468,7 @@ def walk_chains(max_dx: int, max_dy: int, parts: bool = False):
     if max_dx < 1 or max_dy < 1:
         return
     groups = _ray_groups(max_dx, max_dy)
-    sums = _suffix_sums(groups, max_dx, max_dy)
+    index = _reach_index(groups, max_dx, max_dy)
     can_pair = _partner_test(groups, max_dx + 1, max_dy + 1) if parts else None
     for root in range(len(groups) // 2):
-        yield from _chains_from_root(groups, sums, max_dx, root, can_pair)
+        yield from _chains_from_root(groups, index, max_dx, root, can_pair)

@@ -22,6 +22,9 @@ PAIR_POINT_LIMIT points, and product-pair a pair K x L of more than
 PRODUCT_COORD_LIMIT coordinates.  verify-thm22 refuses, before building any
 sum, a base S whose sum S + T has more than VERIFY_POINT_LIMIT points or
 whose checks would scan more than VERIFY_CELL_LIMIT box cells.
+reconstruct refuses, before enumerating any closing, a covariogram with
+more than reconstruct.FREE_LINE_LIMIT free lines unless --allow-large
+is given, as search refuses a box past the desk-scale limit.
 
 Exit codes: 0 success or affirmative verdict, 1 negative verdict
 (check-convex false, affine-equiv none, verify-thm22 mismatch) or output
@@ -260,7 +263,7 @@ def _cmd_edges(args):
 def _cmd_reconstruct(args):
     g = _load_cov(args.covariogram)
     box = _parse_box(args.box) if args.box else (None, None)
-    hits = reconstruct_all(g)
+    hits = reconstruct_all(g, allow_large=args.allow_large)
     verdict = verdict_of(hits, *box)
     if verdict == "out-of-box":
         hits = []
@@ -485,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("covariogram")
     p.add_argument("--box", metavar="WxH",
                    help="box the sets must fit (default: no limit)")
+    p.add_argument("--allow-large", action="store_true",
+                   help="lift the free-line limit")
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("check-convex", parents=[points],

@@ -174,10 +174,15 @@ def _splits(width: int, height: int):
     fits when its extents and Z's add up to at most the box's.  The walk
     drops parts with no line-disjoint partner that fits beside them,
     which are in no pair, and keeps the others in their order, so the
-    splits come as from every part.  Z + A + B and Z + A - B share their
-    boundary count, and their areas differ only by the mixed areas of A
-    with B and with -B, so the Pick test runs once per pair, on A + B
-    and A - B, before any Z is added.
+    splits come as from every part.  A and B are on disjoint lines and
+    neither has two parallel edges, so no two edges of A and +-B share a
+    ray, and one sort of their edges by ray rank gives the chains of
+    A + B and A - B; only Z, which may share their lines, is added by
+    _sum_chain.  Z + A + B and Z + A - B share their boundary count, and
+    their areas differ only by the mixed areas of A with B and with -B,
+    so the Pick test runs once per pair, on A + B and A - B, before any
+    Z is added, and the moment test takes each set's six row sums in one
+    pass over its edges (_row_moments).
 
     A polygon of x-extent 1 has its vertices on two vertical lines, so
     one of them holds two vertices and the face there is a vertical
@@ -214,8 +219,8 @@ def _splits(width: int, height: int):
             if rx < 0 or ry < 0 or ax == bx == 1 or ay == by == 1:
                 continue
             for a, b in _pairs(by_extent[ax, ay], by_extent[bx, by]):
-                plus = _sum_chain(rank, (a, b))
-                minus = _sum_chain(rank, (a, [(-x, -y) for x, y in b]))
+                plus = sorted(a + b, key=rank.get)
+                minus = sorted(a + [(-x, -y) for x, y in b], key=rank.get)
                 if _twice_area(plus) != _twice_area(minus):
                     continue
                 if (rx, ry) not in zonotopes:

@@ -841,14 +841,68 @@ def partner_table_by_full_rays(dx, dy):
     tabulates for the box (dx, dy), walked on the walk's unclipped rays
     at (dx - 1, dy - 1): the table as it was built before its rays were
     clipped to the half box."""
-    from latcov._polygons import _chains_from_root, _ray_groups, _suffix_sums
+    from latcov._polygons import _chains_from_root, _ray_groups, _reach_index
 
     groups = _ray_groups(dx - 1, dy - 1)
     hx, hy = dx // 2, dy // 2
-    sums = _suffix_sums(groups, hx, hy)
+    index = _reach_index(groups, hx, hy)
     return [part for root in range(len(groups) // 2)
-            for part in _chains_from_root(groups, sums, hx, root,
+            for part in _chains_from_root(groups, index, hx, root,
                                           lambda ex, ey, lines: True)]
+
+
+def suffix_sum_sets(groups, lim_x, lim_y) -> list:
+    """Per suffix groups[j:] of the ray list, j = 0..len(groups), the set
+    of displacements within [-lim_x, lim_x] x [-lim_y, 0] that one vector
+    per ray at most can reach: the table that _polygons._reach_index
+    replaced, and the sets that the index encodes."""
+    sums = [frozenset({(0, 0)})]
+    for group in reversed(groups):
+        prev = sums[-1]
+        sums.append(prev | {(sx + dx, sy + dy) for dx, dy in group
+                            for sx, sy in prev
+                            if -lim_x <= sx + dx <= lim_x
+                            and -lim_y <= sy + dy <= 0})
+    return sums[::-1]
+
+
+def parts_by_full_scan(groups, sums, lim_x, root, can_pair):
+    """_polygons._chains_from_root's part walk as it was before each
+    step's ray scan started at the reach index's bound: the reach test
+    looks -v up in the suffix set sums[j + 1] of suffix_sum_sets, and
+    every node scans every later ray, latest first.  Yields what the
+    library's part walk yields, in its order."""
+    half = len(groups) // 2
+    bits = [1 << (j % half) for j in range(len(groups))]
+    keep = -1 << root
+    after = [range(len(groups) - 1, j, -1) for j in range(len(groups))]
+    chosen = []
+
+    def rec(rays, x, y, mnx, mxx, mxy, used):
+        for j in rays:
+            if used & bits[j]:
+                continue
+            reach = sums[j + 1]
+            for dx, dy in groups[j]:
+                nx, ny = x + dx, y + dy
+                if (-nx, -ny) not in reach:
+                    continue
+                nmnx = nx if nx < mnx else mnx
+                nmxx = nx if nx > mxx else mxx
+                if nmxx - nmnx > lim_x:
+                    continue
+                nmxy = ny if ny > mxy else mxy
+                nused = used | bits[j]
+                if not can_pair(nmxx - nmnx, nmxy, nused & keep):
+                    continue
+                chosen.append((dx, dy))
+                if nx or ny:
+                    yield from rec(after[j], nx, ny, nmnx, nmxx, nmxy, nused)
+                elif len(chosen) >= 3:
+                    yield chosen.copy(), nused & keep, (nmxx - nmnx, nmxy)
+                chosen.pop()
+
+    yield from rec((root,), 0, 0, 0, 0, 0, ~keep)
 
 
 def part_walk_by_filter(max_dx, max_dy):

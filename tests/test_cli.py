@@ -270,6 +270,25 @@ def test_reconstruct_out_of_box(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_reconstruct_allow_large_lifts_the_free_line_limit(tmp_path, capsys,
+                                                           monkeypatch):
+    # --allow-large reaches reconstruct_all: under a limit of 5 the 6 free
+    # lines of two seeded triangles exit 2, and are answered with the flag
+    import latcov.reconstruct
+
+    monkeypatch.setattr(latcov.reconstruct, "FREE_LINE_LIMIT", 5)
+    cov = write(tmp_path, "t.cov", serialize_covariogram(
+        compute_covariogram(helpers.triangle_sum(1, 2))))
+    rc, out, err = run(capsys, "reconstruct", cov)
+    assert (rc, out) == (2, "")
+    assert err == ("error: 6 free lines exceed the limit of 5; "
+                   "pass allow_large=True to override\n")
+    rc, out, _ = run(capsys, "--format", "records", "reconstruct", cov,
+                     "--allow-large")
+    assert rc == 0
+    assert out.splitlines()[:2] == ["verdict=unique", "class_count=1"]
+
+
 def test_reconstruct_unrealizable_reports_verdict(tmp_path, capsys):
     # the faces read off the (1, 0) edge of the support cannot span it
     g = Covariogram(2, {(0, 0): 4, (2, 3): 3, (-2, -3): 3, (1, 3): 1,
@@ -687,10 +706,11 @@ FAR_COV = serialize_covariogram(compute_covariogram(
      for x, y in [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2)]}))
 
 
-def many_free_lines_table():
-    # 4,373 entries, 24 free lines and one class, built when the test
-    # runs rather than at import
-    return serialize_covariogram(compute_covariogram(helpers.triangle_sum(1, 8)))
+def free_lines_table(m):
+    # the covariogram of helpers.triangle_sum(1, m), 3m free lines and one
+    # class, built when the test runs rather than at import
+    return lambda: serialize_covariogram(
+        compute_covariogram(helpers.triangle_sum(1, m)))
 
 
 # Hostile inputs, one or more per subcommand: argv with {} for the input
@@ -773,10 +793,17 @@ HOSTILE = {
     "edges-far-cov": (["edges", "{}", "--normal", "0,-1"], FAR_COV, 0,
                       "long_row=-1073741825,-2;-1073741824,-2;"
                       "-1073741823,-2\n"),
-    # only the closings with g's second moments are filled
+    # only the closings with g's second moments are filled: 4,373
+    # entries and 24 free lines
     "reconstruct-many-free-lines": (["reconstruct", "{}"],
-                                    many_free_lines_table, 0,
+                                    free_lines_table(8), 0,
                                     "verdict=unique\nclass_count=1\n"),
+    # past reconstruct.FREE_LINE_LIMIT, refused before any closing is
+    # enumerated: 7,267 entries and 30 free lines, which take seconds
+    # with --allow-large, so only the refusal runs here
+    "reconstruct-over-free-line-limit": (["reconstruct", "{}"],
+                                         free_lines_table(10), 2,
+                                         "30 free lines exceed the limit"),
 }
 
 

@@ -337,6 +337,30 @@ def test_reconstruct_many_free_lines_in_time():
     assert hits == [canonical_form(K)]
 
 
+def test_reconstruct_refuses_free_lines_over_the_limit(monkeypatch):
+    # g's free lines are counted before any closing is enumerated, and a
+    # g with more than FREE_LINE_LIMIT of them is refused unless
+    # allow_large is set; the 24 free lines above stay under the limit
+    assert reconstruct.FREE_LINE_LIMIT == 28
+    K = helpers.triangle_sum(1, 2)
+    g = compute_covariogram(K)
+    closing_chains = reconstruct._closing_chains
+
+    def no_closings(*args):
+        raise AssertionError("closings enumerated before the count")
+
+    monkeypatch.setattr(reconstruct, "FREE_LINE_LIMIT", 5)
+    monkeypatch.setattr(reconstruct, "_closing_chains", no_closings)
+    for call in (lambda: reconstruct_all(g), lambda: determination_verdict(g)):
+        with pytest.raises(LatticeError,
+                           match="6 free lines exceed the limit of 5"):
+            call()
+    monkeypatch.setattr(reconstruct, "_closing_chains", closing_chains)
+    assert reconstruct_all(g, allow_large=True) == [canonical_form(K)]
+    monkeypatch.setattr(reconstruct, "FREE_LINE_LIMIT", 6)
+    assert reconstruct_all(g) == [canonical_form(K)]
+
+
 def test_invariants_from_covariogram_rejects_degenerate():
     g = compute_covariogram({(0, 0), (1, 0), (2, 0)})
     with pytest.raises(LatticeError):

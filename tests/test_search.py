@@ -792,6 +792,81 @@ def test_partner_table_on_clipped_rays_equals_full_rays(monkeypatch):
         [7, 32, 360, 360]
 
 
+def test_walk_equals_the_full_scan_oracle(monkeypatch):
+    # the reach index holds d from ray j on exactly when the suffix set
+    # of rays j, j + 1, ... does, and the part walk that starts each scan
+    # at the index's bound yields the full scan's parts in its order,
+    # with its partner test and in the partner tables' own walks (7, 32
+    # and 360 parts); test_walk_matches_oracle_walk covers chain mode
+    def same_sets(index, sums):
+        assert set(index.values()) <= set(range(len(sums)))
+        for j, reach in enumerate(sums):
+            assert {d for d, t in index.items() if t >= j} == reach, j
+
+    extents = {(dx, dy) for dx in range(1, 6) for dy in range(1, 5)}
+    extents |= {(dy, dx) for dx, dy in extents}
+    for dx, dy in sorted(extents):
+        groups = _polygons._ray_groups(dx, dy)
+        same_sets(_polygons._reach_index(groups, dx, dy),
+                  helpers.suffix_sum_sets(groups, dx, dy))
+    for dx, dy in [(4, 3), (5, 5), (6, 6)]:
+        groups = _polygons._ray_groups(dx, dy)
+        sums = helpers.suffix_sum_sets(groups, dx, dy)
+        can_pair = _polygons._partner_test(groups, dx + 1, dy + 1)
+        want = [part for root in range(len(groups) // 2)
+                for part in helpers.parts_by_full_scan(groups, sums, dx, root,
+                                                       can_pair)]
+        assert list(_polygons.walk_chains(dx, dy, parts=True)) == want, (dx, dy)
+    calls = []
+
+    def recorded(*args):
+        parts = list(chains_from_root(*args))
+        calls.append((args, parts))
+        return iter(parts)
+
+    chains_from_root = _polygons._chains_from_root
+    monkeypatch.setattr(_polygons, "_chains_from_root", recorded)
+    sizes = []
+    for dx, dy in [(4, 3), (5, 5), (6, 6)]:
+        calls.clear()
+        _polygons._partner_test(_polygons._ray_groups(dx - 1, dy - 1), dx, dy)
+        (groups, index, lim_x, _, _), _ = calls[0]
+        sums = helpers.suffix_sum_sets(groups, lim_x, dy // 2)
+        same_sets(index, sums)
+        for (_, _, _, root, can_pair), parts in calls:
+            assert parts == list(helpers.parts_by_full_scan(
+                groups, sums, lim_x, root, can_pair)), (dx, dy, root)
+        sizes.append(sum(len(parts) for _, parts in calls))
+    assert sizes == [7, 32, 360]
+
+
+def test_walk_scans_only_the_rays_that_can_close(monkeypatch):
+    # each step's ray scan starts at the reach index's bound, not at the
+    # last ray: the part walk at (4, 3), its partner table's walk
+    # included, reads 4,568 rays (groups[j]) and steps through 5,818
+    # vectors, where the scan of every later ray read 8,726 and 10,832
+    reads = [0, 0]
+
+    class Ray(list):
+        def __iter__(self):
+            for v in list.__iter__(self):
+                reads[1] += 1
+                yield v
+
+    class Rays(list):
+        def __getitem__(self, j):
+            reads[0] += 1
+            return list.__getitem__(self, j)
+
+    def counted(groups, *args):
+        return walk(Rays(map(Ray, groups)), *args)
+
+    walk = _polygons._chains_from_root
+    monkeypatch.setattr(_polygons, "_chains_from_root", counted)
+    assert sum(1 for _ in _polygons.walk_chains(4, 3, parts=True)) == 288
+    assert reads == [4568, 5818]
+
+
 @pytest.mark.parametrize("box", [(6, 5), (5, 6), (6, 6), (7, 6), (6, 7),
                                  (4, 12), (12, 4)])
 def test_splits_equal_the_unpruned_walk_in_order(box):
@@ -821,37 +896,37 @@ def test_thin_boxes_have_no_split():
 def test_reach_test_keeps_every_walk_in_the_box_rows(monkeypatch):
     # edges with dy <= 0 alone cannot close, so no lower ray is a root,
     # and from an upper root y rises and falls back to 0: every vertex
-    # that passes the reach test has 0 <= y <= the table's y bound, so
+    # that passes the reach test has 0 <= y <= the index's y bound, so
     # the walk needs no y-extent test; a ray order that breaks this fails
     passed = []
 
-    class Reach(frozenset):
-        def __contains__(self, v):
-            found = frozenset.__contains__(self, v)
-            if found:
-                passed.append((-v[1], self.lim_y))
-            return found
+    class Reach(dict):
+        def get(self, d, default=None):
+            # the test passes when the index exceeds the caller's ray j
+            t = dict.get(self, d, default)
+            if t > sys._getframe(1).f_locals["j"]:
+                passed.append((-d[1], self.lim_y))
+            return t
 
-    suffix_sums = _polygons._suffix_sums
+    reach_index = _polygons._reach_index
 
     def probed(groups, lim_x, lim_y):
-        sums = list(map(Reach, suffix_sums(groups, lim_x, lim_y)))
-        for reach in sums:
-            reach.lim_y = lim_y
-        return sums
+        index = Reach(reach_index(groups, lim_x, lim_y))
+        index.lim_y = lim_y
+        return index
 
-    monkeypatch.setattr(_polygons, "_suffix_sums", probed)
+    monkeypatch.setattr(_polygons, "_reach_index", probed)
     extents = {(dx, dy) for dx in range(1, 6) for dy in range(1, 5)}
     extents |= {(dy, dx) for dx, dy in extents}
     for dx, dy in sorted(extents):
         groups = _polygons._ray_groups(dx, dy)
-        sums = _polygons._suffix_sums(groups, dx, dy)
+        index = _polygons._reach_index(groups, dx, dy)
         passed.clear()
         for root in range(len(groups) // 2, len(groups)):
-            assert next(_polygons._chains_from_root(groups, sums, dx, root),
+            assert next(_polygons._chains_from_root(groups, index, dx, root),
                         None) is None, (dx, dy, root)
         for root in range(len(groups) // 2):
-            for _ in _polygons._chains_from_root(groups, sums, dx, root):
+            for _ in _polygons._chains_from_root(groups, index, dx, root):
                 pass
         assert {y for y, _ in passed} == set(range(dy + 1)), (dx, dy)
         assert all(lim == dy for _, lim in passed), (dx, dy)
