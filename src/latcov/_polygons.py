@@ -44,8 +44,12 @@ closings of one signature share its boundary count, so Pick's theorem
 tests them by area alone.  Homometric sets share their second moments,
 sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), which _row_moments
 sums in one pass over a chain's edges, in the frame of its rows (_rows),
-without building its points or its rows; filled sets are told apart by
-their packed difference counts, in lattice.
+without building its points or its rows.  They share their extent (w, h)
+too, half that of g's support, and so the sums of g over u_y = h - 1
+and over u_x = w - 1, which are l_0 l_(h-1) + l_1 l_h for the lengths
+l_t of the rows y = t, and the same over the columns; _end_rows reads
+either from the edges that meet the two end rows, in O(edges).  Filled
+sets are told apart by their packed difference counts, in lattice.
 """
 
 from __future__ import annotations
@@ -316,6 +320,38 @@ def _row_moments(chain) -> tuple:
     return (ex * ex * mss + 2 * ex * fx * mst + fx * fx * mtt,
             ex * ey * mss + (ex * fy + ey * fx) * mst + fx * fy * mtt,
             ey * ey * mss + 2 * ey * fy * mst + fy * fy * mtt)
+
+
+def _end_rows(chain, axis: int) -> int:
+    """l_0 l_(h-1) + l_1 l_h for the lengths l_t of the rows y = t (axis
+    1), or of the columns x = t (axis 0), t = 0..h, of the polygon traced
+    by a closed convex chain: sum g(u) over u_y = h - 1 (u_x = w - 1) for
+    its covariogram g, as two points that far apart lie in rows 0 and
+    h - 1 or 1 and h.  O(edges), without its points or rows.
+
+    The chain must be in angle order from any of its vertices, as every
+    chain _splits tests is (from its bottom-left one).  In the frame
+    (o, c) = (x, y), or the rotated (-y, x) for columns, an end row is
+    met where c turns: it holds a face of f steps (f = 0 at a vertex), so
+    f + 1 points, and the row next to it is spanned by the edge (do, dc)
+    after the turn and the edge (do', dc') before it, so it holds
+    f + floor(do / dc) + floor(-do' / dc') + 1, at either end; the sum
+    is symmetric in the two ends."""
+    oi, s = 1 - axis, 1 if axis else -1
+    last = chain[-1]
+    prev, face = (last, 0) if last[axis] else (chain[-2], abs(last[oi]))
+    first = None
+    for e in chain:
+        c, pc = e[axis], prev[axis]
+        if not c:
+            face = abs(e[oi])
+            continue
+        if (c > 0) != (pc > 0):
+            row = face + s * e[oi] // c + -s * prev[oi] // pc + 1
+            if first:
+                return first[0] * row + first[1] * (face + 1)
+            first, face = (face + 1, row), 0
+        prev = e
 
 
 def _faces(chain) -> dict:

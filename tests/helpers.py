@@ -925,10 +925,27 @@ def part_walk_by_filter(max_dx, max_dy):
             yield chain, lines
 
 
+def end_row_sums(chain):
+    """(l_0 l_(h-1) + l_1 l_h over the rows y = 0..h, the same over the
+    columns) of the set that chain fills, from the lengths of its rows
+    and columns, counted point by point: sum g(u) over u_y = h - 1 and
+    over u_x = w - 1, as _polygons._end_rows reads them off the edges."""
+    from collections import Counter
+
+    K = lattice_points_by_all_edges(chain)
+    sums = []
+    for axis in (1, 0):
+        lengths = Counter(p[axis] for p in K)
+        h = max(lengths)
+        sums.append(lengths[0] * lengths[h - 1] + lengths[1] * lengths[h])
+    return tuple(sums)
+
+
 def splits_by_unpruned_walk(width, height):
     """search._splits as it was before the part walk dropped the parts
-    that cannot pair: the same pairs, Pick test and moment test, over
-    every part of part_walk_by_filter."""
+    that cannot pair: the same pairs, Pick test, two-row test
+    (end_row_sums) and moment test, over every part of
+    part_walk_by_filter."""
     from latcov._polygons import _ray_groups, _row_moments, _twice_area
     from latcov.search import _pairs, _sum_chain, _zonotopes
 
@@ -959,7 +976,8 @@ def splits_by_unpruned_walk(width, height):
                 for z in zonotopes[rx, ry]:
                     chain = _sum_chain(rank, (plus, z)) if z else plus
                     other = _sum_chain(rank, (minus, z)) if z else minus
-                    if _row_moments(chain) == _row_moments(other):
+                    if (end_row_sums(chain) == end_row_sums(other)
+                            and _row_moments(chain) == _row_moments(other)):
                         yield chain, other
 
 

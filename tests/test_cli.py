@@ -6,11 +6,14 @@ import resource
 import subprocess
 import sys
 import time
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
 import helpers
 import latcov.cli
+from latcov._polygons import _angle_cmp
 from latcov.cli import (
     FormatError,
     main,
@@ -539,6 +542,16 @@ def test_search_records_pinned_7x6(capsys):
         "eee9cae8ba1eb0cfaebd5852f3e4bcd51fc1717841080e26e06e754bf33e0896")
 
 
+def test_search_records_pinned_8x8(capsys):
+    # the 8x8 pairs, where the two-row test drops the most splits that
+    # share their second moments but not their covariograms
+    rc, out, _ = run(capsys, "--format", "records", "search", "--box", "8x8",
+                     "--match-corollary", "--allow-large")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2a28411f6ec0b185d054769f666e0957c802b3eda6703ef960c27bf745e328b")
+
+
 @pytest.mark.parametrize("box, digest", [
     ("6x6", "92ef384370935511b580098c32fbe967b51bc6b38d9011e0cb0bf0e5cbfd62a1"),
     ("6x7", "9780ea46ff5aa78e7124cc3f6f396000a0c46697e84cd273d06dd434246842e8"),
@@ -713,6 +726,29 @@ def free_lines_table(m):
         compute_covariogram(helpers.triangle_sum(1, m)))
 
 
+def zonotope_table(r):
+    # the zonotope sum of [-d, d] over r lines d, the first by max norm:
+    # 1 on the 4r points of its boundary, so each edge 2d has faces p = 2
+    # and q = 0, the origin n and filler 1s at +-(k, 0) inside, for a mass
+    # of n^2; built when the test runs rather than at import
+    def table():
+        lines = [(x, y) for m in range(1, 8) for y in range(m + 1)
+                 for x in range(-m, m + 1)
+                 if max(abs(x), y) == m and gcd(x, y) == 1 and (y or x > 0)]
+        lines = sorted(lines[:r], key=cmp_to_key(_angle_cmp))
+        x, y = -sum(dx for dx, _ in lines), -sum(dy for _, dy in lines)
+        entries = {}
+        for dx, dy in lines + [(-dx, -dy) for dx, dy in lines]:
+            entries[x, y] = entries[x + dx, y + dy] = 1
+            x, y = x + 2 * dx, y + 2 * dy
+        n = next(n for n in range(3, 4 * r) if n * n - n >= 4 * r)
+        for k in range(1, (n * n - n - 4 * r) // 2 + 1):
+            entries[k, 0] = entries[-k, 0] = 1
+        entries[0, 0] = n
+        return serialize_covariogram(Covariogram(2, entries))
+    return table
+
+
 # Hostile inputs, one or more per subcommand: argv with {} for the input
 # file, the file's contents (None for no file, or a function that returns
 # them), the exit code, and a part of stderr for a refusal or of stdout
@@ -804,6 +840,14 @@ HOSTILE = {
     "reconstruct-over-free-line-limit": (["reconstruct", "{}"],
                                          free_lines_table(10), 2,
                                          "30 free lines exceed the limit"),
+    # a hull boundary and filler mass reach any number of free lines,
+    # each doubling the closings' sums; refused, however many
+    "reconstruct-zonotope-32-free-lines": (["reconstruct", "{}"],
+                                           zonotope_table(32), 2,
+                                           "32 free lines exceed the limit"),
+    "reconstruct-zonotope-60-free-lines": (["reconstruct", "{}"],
+                                           zonotope_table(60), 2,
+                                           "60 free lines exceed the limit"),
 }
 
 

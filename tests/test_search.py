@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -471,6 +472,33 @@ def test_row_moments_equal_moments_of_filled_set():
             helpers.moments(_polygons._lattice_points_of_chain(chain)), chain
 
 
+def test_end_rows_are_the_covariogram_sums_next_to_the_extent():
+    # every chain up to (5, 4) and (4, 5), with h = 1 and w = 1 among
+    # them: the two sums read off its edges, from any vertex, are those
+    # of its g over u_y = h - 1 and u_x = w - 1; so are those of its
+    # images under x -> -x and x <-> y in angle order, whose g is g
+    # mapped, with the same sums, swapped by the transpose
+    chains = [*_polygons.walk_chains(5, 4), *_polygons.walk_chains(4, 5)]
+    thin = set()
+    for chain in chains:
+        g = compute_covariogram(_polygons._lattice_points_of_chain(chain))
+        w, h = (e // 2 for e in lattice.extent(g.entries))
+        thin |= {side for side, e in (("w", w), ("h", h)) if e == 1}
+        rows = sum(c for (_, y), c in g.entries.items() if y == h - 1)
+        cols = sum(c for (x, _), c in g.entries.items() if x == w - 1)
+        for k in range(len(chain)):
+            start = chain[k:] + chain[:k]
+            assert (_polygons._end_rows(start, 1),
+                    _polygons._end_rows(start, 0)) == (rows, cols), start
+        for ((a, b), (c, d)), want in [(search._MIRROR, (rows, cols)),
+                                       (search._TRANSPOSE, (cols, rows))]:
+            image = sorted(((a * x + b * y, c * x + d * y) for x, y in chain),
+                           key=cmp_to_key(_polygons._angle_cmp))
+            assert (_polygons._end_rows(image, 1),
+                    _polygons._end_rows(image, 0)) == want, image
+    assert len(chains) == 107048 and thin == {"w", "h"}
+
+
 def test_moments_are_half_the_covariogram_second_moments():
     # over pairs (p, q), sum (p - q)(p - q)^T = 2 (n sum p p^T - sum p sum p^T)
     sets = [*enumerate_lattice_convex(5, 4), *sheared_sets(),
@@ -647,8 +675,9 @@ def test_split_keys_are_the_walk_keys_with_two_classes():
 def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
     # every box up to 6x5 and 5x6, 6x6 (the transpose too) and 7x6: the
     # keys of the splits' sets, closed under the box's maps, are exactly
-    # the split keys with two closings of equal second moments, though
-    # the search tries one pair of each orbit of the box's symmetries
+    # the split keys with two closings of equal two-row sums and second
+    # moments, though the search tries one pair of each orbit of the
+    # box's symmetries
     boxes = {(dx + 1, dy + 1) for dx in range(6) for dy in range(5)}
     boxes |= {(h, w) for w, h in boxes} | {(6, 6), (7, 6)}
     counts = {}
@@ -656,7 +685,8 @@ def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
         oracle = helpers.split_keys(*box)
         want = set()
         for twice_n, sig in oracle:
-            moments = [_polygons._row_moments(chain)
+            moments = [(helpers.end_row_sums(chain),
+                        _polygons._row_moments(chain))
                        for chain in _polygons._closing_chains(sig, twice_n)]
             if len(set(moments)) < len(moments):
                 want.add((twice_n, sig))
@@ -669,7 +699,7 @@ def test_split_keys_are_the_oracle_keys_whose_closings_share_moments():
         assert keys == want, box
         counts[box] = len(keys)
     assert (counts[6, 5], counts[5, 6], counts[6, 6], counts[7, 6]) == \
-        (15, 15, 38, 53)
+        (15, 15, 38, 49)
 
 
 def test_key_image_is_the_key_of_the_mirror_and_the_transpose():
@@ -875,7 +905,34 @@ def test_splits_equal_the_unpruned_walk_in_order(box):
     splits = list(search._splits(*box))
     assert splits == list(helpers.splits_by_unpruned_walk(*box))
     if 4 in box:
-        assert len(splits) == 25
+        assert len(splits) == 21
+
+
+@pytest.mark.parametrize("box, stages", [
+    ((6, 5), (396, 93, 38, 8)),
+    ((7, 6), (6315, 1729, 609, 26)),
+])
+def test_splits_test_rows_then_columns_then_moments(box, stages,
+                                                     monkeypatch):
+    # each (pair, Z) test reads both sets' end rows; only those equal
+    # read the end columns, and only those equal take _row_moments:
+    # fewer than one test in ten reaches the moment pass
+    calls = {1: 0, 0: 0, "moments": 0}
+
+    def end_rows(chain, axis):
+        calls[axis] += 1
+        return read(chain, axis)
+
+    def row_moments(chain):
+        calls["moments"] += 1
+        return moments(chain)
+
+    read, moments = search._end_rows, search._row_moments
+    monkeypatch.setattr(search, "_end_rows", end_rows)
+    monkeypatch.setattr(search, "_row_moments", row_moments)
+    splits = sum(1 for _ in search._splits(*box))
+    assert (calls[1] // 2, calls[0] // 2, calls["moments"] // 2, splits) == \
+        stages
 
 
 def test_thin_boxes_have_no_split():
