@@ -43,13 +43,14 @@ such a signature and 2|K| to its chains, each in angle order.  All
 closings of one signature share its boundary count, so Pick's theorem
 tests them by area alone.  Homometric sets share their second moments,
 sum g(u) u u^T = 2 (n sum p p^T - sum p sum p^T), which _row_moments
-sums in one pass over a chain's edges, in the frame of its rows (_rows),
-without building its points or its rows.  They share their extent (w, h)
-too, half that of g's support, and so the sums of g over u_y = h - 1
-and over u_x = w - 1, which are l_0 l_(h-1) + l_1 l_h for the lengths
-l_t of the rows y = t, and the same over the columns; _end_rows reads
-either from the edges that meet the two end rows, in O(edges).  Filled
-sets are told apart by their packed difference counts, in lattice.
+sums over the row bounds of _rows without building a point, the rows
+that the fill (_lattice_points_of_chain) lists.  They share their
+extent (w, h) too, half that of g's support, and so the sums of g over
+u_y = h - 1 and over u_x = w - 1, which are l_0 l_(h-1) + l_1 l_h for
+the lengths l_t of the rows y = t, and the same over the columns;
+_end_rows reads either from the edges that meet the two end rows, in
+O(edges).  Filled sets are told apart by their packed difference
+counts, in lattice.
 """
 
 from __future__ import annotations
@@ -215,21 +216,20 @@ def _partner_test(groups, dx: int, dy: int):
 
 
 def _rows(chain) -> tuple:
-    """(i, g, ex, ey, fx, fy): the frame of the rows of the polygon traced
-    by a closed convex chain.  chain[i] is its longest edge, of lattice
-    length g and primitive direction e, from the vertex v, and f completes
-    e to a unimodular basis, so row t holds the lattice points v + s*e +
-    t*f of the polygon, for the integers s in an interval [lo, hi].
+    """(i, ex, ey, fx, fy, lo, hi): the rows of the polygon traced by a
+    closed convex chain.  chain[i] is its longest edge, of lattice length
+    g and primitive direction e, from the vertex v; f completes e to a
+    unimodular basis, and row t holds the polygon's lattice points
+    v + s*e + t*f with lo[t] <= s <= hi[t].
 
     The basis change has det 1, so the chain stays counterclockwise in
-    (s, t): from v it runs along e on row 0, where hi = g and lo = 0,
-    then each later edge (ds, dt) from (s, t) rises in t, giving the rows
-    t + k, for k = 1, ..., dt, their upper bounds s + floor(ds k / dt), or
-    falls, giving the rows t - k, for k = 0, ..., -dt - 1, their lower
-    bounds s + ceil(ds k / -dt), each row's exact bounds coming from the
-    one edge of each side that spans it.  There are at most 2*area + 1
-    rows, so a pass over them costs O(rows + edges) whatever the size of
-    the coordinates.
+    (s, t): from v it runs along e on row 0 (lo = 0, hi = g), then each
+    later edge (ds, dt) from (s, t) rises, giving the rows t + k, k = 1,
+    ..., dt, their upper bounds s + floor(ds k / dt), or falls, giving
+    the rows t - k, k = 0, ..., -dt - 1, their lower bounds
+    s + ceil(ds k / -dt): each row's exact bounds come from the one edge
+    of each side that spans it.  There are at most 2*area + 1 rows, so
+    the cost is O(rows + edges) whatever the size of the coordinates.
     """
     lengths = [gcd(dx, dy) for dx, dy in chain]
     g = max(lengths)
@@ -238,15 +238,9 @@ def _rows(chain) -> tuple:
     ex, ey = ex // g, ey // g
     u = pow(ex, -1, abs(ey)) if ey else ex      # ex*u + ey*v == 1
     v = (1 - ex * u) // ey if ey else 0
-    return i, g, ex, ey, -v, u                  # det(e, f) == 1
-
-
-def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
-    """Lattice points of the polygon traced by a closed convex chain,
-    translated so the bounding box corner sits at corner, in
-    O(|K| + rows + edges), row by row of its _rows."""
-    i, s, ex, ey, fx, fy = _rows(chain)
-    hi = [s]
+    fx, fy = -v, u                              # det(e, f) == 1
+    s = g
+    hi = [g]
     lo = []                                     # from the top row down
     for dx, dy in chain[i + 1:] + chain[:i]:
         ds, dt = dx * fy - dy * fx, ex * dy - ey * dx
@@ -258,6 +252,14 @@ def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
         s += ds
     lo.append(0)
     lo.reverse()
+    return i, ex, ey, fx, fy, lo, hi
+
+
+def _lattice_points_of_chain(chain, corner=(0, 0)) -> frozenset:
+    """Lattice points of the polygon traced by a closed convex chain,
+    translated so the bounding box corner sits at corner, in
+    O(|K| + rows + edges), row by row of its _rows."""
+    i, ex, ey, fx, fy, lo, hi = _rows(chain)
     x = y = mnx = mny = 0
     for dx, dy in chain[i:] + chain[:i]:
         x += dx
@@ -278,42 +280,23 @@ def _row_moments(chain) -> tuple:
     of the polygon traced by a closed convex chain, without building them.
 
     These central moments are translation invariant and are half of
-    sum g(u) (ux^2, ux uy, uy^2) over the covariogram g.  A row t of
-    _rows with bounds [a, b] adds F(t, b) - F(t, a - 1), where F(t, b)
-    = (b + 1, b(b + 1), b(b + 1)(2b + 1), t b(b + 1), t(b + 1),
-    t^2 (b + 1)), to (n, 2 sum s, 6 sum s^2, 2 sum s t, sum t, sum t^2),
-    so the sums are taken in one pass over the edges, each bound added
-    or subtracted as the edge that gives it is met; x = s ex + t fx and
-    y = s ey + t fy take the central moments in (s, t) to those in
-    (x, y).  Exact integer arithmetic in O(rows + edges)."""
-    i, s, ex, ey, fx, fy = _rows(chain)
-    # Row 0: F(0, g) - F(0, -1), and F(t, -1) is 0.
-    n, s1 = s + 1, s * (s + 1)
-    s2 = s1 * (2 * s + 1)
-    st = t1 = t2 = t = 0
-    for dx, dy in chain[i + 1:] + chain[:i]:
-        ds, dt = dx * fy - dy * fx, ex * dy - ey * dx
-        if dt:
-            # The rows bt + k, k = 1, ..., |dt|, at b = bs + floor((p k +
-            # q) / |dt|): a rising edge adds F at their upper bounds from
-            # its start, a falling one subtracts F at their lower bounds
-            # less 1 from its end, as ceil(x / m) - 1 = floor((x - 1) / m).
-            sign, m, p, q, bs, bt = ((1, dt, ds, 0, s, t) if dt > 0 else
-                                     (-1, -dt, -ds, -1, s + ds, t + dt))
-            for k in range(1, m + 1):
-                b = bs + (p * k + q) // m
-                r = bt + k
-                c = sign * (b + 1)
-                m2 = b * c
-                rc = r * c
-                n += c
-                s1 += m2
-                s2 += m2 * (2 * b + 1)
-                st += r * m2
-                t1 += rc
-                t2 += r * rc
-        s += ds
-        t += dt
+    sum g(u) (ux^2, ux uy, uy^2) over the covariogram g.  Each row t of
+    _rows, with bounds [a, b], adds its count and its sums of s, s^2,
+    s t, t and t^2 in closed form; x = s ex + t fx and y = s ey + t fy
+    take the central moments in (s, t) to those in (x, y).  Exact
+    integer arithmetic in O(rows + edges)."""
+    _, ex, ey, fx, fy, lo, hi = _rows(chain)
+    # n, 2 sum s, 6 sum s^2, 2 sum s t, sum t, sum t^2 over the rows
+    n = s1 = s2 = st = t1 = t2 = 0
+    for t, (a, b) in enumerate(zip(lo, hi)):
+        c = b - a + 1
+        twice = (a + b) * c
+        n += c
+        s1 += twice
+        s2 += c * (2 * (a * a + a * b + b * b) + b - a)
+        st += t * twice
+        t1 += t * c
+        t2 += t * t * c
     mss = (2 * n * s2 - 3 * s1 * s1) // 12
     mst = (n * st - s1 * t1) // 2
     mtt = n * t2 - t1 * t1

@@ -262,7 +262,7 @@ def _cmd_edges(args):
 
 def _cmd_reconstruct(args):
     g = _load_cov(args.covariogram)
-    box = _parse_box(args.box) if args.box else (None, None)
+    box = _parse_box(args.box) if args.box is not None else (None, None)
     hits = reconstruct_all(g, allow_large=args.allow_large)
     verdict = verdict_of(hits, *box)
     if verdict == "out-of-box":

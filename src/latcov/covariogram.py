@@ -45,7 +45,7 @@ class Covariogram:
         # In the plane -u is built directly, not by vneg's generic tuple.
         negs = ([(-x, -y) for x, y in e] if self.dim == 2 else map(vneg, e))
         for (u, c), neg in zip(e.items(), negs):
-            if not isinstance(c, int) or c <= 0:
+            if type(c) is not int or c <= 0:
                 raise LatticeError("invalid covariogram: counts must be positive integers")
             if c > peak:
                 raise LatticeError("invalid covariogram: origin entry is not maximal")

@@ -2,10 +2,10 @@
 
 Points are plain tuples of Python ints and point sets are frozensets of
 such tuples.  point_set enforces it: a coordinate that is not an int,
-1.0 among them, is refused with LatticeError.  Every public function
-that takes points checks them there once (hull_lattice_points a Hull2's
-vertices, Covariogram.value its vector, AffineMap2 its matrix and
-shift), and library code, with no exception, passes the sets it builds
+1.0 and True among them, is refused with LatticeError.  Every public
+function that takes points checks them there once (hull_lattice_points
+a Hull2's vertices, Covariogram.value its vector, AffineMap2 its matrix
+and shift), and library code, with no exception, passes the sets it builds
 to private bodies (_convex_hull, _hull_lattice_points, _support_set,
 _canonical_form; homometry's _sums, _mirror_pair and _condition_ii)
 unchecked.  _planar alone refuses a set for its
@@ -82,12 +82,13 @@ def primitive(u: Point) -> Point:
 
 
 def _int_points(points) -> list[Point]:
-    """points as tuples, refusing any that is not a sequence of ints:
-    the one integer rule, of point_set and of Covariogram's keys."""
+    """points as tuples, refusing any that is not a sequence of ints (a
+    bool is not one): the one integer rule, of point_set and of
+    Covariogram's keys."""
     try:
         pts = list(map(tuple, points))
-        # checked before hashing, where (1.0, 0) would merge into (1, 0)
-        if all(map(isinstance, chain.from_iterable(pts), repeat(int))):
+        # checked before hashing, where (1.0, 0) or (True, 0) is (1, 0)
+        if {*map(type, chain.from_iterable(pts))} <= {int}:
             return pts
     except TypeError:       # tuple() of a bare number
         pass

@@ -185,9 +185,9 @@ def _splits(width: int, height: int):
     Z is added.  Then, per Z, the two sets' sums of g over u_y = h - 1,
     l_0 l_(h-1) + l_1 l_h over their rows, are compared, then the same
     over their columns, each read off the few edges at the end rows
-    (_end_rows), and only then their six row sums, in one pass over the
-    edges (_row_moments).  All three are fixed by g, so a split whose
-    sets are homometric passes them all, and by the above every
+    (_end_rows), and only then their six row sums, over the row bounds
+    of each chain (_row_moments).  All three are fixed by g, so a split
+    whose sets are homometric passes them all, and by the above every
     homometric pair that is not a reflection is such a split: no pair
     is lost.  At 6x5, 7x6 and 8x8 one test in eight or fewer reaches
     the moment pass.

@@ -26,11 +26,13 @@ STRIP = WidthOneParams(1, 0)
 G = compute_covariogram(TRIANGLE)
 
 # A point or a covariogram key of each refused kind: a float, a float
-# equal to an int, a string coordinate, a nested list or tuple, a bare
-# number and a string.  A list cannot be a dict key, so keys skip it.
-BAD_POINTS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1), ((0,), 1), 5, "ab"]
+# equal to an int, a bool, a string coordinate, a nested list or tuple,
+# a bare number and a string.  A list cannot be a dict key, so keys
+# skip it.
+BAD_POINTS = [(0.5, 1), (1.0, 0), (True, 0), ("1", 0), ([0], 1), ((0,), 1),
+              5, "ab"]
 BAD_KEYS = [p for p in BAD_POINTS if p != ([0], 1)]
-BAD_VECTORS = [(0.5, 1), (1.0, 0), ("1", 0), ([0], 1), 5, "ab"]
+BAD_VECTORS = [(0.5, 1), (1.0, 0), (True, 0), ("1", 0), ([0], 1), 5, "ab"]
 
 # name -> calls, each taking a point set with one bad point and passing
 # it in one argument position

@@ -580,8 +580,9 @@ def test_search_box_guard(capsys):
     assert "allow_large" in err or "desk-scale" in err
 
 
-@pytest.mark.parametrize("box", ["\u00b2x3", "3x\u0663", "\uff13x3"],
-                         ids=["superscript", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("box", ["\u00b2x3", "3x\u0663", "\uff13x3", ""],
+                         ids=["superscript", "arabic-indic", "fullwidth",
+                              "empty"])
 def test_box_takes_ascii_digits_only(tmp_path, capsys, box):
     rc, out, err = run(capsys, "search", "--box", box)
     assert (rc, out) == (2, "")

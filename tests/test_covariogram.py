@@ -109,6 +109,9 @@ def test_validation():
         Covariogram(2, {(0, 0): 2, (1, 0): 1, (-1, 0): 2})  # asymmetric
     with pytest.raises(LatticeError):
         Covariogram(2, {(0, 0): 0})  # nonpositive count
+    with pytest.raises(LatticeError,
+                       match="counts must be positive integers"):
+        Covariogram(2, {(0, 0): True})  # a bool is not an integer count
     with pytest.raises(LatticeError):
         Covariogram(2 ** 31, {})  # no entries: no 2^31-tuple origin built
     for dim in (2.0, "2"):       # refused before any origin is built

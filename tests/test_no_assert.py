@@ -4,7 +4,8 @@ what they use, every private name and every unexported function or
 class it defines is used in it, only `lattice._fills` calls its
 bounding-box scan, only the chain walk and the chain count list the
 rays of a box, only the ray table and the edge signature sort by angle,
-and only `lattice._planar` refuses a point set for its dimension."""
+only `_polygons._rows` derives a chain's row bounds, and only
+`lattice._planar` refuses a point set for its dimension."""
 
 import ast
 from pathlib import Path
@@ -136,6 +137,28 @@ def test_only_the_walk_and_the_count_name_the_ray_table():
                   for node in ast.walk(stmt)
                   if isinstance(node, ast.Name) and node.id == name]
     assert found == []
+
+
+def test_only_rows_derives_the_row_bounds():
+    # the fill and the moment pass both read a chain's row bounds from
+    # _rows: the moment pass loops over no edge of its chain and the
+    # fill takes no floor, so a second derivation of the bounds fails
+    [polygons] = [tree for path, tree in _modules()
+                  if path.name == "_polygons.py"]
+    body = {stmt.name: stmt for stmt in polygons.body
+            if isinstance(stmt, ast.FunctionDef)}
+    moments, fill = body["_row_moments"], body["_lattice_points_of_chain"]
+    for stmt in (moments, fill):
+        assert any(isinstance(node, ast.Name) and node.id == "_rows"
+                   for node in ast.walk(stmt)), stmt.name
+    chain = moments.args.args[0].arg
+    assert [node.lineno for node in ast.walk(moments)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and any(isinstance(name, ast.Name) and name.id == chain
+                    for name in ast.walk(node.iter))] == []
+    assert [node.lineno for node in ast.walk(fill)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.FloorDiv)] == []
 
 
 def test_only_the_ray_table_and_the_signature_compare_angles():

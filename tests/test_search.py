@@ -457,7 +457,8 @@ def test_closings_in_angle_order_match_sort_oracle():
 def test_row_moments_equal_moments_of_filled_set():
     # every chain up to (5, 4) and (4, 5), every closing of the 6x5, 5x6
     # and 7x6 keys and of the 5x4 signatures, and the sheared and far
-    # chains, whose negative coordinates need the exact ceiling
+    # chains, whose negative coordinates need the exact ceiling; the
+    # reference set is filled without _rows, which _row_moments reads
     chains = [*map(tuple, _polygons.walk_chains(5, 4)),
               *map(tuple, _polygons.walk_chains(4, 5))]
     keys = set(signatures_5x4())
@@ -469,7 +470,7 @@ def test_row_moments_equal_moments_of_filled_set():
     assert len(chains) > 2 * 53524 + 20503 + 300
     for chain in chains:
         assert _polygons._row_moments(chain) == \
-            helpers.moments(_polygons._lattice_points_of_chain(chain)), chain
+            helpers.moments(helpers.lattice_points_by_all_edges(chain)), chain
 
 
 def test_end_rows_are_the_covariogram_sums_next_to_the_extent():
